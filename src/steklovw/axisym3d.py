@@ -9,8 +9,9 @@ into a family of 2-D pencils
     K^(m)(U, V) = int e^{-phi(t)} (grad U . grad V + m^2 U V / r^2) r dr dz,
     M_b^(m)(U, V) = int_outer e^{-phi(t)} U V r ds,      t = sqrt(r^2 + z^2),
 
-with essential axis conditions for m >= 1.  Mode eigenvalues enter the
-global spectrum once for m = 0 and twice for m >= 1.
+with essential axis conditions for m >= 1.  These are the shared P1
+pencils under the ``MERIDIAN`` measure.  Mode eigenvalues enter the global
+spectrum once for m = 0 and twice for m >= 1.
 """
 from __future__ import annotations
 
@@ -18,17 +19,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .geometry import DomainError, RadialWeight
-from .mesh2d import TriMesh, _max_edge, split_topology
+from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from .mesh2d import (MERIDIAN, TriMesh, integrate_boundary_weighted,
+                     integrate_weighted, polar_mesh, subdivide)
 from .spectrum import SteklovSpectrum
-from .steklov2d import AssembledSystem, dtn_reduce, solve_spectrum, tri_geometry
+from .steklov2d import AssembledSystem, assemble_p1, dtn_reduce, solve_spectrum
 
-_BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
-                   [1 / 6, 2 / 3, 1 / 6],
-                   [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
+E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,37 +42,51 @@ class MeridianDomain:
     k: int = 0
     mesh: TriMesh = None
 
+    center = (0.0, 0.0)       # rays of the meridian fan start at the origin
+
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def ball(R: float, rings: int = 8, sectors: int = 32) -> "MeridianDomain":
+    def ball(R: float, rings: int = 8, sectors: int = 32,
+             config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
         if R <= 0:
             raise DomainError("ball radius must be positive")
-        md = MeridianDomain(kind="ball", R=float(R))
-        return replace(md, mesh=_meridian_mesh(md, rings, sectors))
+        return MeridianDomain(kind="ball", R=float(R))._meshed(
+            rings, sectors, config)
 
     @staticmethod
-    def spheroid(a: float, c: float, rings: int = 8,
-                 sectors: int = 32) -> "MeridianDomain":
+    def spheroid(a: float, c: float, rings: int = 8, sectors: int = 32,
+                 config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
         """Boundary (r/a)^2 + (z/c)^2 = 1."""
         if a <= 0 or c <= 0:
             raise DomainError("spheroid semi-axes must be positive")
-        md = MeridianDomain(kind="spheroid", a=float(a), c=float(c))
-        return replace(md, mesh=_meridian_mesh(md, rings, sectors))
+        return MeridianDomain(kind="spheroid", a=float(a), c=float(c))._meshed(
+            rings, sectors, config)
 
     @staticmethod
     def perturbed_ball(R: float, eps: float, k: int, rings: int = 8,
-                       sectors: int = 32) -> "MeridianDomain":
+                       sectors: int = 32,
+                       config: NumericsConfig = DEFAULT_CONFIG
+                       ) -> "MeridianDomain":
         """Polar boundary radius R (1 + eps cos(k theta_colat))."""
         if R <= 0:
             raise DomainError("radius must be positive")
         if abs(eps) * k >= 1.0:
             raise DomainError("|eps|*k >= 1 breaks star-shapedness")
-        md = MeridianDomain(kind="perturbed_ball", R=float(R),
-                            eps=float(eps), k=int(k))
-        return replace(md, mesh=_meridian_mesh(md, rings, sectors))
+        return MeridianDomain(kind="perturbed_ball", R=float(R),
+                              eps=float(eps), k=int(k))._meshed(
+            rings, sectors, config)
+
+    def _meshed(self, rings: int, sectors: int,
+                config: NumericsConfig) -> "MeridianDomain":
+        """Copy carrying the open polar fan over [-pi/2, pi/2]."""
+        N = int(sectors)
+        if N < 4:
+            raise DomainError("meridian mesh needs sectors >= 4")
+        alphas = -math.pi / 2.0 + math.pi * np.arange(N + 1) / N
+        return replace(self, mesh=polar_mesh(self, alphas, rings, False, config))
 
     # -- geometry ---------------------------------------------------------
-    def boundary_radius_alpha(self, alpha) -> np.ndarray:
+    def boundary_radius(self, alpha) -> np.ndarray:
         """Boundary distance along the ray at angle alpha from the +r axis."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         if self.kind == "ball":
@@ -114,109 +127,23 @@ class MeridianDomain:
         return be[~on_axis]
 
     def refine(self, config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
-        verts, tris, boundary, mid_index = split_topology(self.mesh)
-        outer = {tuple(sorted(e)) for e in self.outer_edges.tolist()}
-        for a, b in self.mesh.boundary_edges:
-            key = (a, b) if a < b else (b, a)
-            m = mid_index[key]
-            if key in outer:
-                alpha = math.atan2(verts[m][1], verts[m][0])
-                rb = self.boundary_radius_alpha(alpha)[0]
-                verts[m] = rb * np.array([math.cos(alpha), math.sin(alpha)])
-            else:
-                verts[m][0] = 0.0   # keep the axis exact
-        mesh = TriMesh(vertices=verts, triangles=tris, boundary_edges=boundary,
-                       h=_max_edge(verts, tris), domain=None)
-        return replace(self, mesh=mesh)
-
-
-def _meridian_mesh(md: MeridianDomain, rings: int, sectors: int) -> TriMesh:
-    """Polar construction restricted to the half-plane, axis as flat side."""
-    M, N = int(rings), int(sectors)
-    if M < 2 or N < 4:
-        raise DomainError("meridian mesh needs rings >= 2 and sectors >= 4")
-    alphas = -math.pi / 2.0 + math.pi * np.arange(N + 1) / N
-    dirs = np.stack([np.cos(alphas), np.sin(alphas)], axis=1)
-    dirs[0] = (0.0, -1.0)     # exact axis rays
-    dirs[N] = (0.0, 1.0)
-    rad = md.boundary_radius_alpha(alphas)
-
-    verts = np.empty((1 + M * (N + 1), 2))
-    verts[0] = (0.0, 0.0)
-    for j in range(1, M + 1):
-        verts[1 + (j - 1) * (N + 1): 1 + j * (N + 1)] = \
-            (j / M) * rad[:, None] * dirs
-
-    def idx(j, l):
-        return 1 + (j - 1) * (N + 1) + l
-
-    tris = []
-    for l in range(N):
-        tris.append((0, idx(1, l), idx(1, l + 1)))
-    for j in range(1, M):
-        for l in range(N):
-            a, b = idx(j, l), idx(j + 1, l)
-            c, d = idx(j + 1, l + 1), idx(j, l + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-
-    boundary = []
-    for l in range(N):                       # outer arc, CCW
-        boundary.append((idx(M, l), idx(M, l + 1)))
-    for j in range(M, 1, -1):                # down the axis (top ray)
-        boundary.append((idx(j, N), idx(j - 1, N)))
-    boundary.append((idx(1, N), 0))
-    boundary.append((0, idx(1, 0)))
-    for j in range(1, M):                    # out the bottom ray
-        boundary.append((idx(j, 0), idx(j + 1, 0)))
-
-    return TriMesh(vertices=verts, triangles=np.array(tris, dtype=np.int64),
-                   boundary_edges=np.array(boundary, dtype=np.int64),
-                   h=_max_edge(verts, np.array(tris)), domain=None)
+        return replace(self, mesh=subdivide(self.mesh, self.outer_edges, self,
+                                            config))
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature on the meridian (includes the 2 pi revolution factor)
+# weighted measures of the solid (the mesh integrals under MERIDIAN)
 # ---------------------------------------------------------------------------
 
 def integrate_meridian(md: MeridianDomain, w: RadialWeight, fn=None) -> float:
     """Weighted volume integral of fn(t) over the solid of revolution."""
-    mesh = md.mesh
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.signed_areas()
-    mids = np.stack([(p[:, 0] + p[:, 1]) / 2.0,
-                     (p[:, 1] + p[:, 2]) / 2.0,
-                     (p[:, 2] + p[:, 0]) / 2.0], axis=1)
-    t = np.linalg.norm(mids, axis=-1)
-    vals = np.exp(-w.phi(t)) * mids[:, :, 0]     # area element r dr dz
-    if fn is not None:
-        vals = vals * fn(t)
-    return 2.0 * math.pi * float(np.sum(areas / 3.0 * np.sum(vals, axis=1)))
-
-
-def integrate_meridian_boundary(md: MeridianDomain, w: RadialWeight,
-                                fn=None) -> float:
-    """Weighted boundary integral of fn(t) over the surface of revolution."""
-    e = md.outer_edges
-    a = md.mesh.vertices[e[:, 0]]
-    b = md.mesh.vertices[e[:, 1]]
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    lengths = np.linalg.norm(b - a, axis=1)
-    total = 0.0
-    for g in (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)):
-        pts = mid + g * half
-        t = np.linalg.norm(pts, axis=1)
-        vals = np.exp(-w.phi(t)) * pts[:, 0]
-        if fn is not None:
-            vals = vals * fn(t)
-        total += float(np.sum(lengths / 2.0 * vals))
-    return 2.0 * math.pi * total
+    return integrate_weighted(md.mesh, E3, w, fn)
 
 
 def meridian_measures(md: MeridianDomain, w: RadialWeight) -> tuple[float, float]:
     """(weighted volume, weighted boundary area) of the solid."""
-    return integrate_meridian(md, w), integrate_meridian_boundary(md, w)
+    return (integrate_weighted(md.mesh, E3, w),
+            integrate_boundary_weighted(md.mesh, E3, w, edges=md.outer_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -228,62 +155,8 @@ def assemble_mode(md: MeridianDomain, w: RadialWeight, m: int,
     """Mode-m stiffness and outer-boundary mass, axis dofs removed for m >= 1."""
     if m < 0:
         raise DomainError("azimuthal mode must be >= 0")
-    mesh = md.mesh
-    nv = len(mesh.vertices)
-    areas, grads = tri_geometry(mesh)
-    p = mesh.vertices[mesh.triangles]
-    cent = p.mean(axis=1)
-    t_c = np.linalg.norm(cent, axis=1)
-    wq = np.exp(-w.phi(t_c))
-
-    local = np.einsum("t,tia,tja->tij", wq * areas * cent[:, 0], grads, grads)
-
-    if m >= 1:
-        qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
-        r_q = qpts[:, :, 0]
-        if np.any(r_q <= 0.0):
-            raise DomainError("interior quadrature point fell on the axis")
-        t_q = np.linalg.norm(qpts, axis=-1)
-        f_q = np.exp(-w.phi(t_q)) * (m * m) / r_q      # integrand m^2 N N / r
-        local = local + np.einsum("t,tg,gi,gj->tij", areas / 3.0, f_q,
-                                  _BARY3, _BARY3)
-
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    # outer-boundary mass with area element r ds
-    e = md.outer_edges
-    a = mesh.vertices[e[:, 0]]
-    b = mesh.vertices[e[:, 1]]
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    lengths = np.linalg.norm(b - a, axis=1)
-    xi = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-    shape = np.stack([(1.0 - xi) / 2.0, (1.0 + xi) / 2.0], axis=1)
-    pts = mid[:, None, :] + xi[None, :, None] * half[:, None, :]  # (B, 2, 2)
-    t_b = np.linalg.norm(pts, axis=-1)
-    f_b = np.exp(-w.phi(t_b)) * pts[:, :, 0]
-    wts = np.stack([lengths / 2.0] * 2, axis=1)
-    locm = np.einsum("bg,gi,gj->bij", wts * f_b, shape, shape)
-    rows = np.repeat(e, 2, axis=1).ravel()
-    cols = np.tile(e, (1, 2)).ravel()
-    Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    outer_nodes = np.unique(e)
-    if m == 0:
-        return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                               boundary_index=outer_nodes)
-
-    keep = np.setdiff1d(np.arange(nv), md.axis_nodes)
-    K = K[np.ix_(keep, keep)].tocsr()
-    Mb = Mb[np.ix_(keep, keep)].tocsr()
-    renum = -np.ones(nv, dtype=np.int64)
-    renum[keep] = np.arange(len(keep))
-    outer_kept = renum[np.setdiff1d(outer_nodes, md.axis_nodes)]
-    return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                           boundary_index=np.sort(outer_kept))
+    return assemble_p1(md.mesh, MERIDIAN, w, md.outer_edges, m,
+                       md.axis_nodes if m else None)
 
 
 def solve_axisym_spectrum(md: MeridianDomain, w: RadialWeight,

@@ -2,7 +2,7 @@
 
 Reads a flat-section ``key = value`` config file (repeatable ``[domain]``
 and ``[weight]`` blocks), runs one of the batch commands and emits CSV
-and/or JSON reports.  Identical config + seed yield byte-identical output
+and/or JSON reports.  An identical config yields byte-identical output
 files; every report embeds the fully resolved configuration.
 
 Exit status: 0 all checks passed, 2 flagged inequality violations,
@@ -15,20 +15,18 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .axisym3d import MeridianDomain, solve_axisym_spectrum
+from .axisym3d import MeridianDomain
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .geometry import Curvature, RadialWeight, SpaceForm
-from .mesh2d import Domain2D, mesh_levels
+from .mesh2d import Domain2D
 from .radial import sigma1_ball
-from .steklov2d import domain_spectrum
-from .verify import (brock_report, convergence_study, proof_chain_check,
-                     question_a_report)
+from .verify import (MeshHierarchy, brock_report, convergence_study,
+                     default_sectors, proof_chain_check, question_a_report)
 
 SCHEMA_VERSION = "steklovw-v1"
 
@@ -42,9 +40,7 @@ class ConfigError(ValueError):
         self.line = line
 
 
-_COMMANDS = ("ball", "spectrum", "verify", "sweep", "converge", "chain")
-
-_TOP_KEYS = {"command", "radii", "count", "jobs", "seed", "waive_admissibility"}
+_TOP_KEYS = {"command", "radii", "count", "waive_admissibility"}
 _SPACE_KEYS = {"curvature", "dim"}
 _WEIGHT_KEYS = {"kind", "c", "a", "b", "csv"}
 _DOMAIN_KEYS = {"kind", "radius", "a", "b", "c", "epsilon", "k", "center",
@@ -52,7 +48,7 @@ _DOMAIN_KEYS = {"kind", "radius", "a", "b", "c", "epsilon", "k", "center",
 _MESH_KEYS = {"rings", "sectors", "levels", "min_angle_deg"}
 _TOL_KEYS = {"integrator_rtol", "integrator_method", "series_start_factor",
              "report_points", "quadrature_abstol", "property_tol",
-             "identity_warn_tol", "stiffness_weight_rule", "hyperbolic_margin",
+             "identity_warn_tol", "hyperbolic_margin",
              "zero_mode_tol", "slack_floor", "equality_floor",
              "radius_match_rtol", "radius_max"}
 _OUTPUT_KEYS = {"dir", "format"}
@@ -65,7 +61,8 @@ class DomainSpec:
     kind: str
     params: dict
 
-    def build(self, rings: int, sectors: int):
+    def build(self, rings: int, sectors: int,
+              config: NumericsConfig = DEFAULT_CONFIG):
         p = self.params
         if self.kind == "disk":
             return Domain2D.disk(p["radius"], p.get("center", (0.0, 0.0)))
@@ -77,12 +74,13 @@ class DomainSpec:
         if self.kind == "polygon":
             return Domain2D.polygon(p["vertices"], p.get("center", (0.0, 0.0)))
         if self.kind == "ball":
-            return MeridianDomain.ball(p["radius"], rings, sectors)
+            return MeridianDomain.ball(p["radius"], rings, sectors, config)
         if self.kind == "spheroid":
-            return MeridianDomain.spheroid(p["a"], p["c"], rings, sectors)
+            return MeridianDomain.spheroid(p["a"], p["c"], rings, sectors,
+                                           config)
         if self.kind == "perturbed_ball":
             return MeridianDomain.perturbed_ball(p["radius"], p["epsilon"],
-                                                 p["k"], rings, sectors)
+                                                 p["k"], rings, sectors, config)
         raise ConfigError(f"unknown domain kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -111,8 +109,6 @@ class RunConfig:
     numerics: NumericsConfig = DEFAULT_CONFIG
     out_dir: str = "out"
     out_format: str = "both"
-    jobs: int = 1
-    seed: int = 0
     waive_admissibility: bool = False
     weight_sources: list[dict] = field(default_factory=list)
 
@@ -130,8 +126,6 @@ class RunConfig:
                      "levels": self.levels},
             "tolerances": self.numerics.to_dict(),
             "output": {"dir": self.out_dir, "format": self.out_format},
-            "jobs": self.jobs,
-            "seed": self.seed,
             "waive_admissibility": self.waive_admissibility,
         }
 
@@ -328,9 +322,9 @@ def parse_config(text: str) -> RunConfig:
     if "command" not in top:
         raise ConfigError("missing required top-level key 'command'")
     command, cline = top["command"][0].lower(), top["command"][1]
-    if command not in _COMMANDS:
+    if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r} "
-                          f"(expected one of {', '.join(_COMMANDS)})", cline)
+                          f"(expected one of {', '.join(_RUNNERS)})", cline)
 
     curvature = Curvature.EUCLIDEAN
     dim = 2
@@ -378,7 +372,7 @@ def parse_config(text: str) -> RunConfig:
             for key, (val, ln) in body.items():
                 if key in ("report_points",):
                     numerics_kw[key] = _parse_int(val, ln)
-                elif key in ("integrator_method", "stiffness_weight_rule"):
+                elif key == "integrator_method":
                     numerics_kw[key] = val
                 else:
                     parsed = _parse_float(val, ln)
@@ -414,8 +408,6 @@ def parse_config(text: str) -> RunConfig:
         if any(r <= 0 for r in radii):
             raise ConfigError("radii must be positive", top["radii"][1])
     count = _parse_int(*top["count"]) if "count" in top else 5
-    jobs = _parse_int(*top["jobs"]) if "jobs" in top else 1
-    seed = _parse_int(*top["seed"]) if "seed" in top else 0
     waive = _parse_bool(*top["waive_admissibility"]) \
         if "waive_admissibility" in top else False
 
@@ -429,7 +421,7 @@ def parse_config(text: str) -> RunConfig:
         command=command, space=space, weights=weights, domains=domains,
         radii=radii, count=count, rings=rings, sectors=sectors, levels=levels,
         numerics=DEFAULT_CONFIG.replace(**numerics_kw),
-        out_dir=out_dir, out_format=out_format, jobs=jobs, seed=seed,
+        out_dir=out_dir, out_format=out_format,
         waive_admissibility=waive, weight_sources=weight_sources)
 
 
@@ -443,74 +435,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _sanitize(payload):
-    """Replace non-finite floats so json stays strictly valid."""
+    """Plain Python values, with non-finite floats replaced so json stays
+    strictly valid."""
     if isinstance(payload, dict):
         return {k: _sanitize(v) for k, v in payload.items()}
-    if isinstance(payload, (list, tuple)):
+    if isinstance(payload, (list, tuple, np.ndarray)):
         return [_sanitize(v) for v in payload]
-    if isinstance(payload, (np.floating,)):
-        payload = float(payload)
+    if isinstance(payload, np.generic):
+        payload = payload.item()
     if isinstance(payload, float) and not math.isfinite(payload):
         return None
-    if isinstance(payload, (np.integer,)):
-        return int(payload)
-    if isinstance(payload, np.bool_):
-        return bool(payload)
     return payload
-
-
-def _write_csv(path: Path, schema: str, config_line: str,
-               fieldnames: list[str], rows: list[dict]):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        fh.write(f"# config: {config_line}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
 # ---------------------------------------------------------------------------
 # command drivers
 # ---------------------------------------------------------------------------
 
-def _config_line(cfg: RunConfig) -> str:
-    return json.dumps(_sanitize(cfg.resolved_dict()), sort_keys=True)
-
-
-def _emit(cfg: RunConfig, stem: str, payload: dict,
-          fieldnames: list[str] | None = None, rows: list[dict] | None = None):
+def _emit(cfg: RunConfig, stem: str, payload: dict | None,
+          fieldnames: list[str] | None = None, rows: list[dict] = ()):
+    """Write ``stem.json`` (payload plus the resolved config) and ``stem.csv``
+    as the output format asks; a None payload or field list skips that file."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["config"] = cfg.resolved_dict()
-    if cfg.out_format in ("json", "both"):
-        _write_json(out / f"{stem}.json", _sanitize(payload))
-    if cfg.out_format in ("csv", "both") and fieldnames is not None:
-        _write_csv(out / f"{stem}.csv", f"{SCHEMA_VERSION}:{stem}",
-                   _config_line(cfg), fieldnames, rows or [])
+    if payload is not None and cfg.out_format in ("json", "both"):
+        payload = _sanitize({**payload, "config": cfg.resolved_dict()})
+        (out / f"{stem}.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if fieldnames is not None and cfg.out_format in ("csv", "both"):
+        config_line = json.dumps(_sanitize(cfg.resolved_dict()), sort_keys=True)
+        with open(out / f"{stem}.csv", "w", newline="") as fh:
+            fh.write(f"# schema: {SCHEMA_VERSION}:{stem}\n")
+            fh.write(f"# config: {config_line}\n")
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
 def _run_ball(cfg: RunConfig) -> int:
     rows = []
-    results = []
-    for src, w in zip(cfg.weight_sources, cfg.weights):
+    for w in cfg.weights:
         for R in cfg.radii:
             res = sigma1_ball(cfg.space, w, R, cfg.numerics,
                               waive_admissibility=cfg.waive_admissibility)
@@ -519,51 +485,31 @@ def _run_ball(cfg: RunConfig) -> int:
                 "weight": w.label, "R": R, "sigma1_ball": res.value,
                 "identity_discrepancy": res.rel_discrepancy,
             })
-            results.append(rows[-1])
-    _emit(cfg, "ball", {"results": results},
-          ["curvature", "n", "weight", "R", "sigma1_ball",
-           "identity_discrepancy"], rows)
+    _emit(cfg, "ball", {"results": rows}, list(rows[0]), rows)
     return 0
 
 
 def _build_domain_obj(cfg: RunConfig, spec: DomainSpec):
     sectors = cfg.sectors if cfg.sectors is not None else \
-        (64 if cfg.space.dim == 2 else 32)
-    return spec.build(cfg.rings, sectors), sectors
+        default_sectors(cfg.space.dim)
+    return spec.build(cfg.rings, sectors, cfg.numerics), sectors
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
     dom, sectors = _build_domain_obj(cfg, cfg.domains[0])
-    w = cfg.weights[0]
-    if isinstance(dom, Domain2D):
-        mesh = mesh_levels(dom, cfg.rings, sectors, cfg.levels, cfg.numerics)[-1]
-        spec = domain_spectrum(mesh, cfg.space, w, cfg.count, cfg.numerics)
-        spec.metadata["identities"] = {
-            "zero_mode_ratio": abs(spec.eigenvalues[0]) /
-            max(spec.eigenvalues[1], 1e-300),
-        }
-    else:
-        md = dom
-        for _ in range(cfg.levels - 1):
-            md = md.refine(cfg.numerics)
-        spec = solve_axisym_spectrum(md, w, k_per_mode=max(4, cfg.count),
-                                     config=cfg.numerics)
-        spec.eigenvalues = spec.eigenvalues[:cfg.count + 1]
-        spec.modes = spec.modes[:cfg.count + 1]
-        spec.metadata["identities"] = {
-            "zero_mode_ratio": abs(spec.eigenvalues[0]) /
-            max(spec.eigenvalues[1], 1e-300),
-        }
-    payload = {"spectrum": spec.to_json_dict()}
+    hier = MeshHierarchy(dom, cfg.space, cfg.rings, sectors, cfg.levels,
+                         cfg.numerics)
+    spec = hier.spectrum(-1, cfg.weights[0], cfg.count)
+    spec.metadata["identities"] = {
+        "zero_mode_ratio": abs(spec.eigenvalues[0]) /
+        max(spec.eigenvalues[1], 1e-300),
+    }
     rows = [{"index": i, "sigma": float(v)}
             for i, v in enumerate(spec.eigenvalues)]
-    if spec.modes is not None:
-        for row, m in zip(rows, spec.modes):
-            row["mode"] = m
-        fields = ["index", "sigma", "mode"]
-    else:
-        fields = ["index", "sigma"]
-    _emit(cfg, "spectrum", payload, fields, rows)
+    for row, m in zip(rows, spec.modes or ()):
+        row["mode"] = m
+    _emit(cfg, "spectrum", {"spectrum": spec.to_json_dict()}, list(rows[0]),
+          rows)
     return 0
 
 
@@ -575,52 +521,27 @@ def _verify_one(cfg: RunConfig, spec: DomainSpec, w: RadialWeight):
               waive_admissibility=cfg.waive_admissibility)
 
 
-def _sigma_fields(n: int) -> list[str]:
-    return [f"sigma{i}_omega" for i in range(1, n + 1)]
-
-
 def _run_verify(cfg: RunConfig) -> int:
     report = _verify_one(cfg, cfg.domains[0], cfg.weights[0])
-    fields = (["domain", "weight", "curvature", "n", "volume", "R"]
-              + _sigma_fields(report.n)
-              + ["sigma1_ball", "lhs", "rhs", "gap", "gap_n", "status"])
-    _emit(cfg, "verify", {"report": report.to_json_dict()},
-          fields, [report.csv_row()])
+    row = report.csv_row()   # its keys are the report fields, in order
+    _emit(cfg, "verify", {"report": report.to_json_dict()}, list(row), [row])
     return 0 if report.passed else 2
 
 
 def _run_sweep(cfg: RunConfig) -> int:
-    jobs = [(spec, w) for spec in cfg.domains for w in cfg.weights]
-
-    def work(job):
-        spec, w = job
-        try:
-            return _verify_one(cfg, spec, w)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep run {spec.kind} x {w.label} failed: {exc}") from exc
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(work, jobs))
-    else:
-        reports = [work(j) for j in jobs]
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n = cfg.space.dim
-    fields = (["domain", "weight", "curvature", "n", "volume", "R"]
-              + _sigma_fields(n)
-              + ["sigma1_ball", "lhs", "rhs", "gap", "gap_n", "status"])
+    """Every (domain, weight) pair in input order, one JSON file per run."""
+    reports = []
+    for spec in cfg.domains:
+        for w in cfg.weights:
+            try:
+                reports.append(_verify_one(cfg, spec, w))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"sweep run {spec.kind} x {w.label} failed: {exc}") from exc
+    for i, rep in enumerate(reports):
+        _emit(cfg, f"sweep_{i:03d}", {"report": rep.to_json_dict()})
     rows = [r.csv_row() for r in reports]
-    if cfg.out_format in ("json", "both"):
-        for i, rep in enumerate(reports):
-            payload = {"report": rep.to_json_dict(),
-                       "config": cfg.resolved_dict()}
-            _write_json(out / f"sweep_{i:03d}.json", _sanitize(payload))
-    if cfg.out_format in ("csv", "both"):
-        _write_csv(out / "sweep.csv", f"{SCHEMA_VERSION}:sweep",
-                   _config_line(cfg), fields, rows)
+    _emit(cfg, "sweep", None, list(rows[0]), rows)
     return 0 if all(r.passed for r in reports) else 2
 
 
@@ -654,41 +575,26 @@ def _run_chain(cfg: RunConfig) -> int:
                 dom, cfg.space, w, rings=cfg.rings, sectors=sectors,
                 levels=cfg.levels, config=cfg.numerics,
                 waive_admissibility=cfg.waive_admissibility))
-    rows = []
-    for rep in reports:
-        rows.append({
-            "domain": rep.domain, "weight": rep.weight, "n": rep.n,
-            "margin_divergence": rep.margin_divergence,
-            "margin_variational": rep.margin_variational,
-            "margin_ball_G": rep.margin_ball_G,
-            "margin_ball_H": rep.margin_ball_H,
-            "capped_ball_G_comparison": rep.capped_ball_G_comparison,
-            "passed": rep.passed,
-        })
     fields = ["domain", "weight", "n", "margin_divergence",
               "margin_variational", "margin_ball_G", "margin_ball_H",
               "capped_ball_G_comparison", "passed"]
+    rows = [{f: getattr(rep, f) for f in fields} for rep in reports]
     _emit(cfg, "chain", {"reports": [r.to_json_dict() for r in reports]},
           fields, rows)
     return 0 if all(r.passed for r in reports) else 2
 
 
+_RUNNERS = {"ball": _run_ball, "spectrum": _run_spectrum,
+            "verify": _run_verify, "sweep": _run_sweep,
+            "converge": _run_converge, "chain": _run_chain}
+
+
 def run(cfg: RunConfig) -> int:
-    try:
-        if cfg.command == "ball":
-            return _run_ball(cfg)
-        if cfg.command == "spectrum":
-            return _run_spectrum(cfg)
-        if cfg.command == "verify":
-            return _run_verify(cfg)
-        if cfg.command == "sweep":
-            return _run_sweep(cfg)
-        if cfg.command == "converge":
-            return _run_converge(cfg)
-        if cfg.command == "chain":
-            return _run_chain(cfg)
+    if cfg.command not in _RUNNERS:
         print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
         return 1
+    try:
+        return _RUNNERS[cfg.command](cfg)
     except Exception as exc:
         print(f"error [{cfg.command}]: {exc}", file=sys.stderr)
         return 1
@@ -700,8 +606,6 @@ def main(argv=None) -> int:
         description="Weighted Steklov eigenvalue tables and inequality reports")
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", help="output directory (overrides [output] dir)")
-    parser.add_argument("--jobs", type=int, help="sweep worker count")
-    parser.add_argument("--seed", type=int, help="seed recorded in reports")
     parser.add_argument("--format", choices=("csv", "json", "both"),
                         help="output format (overrides [output] format)")
     args = parser.parse_args(argv)
@@ -719,10 +623,6 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.format is not None:
         cfg.out_format = args.format
 

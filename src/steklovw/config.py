@@ -35,7 +35,6 @@ class NumericsConfig:
     # P1 accuracy), hence the permissive default; tighten via config if a
     # genuinely degenerate domain must be caught early.
     min_angle_deg: float = 1.0
-    stiffness_weight_rule: str = "centroid"  # "centroid" | "midpoints"
     hyperbolic_margin: float = 0.02          # domain must satisfy |x| <= 1 - margin
     zero_mode_tol: float = 1e-8
 

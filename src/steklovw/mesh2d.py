@@ -1,14 +1,17 @@
-"""Deterministic triangulation of star-shaped planar domains.
+"""Deterministic triangulation of star-shaped domains, and the FEM measures.
 
 Meshes come from a mapped polar grid: rings at radius fractions j/M along
 N rays, scaled by the boundary radius function of the domain, with a
-triangle fan at the center.  Refinement is a uniform 4-way split with new
-boundary midpoints re-projected onto the exact boundary curve.
+triangle fan at the center (a closed fan for planar domains, an open one
+for the meridian of a solid).  Refinement is a uniform 4-way split with new
+boundary midpoints re-projected onto the exact boundary curve.  The FEM
+models differ only in the ``Measure`` that ``measure`` picks for a form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -90,10 +93,6 @@ class Domain2D:
         if self.kind == "polygon":
             return self.vertices_local.mean(axis=0) + off
         return off
-
-    @property
-    def is_curved(self) -> bool:
-        return self.kind != "polygon"
 
     def boundary_radius(self, theta) -> np.ndarray:
         """Distance from the domain center to the boundary along angle theta."""
@@ -192,26 +191,32 @@ def _validate(mesh: TriMesh, min_angle_deg: float):
             f"{min_angle_deg:g} deg (increase rings/sectors or lower the floor)")
 
 
-def generate_mesh(dom: Domain2D, rings: int, sectors: int,
-                  config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
-    """Mapped polar mesh: 1 + rings*sectors vertices, deterministic layout."""
-    M, N = int(rings), int(sectors)
+def polar_mesh(shape, angles: np.ndarray, rings: int, closed: bool,
+               config: NumericsConfig = DEFAULT_CONFIG,
+               domain: Domain2D | None = None) -> TriMesh:
+    """Mapped polar grid of ``shape`` (``center``, ``boundary_radius``).
+
+    A closed fan wraps the last ray onto the first.  An open fan is a
+    meridian half-plane: its end rays are snapped onto the symmetry axis
+    and form the flat side of the boundary loop.
+    """
+    M, K = int(rings), len(angles)
     if M < 2:
         raise DomainError("need at least 2 rings")
-    if N < 8:
-        raise DomainError("need at least 8 sectors")
-    thetas = 2.0 * math.pi * np.arange(N) / N
-    rad = dom.boundary_radius(thetas)
-    center = dom.center
+    N = K if closed else K - 1          # sectors between consecutive rays
+    center = np.asarray(shape.center, dtype=float)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if not closed:
+        dirs[0], dirs[-1] = (0.0, -1.0), (0.0, 1.0)
+    rad = shape.boundary_radius(angles)
 
-    verts = np.empty((1 + M * N, 2))
+    verts = np.empty((1 + M * K, 2))
     verts[0] = center
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     for j in range(1, M + 1):
-        verts[1 + (j - 1) * N: 1 + j * N] = center + (j / M) * rad[:, None] * dirs
+        verts[1 + (j - 1) * K: 1 + j * K] = center + (j / M) * rad[:, None] * dirs
 
     def idx(j, l):
-        return 1 + (j - 1) * N + (l % N)
+        return 1 + (j - 1) * K + (l % K)
 
     tris = []
     for l in range(N):
@@ -223,13 +228,27 @@ def generate_mesh(dom: Domain2D, rings: int, sectors: int,
             tris.append((a, b, c))
             tris.append((a, c, d))
     triangles = np.array(tris, dtype=np.int64)
-    boundary = np.array([(idx(M, l), idx(M, l + 1)) for l in range(N)],
-                        dtype=np.int64)
+    boundary = [(idx(M, l), idx(M, l + 1)) for l in range(N)]   # outer arc, CCW
+    if not closed:
+        boundary += [(idx(j, N), idx(j - 1, N)) for j in range(M, 1, -1)]
+        boundary += [(idx(1, N), 0), (0, idx(1, 0))]
+        boundary += [(idx(j, 0), idx(j + 1, 0)) for j in range(1, M)]
 
-    mesh = TriMesh(vertices=verts, triangles=triangles, boundary_edges=boundary,
-                   h=_max_edge(verts, triangles), domain=dom)
+    mesh = TriMesh(vertices=verts, triangles=triangles,
+                   boundary_edges=np.array(boundary, dtype=np.int64),
+                   h=_max_edge(verts, triangles), domain=domain)
     _validate(mesh, config.min_angle_deg)
     return mesh
+
+
+def generate_mesh(dom: Domain2D, rings: int, sectors: int,
+                  config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
+    """Mapped polar mesh: 1 + rings*sectors vertices, deterministic layout."""
+    N = int(sectors)
+    if N < 8:
+        raise DomainError("need at least 8 sectors")
+    thetas = 2.0 * math.pi * np.arange(N) / N
+    return polar_mesh(dom, thetas, rings, True, config, domain=dom)
 
 
 def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
@@ -238,12 +257,14 @@ def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.max(lengths))
 
 
-def split_topology(mesh: TriMesh):
-    """Uniform 4-way split of the mesh topology.
+def subdivide(mesh: TriMesh, curved_edges, shape,
+              config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
+    """Uniform 4-way split, midpoints appended in deterministic order.
 
-    Returns (vertices, triangles, boundary_edges, edge->midpoint index map);
-    midpoint vertices are appended after the original ones in deterministic
-    order and boundary midpoints are not yet projected.
+    Midpoints of ``curved_edges`` move along their ray from ``shape.center``
+    onto ``shape.boundary_radius``: exact (a no-op) on straight pieces, it
+    restores corner/curvature geometry otherwise.  Other midpoints stay, so
+    one between two axis nodes keeps r = 0 exactly.
     """
     verts = list(map(tuple, mesh.vertices))
     mid_index: dict[tuple[int, int], int] = {}
@@ -265,34 +286,29 @@ def split_topology(mesh: TriMesh):
     for a, b in mesh.boundary_edges:
         m = midpoint(a, b)
         new_boundary.extend([(a, m), (m, b)])
+    verts = np.array(verts, dtype=float)
+    tris = np.array(new_tris, dtype=np.int64)
 
-    return (np.array(verts, dtype=float),
-            np.array(new_tris, dtype=np.int64),
-            np.array(new_boundary, dtype=np.int64),
-            mid_index)
+    center = None if shape is None else np.asarray(shape.center, dtype=float)
+    for a, b in curved_edges:
+        m = mid_index[(a, b) if a < b else (b, a)]
+        d = verts[m] - center
+        theta = math.atan2(d[1], d[0])
+        r = shape.boundary_radius(theta)[0]
+        verts[m] = center + r * np.array([math.cos(theta), math.sin(theta)])
+
+    out = TriMesh(vertices=verts, triangles=tris,
+                  boundary_edges=np.array(new_boundary, dtype=np.int64),
+                  h=_max_edge(verts, tris), domain=mesh.domain)
+    _validate(out, config.min_angle_deg)
+    return out
 
 
 def refine(mesh: TriMesh, config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
     """4-way refinement with boundary midpoints snapped to the exact curve."""
-    verts, tris, boundary, mid_index = split_topology(mesh)
-
-    # Re-projection is exact (a no-op) on straight boundary pieces and
-    # restores corner/curvature geometry otherwise.
     dom = mesh.domain
-    if dom is not None:
-        center = dom.center
-        for a, b in mesh.boundary_edges:
-            key = (a, b) if a < b else (b, a)
-            m = mid_index[key]
-            d = verts[m] - center
-            theta = math.atan2(d[1], d[0])
-            r = dom.boundary_radius(theta)[0]
-            verts[m] = center + r * np.array([math.cos(theta), math.sin(theta)])
-
-    out = TriMesh(vertices=verts, triangles=tris, boundary_edges=boundary,
-                  h=_max_edge(verts, tris), domain=dom)
-    _validate(out, config.min_angle_deg)
-    return out
+    curved = mesh.boundary_edges if dom is not None else ()
+    return subdivide(mesh, curved, dom, config)
 
 
 def mesh_levels(dom: Domain2D, rings: int, sectors: int, levels: int,
@@ -304,54 +320,91 @@ def mesh_levels(dom: Domain2D, rings: int, sectors: int, levels: int,
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature on meshes
+# the model's measure and weighted quadrature on meshes
 # ---------------------------------------------------------------------------
 
-def _weight_at(form: SpaceForm, w: RadialWeight, pts: np.ndarray) -> np.ndarray:
-    """exp(-phi(t(x))) at Euclidean chart points, t = model distance to origin."""
-    if form.curvature is Curvature.HYPERBOLIC:
-        t = poincare_distance(pts)
-    else:
-        t = np.linalg.norm(pts, axis=-1)
-    return np.exp(-w.phi(t))
+@dataclass(frozen=True)
+class Measure:
+    """Point densities of one FEM model on its 2-D chart.
+
+    ``dist`` is the model distance t(x) to the weight origin; ``area``,
+    ``length`` and ``stiffness`` multiply e^{-phi(t)} in the volume,
+    boundary and Dirichlet-energy integrals.  On the meridian (r, z) of a
+    solid they are per radian: ``revolution`` = 2 pi turns integrals into
+    totals, while the FEM pencil keeps the per-radian scale.
+    """
+
+    dist: Callable[[np.ndarray], np.ndarray]
+    area: Callable[[np.ndarray], np.ndarray | float]
+    length: Callable[[np.ndarray], np.ndarray | float]
+    stiffness: Callable[[np.ndarray], np.ndarray | float]
+    revolution: float = 1.0
 
 
-def _dist_at(form: SpaceForm, pts: np.ndarray) -> np.ndarray:
-    if form.curvature is Curvature.HYPERBOLIC:
-        return poincare_distance(pts)
+def _norm(pts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pts, axis=-1)
+
+
+def _one(pts: np.ndarray) -> float:
+    return 1.0
+
+
+def _radius(pts: np.ndarray) -> np.ndarray:
+    return pts[..., 0]
+
+
+PLANE = Measure(_norm, _one, _one, _one)
+# The 2-D Dirichlet energy is conformally invariant, so the stiffness keeps
+# Euclidean gradients; area and length pick up the conformal factor.
+POINCARE_DISK = Measure(poincare_distance, lambda p: conformal_factor(p) ** 2,
+                        conformal_factor, _one)
+MERIDIAN = Measure(_norm, _radius, _radius, _radius, 2.0 * math.pi)
+
+
+def measure(form: SpaceForm) -> Measure:
+    """The FEM model of ``form``: the plane or the Poincare disk for n = 2,
+    the meridian of an axisymmetric solid for Euclidean n = 3."""
+    if form.dim == 2 and form.curvature is Curvature.EUCLIDEAN:
+        return PLANE
+    if form.dim == 2 and form.curvature is Curvature.HYPERBOLIC:
+        return POINCARE_DISK
+    if form.dim == 3 and form.curvature is Curvature.EUCLIDEAN:
+        return MERIDIAN
+    raise DomainError(f"no mesh model for the {form.curvature.label} "
+                      f"space form of dimension {form.dim}")
 
 
 def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
                        fn=None) -> float:
     """int_Omega fn(t(x)) dmu with the 3-point edge-midpoint triangle rule.
 
-    ``fn`` maps distance values to integrand values (default 1).  For the
-    hyperbolic model the area element carries the conformal factor squared.
+    ``fn`` maps distance values to integrand values (default 1).  The area
+    element is the density of ``measure(form)``; for n = 3 the mesh is the
+    meridian of a solid of revolution.
     """
-    if form.dim != 2:
-        raise DomainError("mesh quadrature is 2-D only")
+    meas = measure(form)
     p = mesh.vertices[mesh.triangles]
     areas = mesh.signed_areas()
     mids = np.stack([(p[:, 0] + p[:, 1]) / 2.0,
                      (p[:, 1] + p[:, 2]) / 2.0,
                      (p[:, 2] + p[:, 0]) / 2.0], axis=1)   # (T, 3, 2)
-    t = _dist_at(form, mids)
+    t = meas.dist(mids)
     vals = np.exp(-w.phi(t))
     if fn is not None:
         vals = vals * fn(t)
-    if form.curvature is Curvature.HYPERBOLIC:
-        vals = vals * conformal_factor(mids) ** 2
-    return float(np.sum(areas / 3.0 * np.sum(vals, axis=1)))
+    vals = vals * meas.area(mids)
+    return meas.revolution * float(np.sum(areas / 3.0 * np.sum(vals, axis=1)))
 
 
-_GAUSS2 = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
+_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 
-def boundary_gauss_points(mesh: TriMesh):
-    """2-point Gauss nodes and Euclidean weights on each boundary edge."""
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
+def boundary_gauss_points(mesh: TriMesh, edges: np.ndarray | None = None):
+    """2-point Gauss nodes and Euclidean weights on each edge (default: the
+    whole boundary loop)."""
+    edges = mesh.boundary_edges if edges is None else edges
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
     mid = (a + b) / 2.0
     half = (b - a) / 2.0
     pts = np.stack([mid + g * half for g in _GAUSS2], axis=1)  # (B, 2, 2)
@@ -361,18 +414,17 @@ def boundary_gauss_points(mesh: TriMesh):
 
 
 def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                                fn=None) -> float:
-    """int_{boundary} fn(t(x)) dmu-hat with 2-point Gauss per edge."""
-    if form.dim != 2:
-        raise DomainError("mesh quadrature is 2-D only")
-    pts, wts = boundary_gauss_points(mesh)
-    t = _dist_at(form, pts)
+                                fn=None, edges: np.ndarray | None = None) -> float:
+    """int over the Steklov ``edges`` (default: the boundary loop) of
+    fn(t(x)) dmu-hat with 2-point Gauss per edge."""
+    meas = measure(form)
+    pts, wts = boundary_gauss_points(mesh, edges)
+    t = meas.dist(pts)
     vals = np.exp(-w.phi(t))
     if fn is not None:
         vals = vals * fn(t)
-    if form.curvature is Curvature.HYPERBOLIC:
-        vals = vals * conformal_factor(pts)
-    return float(np.sum(wts * vals))
+    vals = vals * meas.length(pts)
+    return meas.revolution * float(np.sum(wts * vals))
 
 
 def mesh_measures(mesh: TriMesh, form: SpaceForm,

@@ -1,12 +1,12 @@
-"""Weighted P1 finite elements for the planar Steklov problem.
+"""Weighted P1 finite elements for the Steklov problem.
 
 The weak form pairs the weighted Dirichlet energy against the weighted
-boundary mass.  In the hyperbolic (Poincare-disk) model the 2-D Dirichlet
-energy is conformally invariant, so the stiffness keeps Euclidean
-gradients with the weight factor, while the boundary mass picks up the
-conformal length factor.  The Dirichlet-to-Neumann matrix is the boundary
-Schur complement of the stiffness; the small dense pencil on boundary
-nodes is solved directly.
+boundary mass.  One assembler serves every model: the plane, the
+Poincare disk and the azimuthal modes of an axisymmetric solid differ only
+in the ``Measure`` densities (see ``mesh2d.measure``), plus an m^2/r^2
+term and an axis condition for the modes m >= 1.  The Dirichlet-to-Neumann
+matrix is the boundary Schur complement of the stiffness; the small dense
+pencil on boundary nodes is solved directly.
 """
 from __future__ import annotations
 
@@ -18,11 +18,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
-                       conformal_factor)
-from .mesh2d import (TriMesh, _dist_at, boundary_gauss_points, mesh_levels,
-                     Domain2D)
+from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from .mesh2d import (_GAUSS2, Measure, TriMesh, boundary_gauss_points,
+                     measure)
 from .spectrum import SteklovSpectrum
+
+_BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
+                   [1 / 6, 2 / 3, 1 / 6],
+                   [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
 
 
 class FactorizationError(RuntimeError):
@@ -38,8 +41,18 @@ class AssembledSystem:
     boundary_index: np.ndarray
 
 
-def tri_geometry(mesh: TriMesh):
-    """Per-triangle areas and P1 hat-function gradients, vectorized."""
+def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
+                edges: np.ndarray, mode: int = 0,
+                fixed: np.ndarray | None = None) -> AssembledSystem:
+    """Weighted stiffness K and boundary mass M_b of one P1 pencil.
+
+    K: e^{-phi} grad u . grad v times the stiffness density, weight at the
+    centroid; a ``mode`` m >= 1 of a solid adds e^{-phi} m^2 u v / r on
+    three interior points.  M_b: e^{-phi} u v times the length density on
+    the Steklov ``edges``, 2-point Gauss.  ``fixed`` nodes (the axis for
+    m >= 1) carry u = 0 and are removed.
+    """
+    nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
@@ -54,23 +67,43 @@ def tri_geometry(mesh: TriMesh):
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
     grads /= (2.0 * areas)[:, None, None]
-    return areas, grads
+    cent = p.mean(axis=1)                        # (T, 2)
+    wq = np.exp(-w.phi(meas.dist(cent)))
+    # local 3x3 blocks: wq * area * density * grads grads^T
+    local = np.einsum("t,tia,tja->tij", wq * areas * meas.stiffness(cent),
+                      grads, grads)
+    if mode:
+        qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
+        r_q = qpts[:, :, 0]
+        if np.any(r_q <= 0.0):
+            raise DomainError("interior quadrature point fell on the axis")
+        f_q = np.exp(-w.phi(meas.dist(qpts))) * (mode * mode) / r_q
+        local = local + np.einsum("t,tg,gi,gj->tij", areas / 3.0, f_q,
+                                  _BARY3, _BARY3)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
+    pts, wts = boundary_gauss_points(mesh, edges)  # (B,2,2), (B,2)
+    f = np.exp(-w.phi(meas.dist(pts))) * meas.length(pts)
+    shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0],
+                     axis=1)                     # (2 gauss, 2 nodes)
+    # local edge mass: sum_g wts_g f_g N_g N_g^T
+    locm = np.einsum("bg,gi,gj->bij", wts * f, shape, shape)
+    rows = np.repeat(edges, 2, axis=1).ravel()
+    cols = np.tile(edges, (1, 2)).ravel()
+    Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
-def _stiffness_weight(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                      rule: str) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles]
-    if rule == "centroid":
-        pts = p.mean(axis=1)                      # (T, 2)
-        t = _dist_at(form, pts)
-        return np.exp(-w.phi(t))
-    if rule == "midpoints":
-        mids = np.stack([(p[:, 0] + p[:, 1]) / 2.0,
-                         (p[:, 1] + p[:, 2]) / 2.0,
-                         (p[:, 2] + p[:, 0]) / 2.0], axis=1)
-        t = _dist_at(form, mids)
-        return np.mean(np.exp(-w.phi(t)), axis=1)
-    raise DomainError(f"unknown stiffness weight rule {rule!r}")
+    boundary = np.unique(edges)
+    if fixed is not None:
+        keep = np.setdiff1d(np.arange(nv), fixed)
+        renum = -np.ones(nv, dtype=np.int64)
+        renum[keep] = np.arange(len(keep))
+        K, Mb = K[np.ix_(keep, keep)].tocsr(), Mb[np.ix_(keep, keep)].tocsr()
+        boundary = np.sort(renum[np.setdiff1d(boundary, fixed)])
+    return AssembledSystem(stiffness=K, boundary_mass=Mb,
+                           boundary_index=boundary)
 
 
 def assemble(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
@@ -78,43 +111,13 @@ def assemble(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     """Assemble weighted stiffness K and boundary mass M_b on a 2-D mesh."""
     if form.dim != 2:
         raise DomainError("steklov2d assembles 2-D problems only")
-    if form.curvature is Curvature.SPHERICAL_CAP:
-        raise DomainError("spherical-cap FEM is not supported")
     if form.curvature is Curvature.HYPERBOLIC:
         rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
         if rmax > 1.0 - config.hyperbolic_margin:
             raise DomainError(
                 f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
                 f"1 - {config.hyperbolic_margin:g}")
-
-    nv = len(mesh.vertices)
-    areas, grads = tri_geometry(mesh)
-    wq = _stiffness_weight(mesh, form, w, config.stiffness_weight_rule)
-
-    # local 3x3 blocks: wq * area * grads grads^T
-    local = np.einsum("t,tia,tja->tij", wq * areas, grads, grads)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    # boundary mass: 2-point Gauss per edge, weight (and conformal factor)
-    pts, wts = boundary_gauss_points(mesh)       # (B,2,2), (B,2)
-    t = _dist_at(form, pts)
-    f = np.exp(-w.phi(t))
-    if form.curvature is Curvature.HYPERBOLIC:
-        f = f * conformal_factor(pts)
-    xi = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-    shape = np.stack([(1.0 - xi) / 2.0, (1.0 + xi) / 2.0], axis=1)  # (2 gauss, 2 nodes)
-    # local edge mass: sum_g wts_g f_g N_g N_g^T
-    locm = np.einsum("bg,gi,gj->bij", wts * f, shape, shape)
-    be = mesh.boundary_edges
-    rows = np.repeat(be, 2, axis=1).ravel()
-    cols = np.tile(be, (1, 2)).ravel()
-    Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                           boundary_index=np.unique(be))
+    return assemble_p1(mesh, measure(form), w, mesh.boundary_edges)
 
 
 def dtn_reduce(sys: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +181,3 @@ def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight, k: int,
     if mesh.domain is not None:
         meta["domain"] = mesh.domain.label
     return solve_spectrum(S, Mb, k, metadata=meta)
-
-
-def spectra_at_levels(dom: Domain2D, form: SpaceForm, w: RadialWeight, k: int,
-                      rings: int, sectors: int, levels: int,
-                      config: NumericsConfig = DEFAULT_CONFIG
-                      ) -> tuple[list[TriMesh], list[SteklovSpectrum]]:
-    """Spectra on a uniform refinement hierarchy (coarse to fine)."""
-    meshes = mesh_levels(dom, rings, sectors, levels, config)
-    return meshes, [domain_spectrum(m, form, w, k, config) for m in meshes]

@@ -19,16 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .axisym3d import MeridianDomain, integrate_meridian, solve_axisym_spectrum
+from .axisym3d import MeridianDomain, solve_axisym_spectrum
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        _quad_checked, ball_weighted_volume, c_kappa,
-                       poincare_distance, s_kappa, unit_sphere_area,
-                       validate_property_i)
+                       s_kappa, unit_sphere_area, validate_property_i)
 from .mesh2d import (Domain2D, TriMesh, integrate_boundary_weighted,
-                     integrate_weighted, mesh_levels)
+                     integrate_weighted, measure, mesh_levels)
 from .radial import (AdmissibilityError, ball_gh_integrals, sigma1_ball,
                      solve_mode)
+from .spectrum import SteklovSpectrum
 from .steklov2d import domain_spectrum
 
 
@@ -105,56 +105,74 @@ def richardson(values) -> Extrapolation:
 
 
 # ---------------------------------------------------------------------------
-# level spectra for both domain families
+# the level driver for both domain kinds
 # ---------------------------------------------------------------------------
 
-def _check_form_for_verify(form: SpaceForm, dom) -> None:
-    if form.curvature is Curvature.SPHERICAL_CAP:
-        raise DomainError("inequality verification covers curvature 0 and -1 only")
-    if isinstance(dom, Domain2D):
-        if form.dim != 2:
-            raise DomainError("planar domains require a 2-D space form")
-    elif isinstance(dom, MeridianDomain):
-        if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
-            raise DomainError("axisymmetric domains require Euclidean n = 3")
-    else:
-        raise DomainError(f"unsupported domain type {type(dom).__name__}")
+def default_sectors(dim: int) -> int:
+    """Polar sectors when a caller leaves them unset: 64 rays for a planar
+    fan, 32 for the meridian half-fan of a solid."""
+    return 64 if dim == 2 else 32
 
 
-def _level_spectra(dom, form, w, k, rings, sectors, levels, config):
-    """Eigenvalue arrays per level plus the finest-level carrier object."""
-    if isinstance(dom, Domain2D):
-        meshes = mesh_levels(dom, rings, sectors, levels, config)
-        specs = [domain_spectrum(m, form, w, k, config) for m in meshes]
-        eigs = [s.eigenvalues for s in specs]
-        return meshes[-1], eigs
-    mds = [dom]
-    for _ in range(levels - 1):
-        mds.append(mds[-1].refine(config))
-    specs = [solve_axisym_spectrum(md, w, k_per_mode=max(4, k), config=config)
-             for md in mds]
-    eigs = [s.eigenvalues[:k + 1] for s in specs]
-    return mds[-1], eigs
+class MeshHierarchy:
+    """Refinement levels of a planar domain or a solid, coarse to fine.
 
+    The one place where the two domain kinds differ: a planar domain is
+    meshed here, while a solid refines the meridian mesh it was built with
+    (its ``rings`` and ``sectors`` are already fixed).  Quadrature runs on
+    ``meshes`` through the form's measure; ``spectrum`` solves one level.
+    """
 
-def _validate_weight(dom_carrier, form, w, config, waive):
-    """Property I check on the distance range actually used by the domain."""
-    if isinstance(dom_carrier, TriMesh):
-        pts = dom_carrier.vertices
-        if form.curvature is Curvature.HYPERBOLIC:
-            t_max = float(np.max(poincare_distance(pts)))
+    def __init__(self, dom, form: SpaceForm, rings: int = 8,
+                 sectors: int | None = None, levels: int = 3,
+                 config: NumericsConfig = DEFAULT_CONFIG):
+        if form.curvature is Curvature.SPHERICAL_CAP:
+            raise DomainError(
+                "inequality verification covers curvature 0 and -1 only")
+        self.form, self.config = form, config
+        if isinstance(dom, Domain2D):
+            if form.dim != 2:
+                raise DomainError("planar domains require a 2-D space form")
+            if sectors is None:
+                sectors = default_sectors(form.dim)
+            self.levels = mesh_levels(dom, rings, sectors, levels, config)
+            self.meshes = self.levels
+        elif isinstance(dom, MeridianDomain):
+            if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
+                raise DomainError("axisymmetric domains require Euclidean n = 3")
+            self.levels = [dom]
+            for _ in range(levels - 1):
+                self.levels.append(self.levels[-1].refine(config))
+            self.meshes = [md.mesh for md in self.levels]
         else:
-            t_max = float(np.max(np.linalg.norm(pts, axis=1)))
-    else:
-        t_max = float(np.max(np.linalg.norm(dom_carrier.mesh.vertices, axis=1)))
-    t_max = max(t_max, 1e-6)
-    adm = validate_property_i(w, t_max, config.property_samples, config=config)
-    if not adm.admissible and not waive:
-        raise AdmissibilityError(
-            "weight fails Property I on the domain range "
-            f"[0, {t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
-            f"max phi'' = {adm.max_phi_second:.3e}")
-    return t_max, adm
+            raise DomainError(f"unsupported domain type {type(dom).__name__}")
+
+    def spectrum(self, level: int, w: RadialWeight, k: int) -> SteklovSpectrum:
+        """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
+        lev = self.levels[level]
+        if isinstance(lev, TriMesh):
+            return domain_spectrum(lev, self.form, w, k, self.config)
+        spec = solve_axisym_spectrum(lev, w, k_per_mode=max(4, k),
+                                     config=self.config)
+        spec.eigenvalues, spec.modes = spec.eigenvalues[:k + 1], spec.modes[:k + 1]
+        return spec
+
+    def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
+        return [self.spectrum(i, w, k) for i in range(len(self.levels))]
+
+    def check_weight(self, w: RadialWeight, waive: bool) -> float:
+        """Property I check on the distance range [0, t_max] of the finest
+        mesh; returns t_max."""
+        dist = measure(self.form).dist(self.meshes[-1].vertices)
+        t_max = max(float(np.max(dist)), 1e-6)
+        adm = validate_property_i(w, t_max, self.config.property_samples,
+                                  config=self.config)
+        if not adm.admissible and not waive:
+            raise AdmissibilityError(
+                "weight fails Property I on the domain range "
+                f"[0, {t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
+                f"max phi'' = {adm.max_phi_second:.3e}")
+        return t_max
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +232,6 @@ class VerificationReport:
         return row
 
 
-def _is_centered_ball(dom) -> bool:
-    if isinstance(dom, Domain2D):
-        return dom.is_centered_ball()
-    return dom.is_centered_ball()
-
-
 def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
                  rings: int = 8, sectors: int | None = None, levels: int = 3,
                  config: NumericsConfig = DEFAULT_CONFIG,
@@ -230,20 +242,11 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     status is "pass" when lhs - rhs >= -slack with slack the larger of the
     relative floor and 3x the Richardson error estimate of the lhs.
     """
-    _check_form_for_verify(form, dom)
     n = form.dim
-    if sectors is None:
-        sectors = 64 if isinstance(dom, Domain2D) else 32
-
-    carrier, eigs = _level_spectra(dom, form, w, n, rings, sectors, levels, config)
-    _validate_weight(carrier, form, w, config, waive_admissibility)
-
-    if isinstance(dom, Domain2D):
-        volume = integrate_weighted(carrier, form, w)
-        h_finest = carrier.h
-    else:
-        volume = integrate_meridian(carrier, w)
-        h_finest = carrier.mesh.h
+    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier.check_weight(w, waive_admissibility)
+    eigs = [s.eigenvalues for s in hier.spectra(w, n)]
+    volume = integrate_weighted(hier.meshes[-1], form, w)
 
     extraps = [richardson([e[i] for e in eigs]) for i in range(1, n + 1)]
     sigma = [ex.value for ex in extraps]
@@ -279,8 +282,8 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
         sigma1_ball=ball.value, identity_discrepancy=ball.rel_discrepancy,
         lhs=lhs, rhs=rhs, gap=gap, slack=slack,
         status="pass" if gap >= -slack else "violation",
-        near_equality=(_is_centered_ball(dom) and abs(gap) <= equality_tol),
-        equality_tol=equality_tol, h_finest=h_finest, levels=levels,
+        near_equality=(dom.is_centered_ball() and abs(gap) <= equality_tol),
+        equality_tol=equality_tol, h_finest=hier.meshes[-1].h, levels=levels,
         question_a=qa)
 
 
@@ -323,23 +326,9 @@ def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
     """Per-eigenvalue Richardson table used to calibrate inequality slacks."""
     if levels < 3:
         raise DomainError("convergence study needs at least 3 levels")
-    _check_form_for_verify(form, dom)
-    if sectors is None:
-        sectors = 64 if isinstance(dom, Domain2D) else 32
-    if isinstance(dom, Domain2D):
-        meshes = mesh_levels(dom, rings, sectors, levels, config)
-        _validate_weight(meshes[-1], form, w, config, waive_admissibility)
-        specs = [domain_spectrum(m, form, w, k, config) for m in meshes]
-        hs = [m.h for m in meshes]
-    else:
-        mds = [dom]
-        for _ in range(levels - 1):
-            mds.append(mds[-1].refine(config))
-        _validate_weight(mds[-1], form, w, config, waive_admissibility)
-        specs = [solve_axisym_spectrum(md, w, k_per_mode=max(4, k), config=config)
-                 for md in mds]
-        hs = [md.mesh.h for md in mds]
-    values = [[float(x) for x in s.eigenvalues[:k + 1]] for s in specs]
+    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier.check_weight(w, waive_admissibility)
+    values = [[float(x) for x in s.eigenvalues] for s in hier.spectra(w, k)]
 
     extrapolated, orders, errors, monotone = [], [], [], []
     for i in range(1, k + 1):
@@ -354,8 +343,9 @@ def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
                 RuntimeWarning, stacklevel=2)
     return ConvergenceStudy(
         domain=dom.label, weight=w.label, curvature=form.curvature.label,
-        hs=hs, values=values, extrapolated=extrapolated, orders=orders,
-        errors=errors, monotone=monotone)
+        hs=[m.h for m in hier.meshes], values=values,
+        extrapolated=extrapolated, orders=orders, errors=errors,
+        monotone=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -390,24 +380,11 @@ def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
     """
     if kind not in ("non_decreasing", "non_increasing"):
         raise DomainError("kind must be non_decreasing or non_increasing")
-    _check_form_for_verify(form, dom)
-    if sectors is None:
-        sectors = 64 if isinstance(dom, Domain2D) else 32
     n = form.dim
-
-    if isinstance(dom, Domain2D):
-        mesh = mesh_levels(dom, rings, sectors, levels, config)[-1]
-        _validate_weight(mesh, form, w, config, waive_admissibility)
-        volume = integrate_weighted(mesh, form, w)
-        omega_side = integrate_weighted(mesh, form, w, fn)
-    else:
-        md = dom
-        for _ in range(levels - 1):
-            md = md.refine(config)
-        _validate_weight(md, form, w, config, waive_admissibility)
-        volume = integrate_meridian(md, w)
-        omega_side = integrate_meridian(md, w, fn)
-
+    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier.check_weight(w, waive_admissibility)
+    volume = integrate_weighted(hier.meshes[-1], form, w)
+    omega_side = integrate_weighted(hier.meshes[-1], form, w, fn)
     R = match_radius(form, w, volume, config)
 
     ball_side = unit_sphere_area(n) * _quad_checked(
@@ -493,7 +470,8 @@ def domain_is_reflection_symmetric(dom: Domain2D, tol: float = 1e-12) -> bool:
 
 
 def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
-                      rings: int = 8, sectors: int = 64, levels: int = 3,
+                      rings: int = 8, sectors: int | None = None,
+                      levels: int = 3,
                       config: NumericsConfig = DEFAULT_CONFIG,
                       waive_admissibility: bool = False) -> ChainReport:
     """Audit the trial-function inequality chain behind the ball comparison.
@@ -512,7 +490,6 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
     to fail at first order in the domain perturbation, so that number is
     recorded for inspection but never asserted.
     """
-    _check_form_for_verify(form, dom)
     if not isinstance(dom, Domain2D):
         raise DomainError("the chain audit runs on planar domains")
     if not domain_is_reflection_symmetric(dom):
@@ -520,8 +497,10 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
             f"domain {dom.label} is not symmetric under x->-x, y->-y")
     n = form.dim
 
-    mesh, eigs = _level_spectra(dom, form, w, n, rings, sectors, levels, config)
-    t_max, _ = _validate_weight(mesh, form, w, config, waive_admissibility)
+    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    t_max = hier.check_weight(w, waive_admissibility)
+    eigs = [s.eigenvalues for s in hier.spectra(w, n)]
+    mesh = hier.meshes[-1]
 
     volume = integrate_weighted(mesh, form, w)
     R = match_radius(form, w, volume, config)

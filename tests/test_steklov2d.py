@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import Domain2D, TriMesh, generate_mesh, mesh_measures
 from steklovw.radial import sigma1_ball
 from steklovw.steklov2d import (assemble, domain_spectrum, dtn_reduce,
-                                solve_spectrum, spectra_at_levels)
+                                solve_spectrum)
+from steklovw.verify import MeshHierarchy
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -76,7 +76,7 @@ def test_schur_matches_minimal_extension_energy(disk_mesh):
 
 
 def test_disk_spectrum_converges_to_integers():
-    meshes, specs = spectra_at_levels(Domain2D.disk(1.0), E2, W0, 5, 8, 64, 3)
+    specs = MeshHierarchy(Domain2D.disk(1.0), E2, 8, 64, 3).spectra(W0, 5)
     exact = np.array([0, 1, 1, 2, 2, 3], dtype=float)
     errs = np.array([np.abs(s.eigenvalues - exact)[1:].max() for s in specs])
     assert np.all(errs[:-1] / errs[1:] > 3.0)
@@ -133,7 +133,7 @@ def test_rotation_equivariance(disk_mesh):
 
 def test_weighted_disk_matches_radial():
     w = RadialWeight.linear(0.5)
-    _, specs = spectra_at_levels(Domain2D.disk(1.0), E2, w, 1, 8, 64, 3)
+    specs = MeshHierarchy(Domain2D.disk(1.0), E2, 8, 64, 3).spectra(w, 1)
     target = sigma1_ball(E2, w, 1.0).value
     finest = specs[-1].eigenvalues[1]
     assert finest == pytest.approx(target, rel=1e-2)
@@ -143,7 +143,7 @@ def test_weighted_disk_matches_radial():
 
 def test_hyperbolic_disk_matches_closed_form():
     dom = Domain2D.disk(math.tanh(0.5))
-    _, specs = spectra_at_levels(dom, H2, W0, 1, 8, 64, 3)
+    specs = MeshHierarchy(dom, H2, 8, 64, 3).spectra(W0, 1)
     assert specs[-1].eigenvalues[1] == pytest.approx(1 / math.sinh(1.0), rel=1e-2)
 
 
@@ -152,12 +152,3 @@ def test_hyperbolic_mesh_margin_enforced():
     mesh = generate_mesh(dom, 4, 16)
     with pytest.raises(DomainError):
         assemble(mesh, H2, W0)
-
-
-def test_midpoint_weight_rule_consistent(disk_mesh):
-    w = RadialWeight.linear(1.0)
-    cfg = DEFAULT_CONFIG.replace(stiffness_weight_rule="midpoints")
-    a = domain_spectrum(disk_mesh, E2, w, 3)
-    b = domain_spectrum(disk_mesh, E2, w, 3, cfg)
-    # different weight quadrature, same O(h^2) answer
-    assert np.allclose(a.eigenvalues, b.eigenvalues, atol=5e-3)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import Domain2D
@@ -129,6 +131,22 @@ def test_axisym_ball_equality_case():
     assert rep.lhs == pytest.approx(rep.rhs, abs=rep.equality_tol)
 
 
+def test_offset_disk_readme_example():
+    """The README's phi = -t^2/2 example, pinned to the in-repo oracle."""
+    center = (0.3, 0.0)
+    rep = brock_report(Domain2D.disk(1.0, center=center), E2,
+                       RadialWeight.quadratic(0.0, 0.5), levels=3)
+    ref = oracles.offset_disk_comparison(lambda t: -0.5 * t * t,
+                                         lambda t: -t, center)
+    assert ref["sigma1_domain"] == pytest.approx(0.780065, abs=5e-7)
+    assert ref["sigma1_ball"] == pytest.approx(0.75347, abs=5e-6)
+    assert rep.sigma_omega[0] == pytest.approx(ref["sigma1_domain"], rel=1e-5)
+    assert rep.sigma1_ball == pytest.approx(0.75352, abs=5e-6)
+    assert rep.sigma1_ball == pytest.approx(ref["sigma1_ball"], rel=2e-4)
+    assert rep.status == "violation"
+    assert rep.gap + rep.slack < 0.0
+
+
 def test_inadmissible_weight_raises_without_waiver():
     with pytest.raises(AdmissibilityError, match="Property I"):
         brock_report(Domain2D.disk(1.0), E2, RadialWeight.linear(-0.5),
@@ -146,10 +164,16 @@ def test_verify_rejects_spherical_cap():
 # ---------------------------------------------------------------------------
 
 def test_convergence_study_disk():
-    study = convergence_study(Domain2D.disk(1.0), E2, W0, 5, levels=3)
-    assert 0.999 <= study.extrapolated[0] <= 1.001
-    assert 1.7 <= study.orders[0] <= 2.3
-    assert all(study.monotone)
+    # the unit disk and the unit ball in E3: sigma_1 = 1 with multiplicity
+    # n (2 and 3), and the next eigenvalue is 2
+    for dom, form, k in ((Domain2D.disk(1.0), E2, 5),
+                         (MeridianDomain.ball(1.0), E3, 4)):
+        study = convergence_study(dom, form, W0, k, levels=3)
+        n = form.dim
+        assert all(0.999 <= s <= 1.001 for s in study.extrapolated[:n])
+        assert study.extrapolated[n] == pytest.approx(2.0, abs=2e-3)
+        assert 1.7 <= study.orders[0] <= 2.3
+        assert all(study.monotone)
 
 
 def test_convergence_study_hyperbolic_disk():
@@ -175,10 +199,12 @@ def test_fem_matches_radial_for_random_weights():
 # ---------------------------------------------------------------------------
 
 def test_rearrangement_equality_at_ball():
-    rep = rearrangement_check(Domain2D.disk(1.0), E2, W0, lambda t: t,
-                              "non_decreasing", levels=3)
-    assert rep.passed
-    assert abs(rep.margin) <= rep.slack
+    for dom, form in ((Domain2D.disk(1.0), E2),
+                      (MeridianDomain.ball(1.0), E3)):
+        rep = rearrangement_check(dom, form, W0, lambda t: t,
+                                  "non_decreasing", levels=3)
+        assert rep.passed
+        assert abs(rep.margin) <= rep.slack
 
 
 def test_rearrangement_directions_at_ellipse():
