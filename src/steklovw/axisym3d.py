@@ -50,7 +50,7 @@ class MeridianDomain:
              config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
         if R <= 0:
             raise DomainError("ball radius must be positive")
-        return MeridianDomain(kind="ball", R=float(R))._meshed(
+        return MeridianDomain(kind="ball", R=float(R)).meshed(
             rings, sectors, config)
 
     @staticmethod
@@ -59,7 +59,7 @@ class MeridianDomain:
         """Boundary (r/a)^2 + (z/c)^2 = 1."""
         if a <= 0 or c <= 0:
             raise DomainError("spheroid semi-axes must be positive")
-        return MeridianDomain(kind="spheroid", a=float(a), c=float(c))._meshed(
+        return MeridianDomain(kind="spheroid", a=float(a), c=float(c)).meshed(
             rings, sectors, config)
 
     @staticmethod
@@ -73,11 +73,11 @@ class MeridianDomain:
         if abs(eps) * k >= 1.0:
             raise DomainError("|eps|*k >= 1 breaks star-shapedness")
         return MeridianDomain(kind="perturbed_ball", R=float(R),
-                              eps=float(eps), k=int(k))._meshed(
+                              eps=float(eps), k=int(k)).meshed(
             rings, sectors, config)
 
-    def _meshed(self, rings: int, sectors: int,
-                config: NumericsConfig) -> "MeridianDomain":
+    def meshed(self, rings: int, sectors: int,
+               config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
         """Copy carrying the open polar fan over [-pi/2, pi/2]."""
         N = int(sectors)
         if N < 4:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .axisym3d import MeridianDomain
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .geometry import Curvature, RadialWeight, SpaceForm
-from .mesh2d import Domain2D
+from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from .mesh2d import Domain2D, MeshQualityError
 from .radial import sigma1_ball
 from .verify import (MeshHierarchy, brock_report, convergence_study,
                      default_sectors, proof_chain_check, question_a_report)
@@ -43,56 +43,28 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"command", "radii", "count", "waive_admissibility"}
 _SPACE_KEYS = {"curvature", "dim"}
 _WEIGHT_KEYS = {"kind", "c", "a", "b", "csv"}
-_DOMAIN_KEYS = {"kind", "radius", "a", "b", "c", "epsilon", "k", "center",
-                "vertices"}
 _MESH_KEYS = {"rings", "sectors", "levels", "min_angle_deg"}
 _TOL_KEYS = {"integrator_rtol", "integrator_method", "series_start_factor",
              "report_points", "quadrature_abstol", "property_tol",
-             "identity_warn_tol", "hyperbolic_margin",
-             "zero_mode_tol", "slack_floor", "equality_floor",
-             "radius_match_rtol", "radius_max"}
+             "identity_warn_tol", "hyperbolic_margin", "slack_floor",
+             "equality_floor", "radius_match_rtol", "radius_max"}
 _OUTPUT_KEYS = {"dir", "format"}
 
-
-@dataclass
-class DomainSpec:
-    """Validated domain parameters; 3-D meshes are built at run time."""
-
-    kind: str
-    params: dict
-
-    def build(self, rings: int, sectors: int,
-              config: NumericsConfig = DEFAULT_CONFIG):
-        p = self.params
-        if self.kind == "disk":
-            return Domain2D.disk(p["radius"], p.get("center", (0.0, 0.0)))
-        if self.kind == "ellipse":
-            return Domain2D.ellipse(p["a"], p["b"], p.get("center", (0.0, 0.0)))
-        if self.kind == "perturbed_disk":
-            return Domain2D.perturbed_disk(p["radius"], p["epsilon"], p["k"],
-                                           p.get("center", (0.0, 0.0)))
-        if self.kind == "polygon":
-            return Domain2D.polygon(p["vertices"], p.get("center", (0.0, 0.0)))
-        if self.kind == "ball":
-            return MeridianDomain.ball(p["radius"], rings, sectors, config)
-        if self.kind == "spheroid":
-            return MeridianDomain.spheroid(p["a"], p["c"], rings, sectors,
-                                           config)
-        if self.kind == "perturbed_ball":
-            return MeridianDomain.perturbed_ball(p["radius"], p["epsilon"],
-                                                 p["k"], rings, sectors, config)
-        raise ConfigError(f"unknown domain kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key, val in self.params.items():
-            if key == "vertices":
-                out[key] = [[float(x), float(y)] for x, y in val]
-            elif key == "center":
-                out[key] = [float(val[0]), float(val[1])]
-            else:
-                out[key] = val
-        return out
+# kind -> (constructor, dim, keys in the order of the constructor's
+# arguments); planar kinds also take an optional 'center', their last
+# argument.  The constructors check the values.
+_DOMAIN_KINDS = {
+    "disk": (Domain2D.disk, 2, ("radius",)),
+    "ellipse": (Domain2D.ellipse, 2, ("a", "b")),
+    "perturbed_disk": (Domain2D.perturbed_disk, 2, ("radius", "epsilon", "k")),
+    "polygon": (Domain2D.polygon, 2, ("vertices",)),
+    "ball": (MeridianDomain.ball, 3, ("radius",)),
+    "spheroid": (MeridianDomain.spheroid, 3, ("a", "c")),
+    "perturbed_ball": (MeridianDomain.perturbed_ball, 3,
+                       ("radius", "epsilon", "k")),
+}
+_DOMAIN_KEYS = {"kind", "center"}.union(
+    *(keys for _, _, keys in _DOMAIN_KINDS.values()))
 
 
 @dataclass
@@ -100,7 +72,7 @@ class RunConfig:
     command: str
     space: SpaceForm
     weights: list[RadialWeight]
-    domains: list[DomainSpec]
+    domains: list[Domain2D | MeridianDomain]
     radii: list[float] = field(default_factory=list)
     count: int = 5
     rings: int = 8
@@ -111,6 +83,7 @@ class RunConfig:
     out_format: str = "both"
     waive_admissibility: bool = False
     weight_sources: list[dict] = field(default_factory=list)
+    domain_sources: list[dict] = field(default_factory=list)
 
     def resolved_dict(self) -> dict:
         return {
@@ -119,7 +92,7 @@ class RunConfig:
             "space": {"curvature": self.space.curvature.label,
                       "dim": self.space.dim},
             "weights": self.weight_sources,
-            "domains": [d.to_dict() for d in self.domains],
+            "domains": self.domain_sources,
             "radii": [float(r) for r in self.radii],
             "count": self.count,
             "mesh": {"rings": self.rings, "sectors": self.sectors,
@@ -136,9 +109,12 @@ class RunConfig:
 
 def _parse_float(val: str, line: int) -> float:
     try:
-        return float(val)
+        num = float(val)
     except ValueError:
         raise ConfigError(f"expected a number, got {val!r}", line) from None
+    if not math.isfinite(num):
+        raise ConfigError(f"expected a finite number, got {val!r}", line)
+    return num
 
 
 def _parse_int(val: str, line: int) -> int:
@@ -252,66 +228,35 @@ def _build_weight(body: dict, start: int) -> tuple[RadialWeight, dict]:
     raise ConfigError(f"unknown weight kind {kind!r}", kline)
 
 
-def _build_domain(body: dict, start: int, dim: int) -> DomainSpec:
+def _build_domain(body: dict, start: int, dim: int, rings: int, sectors: int,
+                  config: NumericsConfig) -> tuple[Domain2D | MeridianDomain, dict]:
     _check_keys("domain", body, _DOMAIN_KEYS, start)
     if "kind" not in body:
         raise ConfigError("domain section needs a 'kind'", start)
     kind, kline = body["kind"][0].lower(), body["kind"][1]
-
-    def fval(key, default=None):
-        if key not in body:
-            if default is None:
-                raise ConfigError(f"domain kind {kind!r} needs {key!r}", kline)
-            return default
-        return _parse_float(body[key][0], body[key][1])
-
-    params: dict = {}
-    if "center" in body:
-        params["center"] = _parse_point(body["center"][0], body["center"][1])
-
-    planar = kind in ("disk", "ellipse", "perturbed_disk", "polygon")
-    solid = kind in ("ball", "spheroid", "perturbed_ball")
-    if not (planar or solid):
+    if kind not in _DOMAIN_KINDS:
         raise ConfigError(f"unknown domain kind {kind!r}", kline)
-    if planar and dim != 2:
-        raise ConfigError(f"domain kind {kind!r} needs dim = 2", kline)
-    if solid and dim != 3:
-        raise ConfigError(f"domain kind {kind!r} needs dim = 3", kline)
-    if solid and "center" in params:
+    ctor, kind_dim, keys = _DOMAIN_KINDS[kind]
+    if dim != kind_dim:
+        raise ConfigError(f"domain kind {kind!r} needs dim = {kind_dim}", kline)
+    if kind_dim == 3 and "center" in body:
         raise ConfigError("axisymmetric domains are centered; drop 'center'",
                           kline)
 
-    if kind in ("disk", "ball"):
-        params["radius"] = fval("radius")
-        if params["radius"] <= 0:
-            raise ConfigError("radius must be positive", kline)
-    elif kind in ("ellipse", "spheroid"):
-        axis2 = "b" if kind == "ellipse" else "c"
-        params["a"] = fval("a")
-        params[axis2] = fval(axis2)
-        if params["a"] <= 0 or params[axis2] <= 0:
-            raise ConfigError("semi-axes must be positive", kline)
-    elif kind in ("perturbed_disk", "perturbed_ball"):
-        params["radius"] = fval("radius")
-        params["epsilon"] = fval("epsilon")
-        if "k" not in body:
-            raise ConfigError(f"domain kind {kind!r} needs 'k'", kline)
-        params["k"] = _parse_int(body["k"][0], body["k"][1])
-        if abs(params["epsilon"]) * params["k"] >= 1.0:
-            raise ConfigError(
-                f"|epsilon|*k = {abs(params['epsilon']) * params['k']:g} >= 1 "
-                "breaks star-shapedness", kline)
-        if params["radius"] <= 0:
-            raise ConfigError("radius must be positive", kline)
-    else:  # polygon
-        if "vertices" not in body:
-            raise ConfigError("polygon domain needs 'vertices'", kline)
-        params["vertices"] = _parse_vertices(body["vertices"][0],
-                                             body["vertices"][1])
-    spec = DomainSpec(kind=kind, params=params)
-    if planar:
-        spec.build(2, 8)   # parse-time invariant check (cheap build)
-    return spec
+    for key in keys:
+        if key not in body:
+            raise ConfigError(f"domain kind {kind!r} needs {key!r}", kline)
+    parse = {"k": _parse_int, "vertices": _parse_vertices,
+             "center": _parse_point}
+    params = {key: parse.get(key, _parse_float)(*body[key])
+              for key in keys + ("center",) if key in body}
+    mesh = {"rings": rings, "sectors": sectors, "config": config} \
+        if kind_dim == 3 else {}
+    try:
+        dom = ctor(*params.values(), **mesh)
+    except (DomainError, MeshQualityError) as exc:
+        raise ConfigError(str(exc), kline) from None
+    return dom, {"kind": kind, **params}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -333,7 +278,8 @@ def parse_config(text: str) -> RunConfig:
     out_dir, out_format = "out", "both"
     weights: list[RadialWeight] = []
     weight_sources: list[dict] = []
-    domains: list[DomainSpec] = []
+    domains: list[Domain2D | MeridianDomain] = []
+    domain_sources: list[dict] = []
 
     for name, start, body in sections[1:]:
         if name == "space":
@@ -391,9 +337,14 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown section [{name}]", start)
 
+    numerics = DEFAULT_CONFIG.replace(**numerics_kw)
     for name, start, body in sections[1:]:
         if name == "domain":
-            domains.append(_build_domain(body, start, dim))
+            dom, src = _build_domain(
+                body, start, dim, rings,
+                default_sectors(dim) if sectors is None else sectors, numerics)
+            domains.append(dom)
+            domain_sources.append(src)
 
     space = SpaceForm(curvature, dim)
     if curvature is Curvature.SPHERICAL_CAP and command != "ball":
@@ -420,9 +371,9 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         command=command, space=space, weights=weights, domains=domains,
         radii=radii, count=count, rings=rings, sectors=sectors, levels=levels,
-        numerics=DEFAULT_CONFIG.replace(**numerics_kw),
-        out_dir=out_dir, out_format=out_format,
-        waive_admissibility=waive, weight_sources=weight_sources)
+        numerics=numerics, out_dir=out_dir, out_format=out_format,
+        waive_admissibility=waive, weight_sources=weight_sources,
+        domain_sources=domain_sources)
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +440,9 @@ def _run_ball(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_domain_obj(cfg: RunConfig, spec: DomainSpec):
-    sectors = cfg.sectors if cfg.sectors is not None else \
-        default_sectors(cfg.space.dim)
-    return spec.build(cfg.rings, sectors, cfg.numerics), sectors
-
-
 def _run_spectrum(cfg: RunConfig) -> int:
-    dom, sectors = _build_domain_obj(cfg, cfg.domains[0])
-    hier = MeshHierarchy(dom, cfg.space, cfg.rings, sectors, cfg.levels,
-                         cfg.numerics)
+    hier = MeshHierarchy(cfg.domains[0], cfg.space, cfg.rings, cfg.sectors,
+                         cfg.levels, cfg.numerics)
     spec = hier.spectrum(-1, cfg.weights[0], cfg.count)
     spec.metadata["identities"] = {
         "zero_mode_ratio": abs(spec.eigenvalues[0]) /
@@ -513,10 +457,9 @@ def _run_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_one(cfg: RunConfig, spec: DomainSpec, w: RadialWeight):
-    dom, sectors = _build_domain_obj(cfg, spec)
+def _verify_one(cfg: RunConfig, dom, w: RadialWeight):
     fn = question_a_report if cfg.space.dim == 2 else brock_report
-    return fn(dom, cfg.space, w, rings=cfg.rings, sectors=sectors,
+    return fn(dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
               levels=cfg.levels, config=cfg.numerics,
               waive_admissibility=cfg.waive_admissibility)
 
@@ -531,13 +474,13 @@ def _run_verify(cfg: RunConfig) -> int:
 def _run_sweep(cfg: RunConfig) -> int:
     """Every (domain, weight) pair in input order, one JSON file per run."""
     reports = []
-    for spec in cfg.domains:
+    for dom in cfg.domains:
         for w in cfg.weights:
             try:
-                reports.append(_verify_one(cfg, spec, w))
+                reports.append(_verify_one(cfg, dom, w))
             except Exception as exc:
                 raise RuntimeError(
-                    f"sweep run {spec.kind} x {w.label} failed: {exc}") from exc
+                    f"sweep run {dom.kind} x {w.label} failed: {exc}") from exc
     for i, rep in enumerate(reports):
         _emit(cfg, f"sweep_{i:03d}", {"report": rep.to_json_dict()})
     rows = [r.csv_row() for r in reports]
@@ -546,9 +489,8 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_converge(cfg: RunConfig) -> int:
-    dom, sectors = _build_domain_obj(cfg, cfg.domains[0])
-    study = convergence_study(dom, cfg.space, cfg.weights[0], cfg.count,
-                              rings=cfg.rings, sectors=sectors,
+    study = convergence_study(cfg.domains[0], cfg.space, cfg.weights[0],
+                              cfg.count, rings=cfg.rings, sectors=cfg.sectors,
                               levels=max(cfg.levels, 3), config=cfg.numerics,
                               waive_admissibility=cfg.waive_admissibility)
     rows = []
@@ -568,11 +510,10 @@ def _run_converge(cfg: RunConfig) -> int:
 
 def _run_chain(cfg: RunConfig) -> int:
     reports = []
-    for spec in cfg.domains:
-        dom, sectors = _build_domain_obj(cfg, spec)
+    for dom in cfg.domains:
         for w in cfg.weights:
             reports.append(proof_chain_check(
-                dom, cfg.space, w, rings=cfg.rings, sectors=sectors,
+                dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
                 levels=cfg.levels, config=cfg.numerics,
                 waive_admissibility=cfg.waive_admissibility))
     fields = ["domain", "weight", "n", "margin_divergence",

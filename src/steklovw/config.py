@@ -36,7 +36,6 @@ class NumericsConfig:
     # genuinely degenerate domain must be caught early.
     min_angle_deg: float = 1.0
     hyperbolic_margin: float = 0.02          # domain must satisfy |x| <= 1 - margin
-    zero_mode_tol: float = 1e-8
 
     # inequality verification
     slack_floor: float = 1e-3     # relative floor for inequality slack

@@ -102,25 +102,22 @@ class RadialSolution:
                                 + c2 * (i + 2) * base * t)
         return T, dT
 
-    def T_at(self, t) -> np.ndarray:
+    def _eval(self, t, row: int) -> np.ndarray:
+        """Row 0 (T) or 1 (T') at t: the series below t0, dense output above."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         low = t < self.t0
         if np.any(low):
-            out[low] = self._series_eval(t[low])[0]
+            out[low] = self._series_eval(t[low])[row]
         if np.any(~low):
-            out[~low] = self._dense(t[~low])[0]
+            out[~low] = self._dense(t[~low])[row]
         return out
 
+    def T_at(self, t) -> np.ndarray:
+        return self._eval(t, 0)
+
     def Tprime_at(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        low = t < self.t0
-        if np.any(low):
-            out[low] = self._series_eval(t[low])[1]
-        if np.any(~low):
-            out[~low] = self._dense(t[~low])[1]
-        return out
+        return self._eval(t, 1)
 
 
 def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float,
@@ -217,12 +214,12 @@ def _radial_integral(sol: RadialSolution, values_fn, upto: float,
     return unit_sphere_area(n) * (body + head)
 
 
-def _h_values(form: SpaceForm, w: RadialWeight, t, T, dT):
+def h_values(form: SpaceForm, w: RadialWeight, t, T, dT):
     s = s_kappa(form, t)
     return dT * dT + (form.dim - 1) * (T / s) ** 2
 
 
-def _g_values(form: SpaceForm, w: RadialWeight, t, T, dT):
+def g_values(form: SpaceForm, w: RadialWeight, t, T, dT):
     s = s_kappa(form, t)
     c = c_kappa(form, t)
     return 2.0 * T * dT + ((form.dim - 1) * c / s - w.phi_prime(t)) * T * T
@@ -237,9 +234,9 @@ def ball_gh_integrals(sol: RadialSolution, npts: int = 4097) -> tuple[float, flo
     w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
     head_g = w0 * sol.t0 ** (n + 1)        # G ~ (n+1) t, S^{n-1} ~ t^{n-1}
     head_h = w0 * sol.t0 ** n              # H ~ n
-    ig = _radial_integral(sol, lambda t, T, dT: _g_values(form, w, t, T, dT),
+    ig = _radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT),
                           sol.R, head_g, npts)
-    ih = _radial_integral(sol, lambda t, T, dT: _h_values(form, w, t, T, dT),
+    ih = _radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT),
                           sol.R, head_h, npts)
     return ig, ih
 
@@ -342,8 +339,8 @@ def compute_gh(sol: RadialSolution) -> GHProfile:
     t, T, dT = sol.grid, sol.T_values, sol.Tprime_values
     return GHProfile(
         form=sol.form, weight=sol.weight, grid=t,
-        G_values=_g_values(sol.form, sol.weight, t, T, dT),
-        H_values=_h_values(sol.form, sol.weight, t, T, dT))
+        G_values=g_values(sol.form, sol.weight, t, T, dT),
+        H_values=h_values(sol.form, sol.weight, t, T, dT))
 
 
 @dataclass

@@ -24,14 +24,6 @@ class SteklovSpectrum:
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
 
-    @property
-    def sigma0(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def sigma(self, i: int) -> float:
-        """i-th eigenvalue in the non-decreasing listing (sigma_0 = 0)."""
-        return float(self.eigenvalues[i])
-
     def to_json_dict(self) -> dict:
         d = {
             "eigenvalues": [float(v) for v in self.eigenvalues],

@@ -26,8 +26,8 @@ from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        s_kappa, unit_sphere_area, validate_property_i)
 from .mesh2d import (Domain2D, TriMesh, integrate_boundary_weighted,
                      integrate_weighted, measure, mesh_levels)
-from .radial import (AdmissibilityError, ball_gh_integrals, sigma1_ball,
-                     solve_mode)
+from .radial import (AdmissibilityError, ball_gh_integrals, g_values,
+                     h_values, sigma1_ball, solve_mode)
 from .spectrum import SteklovSpectrum
 from .steklov2d import domain_spectrum
 
@@ -117,10 +117,12 @@ def default_sectors(dim: int) -> int:
 class MeshHierarchy:
     """Refinement levels of a planar domain or a solid, coarse to fine.
 
-    The one place where the two domain kinds differ: a planar domain is
-    meshed here, while a solid refines the meridian mesh it was built with
-    (its ``rings`` and ``sectors`` are already fixed).  Quadrature runs on
-    ``meshes`` through the form's measure; ``spectrum`` solves one level.
+    The one place that picks the mesh: both domain kinds are meshed here
+    from their shape at ``rings`` x ``sectors`` (``None`` means
+    ``default_sectors``), a planar domain as a closed polar fan and a solid
+    as the open meridian fan of ``MeridianDomain.meshed``; the mesh a solid
+    was built with is not used.  Quadrature runs on ``meshes`` through the
+    form's measure; ``spectrum`` solves one level.
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
@@ -130,17 +132,17 @@ class MeshHierarchy:
             raise DomainError(
                 "inequality verification covers curvature 0 and -1 only")
         self.form, self.config = form, config
+        if sectors is None:
+            sectors = default_sectors(form.dim)
         if isinstance(dom, Domain2D):
             if form.dim != 2:
                 raise DomainError("planar domains require a 2-D space form")
-            if sectors is None:
-                sectors = default_sectors(form.dim)
             self.levels = mesh_levels(dom, rings, sectors, levels, config)
             self.meshes = self.levels
         elif isinstance(dom, MeridianDomain):
             if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
                 raise DomainError("axisymmetric domains require Euclidean n = 3")
-            self.levels = [dom]
+            self.levels = [dom.meshed(rings, sectors, config)]
             for _ in range(levels - 1):
                 self.levels.append(self.levels[-1].refine(config))
             self.meshes = [md.mesh for md in self.levels]
@@ -515,38 +517,28 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
                      waive_admissibility=waive_admissibility)
     TR = float(sol.T_at(R)[0])
 
-    def T_fn(t):
-        return sol.T_at(t)
+    def along(values):
+        """t -> values(form, w, t, T, T') along the mode-1 solution."""
+        return lambda t: values(form, w, t, sol.T_at(t), sol.Tprime_at(t))
 
-    def Tp_fn(t):
-        return sol.Tprime_at(t)
-
-    def G_fn(t):
-        T, dT = T_fn(t), Tp_fn(t)
-        s, c = s_kappa(form, t), c_kappa(form, t)
-        return 2 * T * dT + ((n - 1) * c / s - w.phi_prime(t)) * T * T
-
-    def H_fn(t):
-        T, dT = T_fn(t), Tp_fn(t)
-        s = s_kappa(form, t)
-        return dT * dT + (n - 1) * (T / s) ** 2
+    G, H = along(g_values), along(h_values)
 
     def f_fn(t):
-        return np.where(t <= R, T_fn(np.minimum(t, R)), TR)
+        return np.where(t <= R, sol.T_at(np.minimum(t, R)), TR)
 
     def G_capped(t):
         s, c = s_kappa(form, t), c_kappa(form, t)
         outside = (n - 1) * c / s * TR ** 2 - TR ** 2 * w.phi_prime(t)
-        return np.where(t <= R, G_fn(np.minimum(t, R)), outside)
+        return np.where(t <= R, G(np.minimum(t, R)), outside)
 
     def H_capped(t):
         s = s_kappa(form, t)
         outside = (n - 1) * TR ** 2 / s ** 2
-        return np.where(t <= R, H_fn(np.minimum(t, R)), outside)
+        return np.where(t <= R, H(np.minimum(t, R)), outside)
 
-    A = integrate_boundary_weighted(mesh, form, w, lambda t: T_fn(t) ** 2)
-    B = integrate_weighted(mesh, form, w, G_fn)
-    C = integrate_weighted(mesh, form, w, H_fn)
+    A = integrate_boundary_weighted(mesh, form, w, lambda t: sol.T_at(t) ** 2)
+    B = integrate_weighted(mesh, form, w, G)
+    C = integrate_weighted(mesh, form, w, H)
     A_cap = integrate_boundary_weighted(mesh, form, w, lambda t: f_fn(t) ** 2)
     B_cap = integrate_weighted(mesh, form, w, G_capped)
     C_cap = integrate_weighted(mesh, form, w, H_capped)

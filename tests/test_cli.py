@@ -49,6 +49,27 @@ def test_parse_rejects_unknown_key():
             dim = 2
             extra = 3
         """))
+    with pytest.raises(ConfigError, match="unknown key 'zero_mode_tol'"):
+        parse_config(cfg_text(BALL_CFG + "\n[tolerances]\nzero_mode_tol = 1e-8"))
+
+
+def test_parse_rejects_non_finite_numbers():
+    cases = [
+        ("[domain]\nkind = disk\nradius = nan", "nan"),
+        ("[weight]\nkind = linear\na = inf", "inf"),
+        ("[tolerances]\nslack_floor = nan", "nan"),
+        ("radii = 1, nan", "nan"),
+        ("[domain]\nkind = disk\nradius = 1\ncenter = 0, inf", "inf"),
+    ]
+    for body, bad in cases:
+        text = "command = verify\n" + body + "\n"
+        if not body.startswith("[domain]"):
+            text += "[domain]\nkind = disk\nradius = 1\n"
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                    if ln.endswith(bad))
+        with pytest.raises(ConfigError, match="finite number") as err:
+            parse_config(text)
+        assert err.value.line == line
 
 
 def test_parse_rejects_unknown_section_and_command():
@@ -71,6 +92,14 @@ def test_parse_rejects_star_shape_violation():
             epsilon = 0.5
             k = 3
         """))
+    # the constructors' own checks, reported at the line of the kind
+    for params, match in (("vertices = 0 0; 1 0; 2 0", "star-shaped"),
+                          ("radius = 1\nepsilon = 0.1\nk = 0", "k must be")):
+        kind = "polygon" if "vertices" in params else "perturbed_disk"
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_config(f"command = verify\n\n[domain]\nkind = {kind}\n"
+                         f"{params}\n")
+        assert err.value.line == 4
 
 
 def test_parse_rejects_nonmonotone_weight_table(tmp_path):
@@ -415,6 +444,9 @@ def test_main_entrypoint(tmp_path, capsys):
 
 def test_main_reports_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("command = ball\nradii = 1\nwhat = no\n")
-    assert main(["--config", str(cfg_path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    for text in ("command = ball\nradii = 1\nwhat = no\n",
+                 "command = verify\n\n[domain]\nkind = polygon\n"
+                 "vertices = 0 0; 1 0; 2 0\n"):
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err

@@ -125,10 +125,15 @@ def test_hyperbolic_disk_equality_case():
 
 def test_axisym_ball_equality_case():
     md = MeridianDomain.ball(1.0, rings=6, sectors=24)
-    rep = brock_report(md, E3, RadialWeight.linear(0.5), levels=3)
+    w = RadialWeight.linear(0.5)
+    rep = brock_report(md, E3, w, rings=6, sectors=24, levels=3)
     assert rep.passed
     assert rep.near_equality
     assert rep.lhs == pytest.approx(rep.rhs, abs=rep.equality_tol)
+    # a solid is meshed at the resolution the report is given
+    ball = MeridianDomain.ball(1.0)
+    coarse = brock_report(ball, E3, w, rings=4, sectors=16, levels=2)
+    assert coarse.h_finest != brock_report(ball, E3, w, levels=2).h_finest
 
 
 def test_offset_disk_readme_example():
