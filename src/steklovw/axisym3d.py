@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericsConfig
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from .mesh2d import (MERIDIAN, TriMesh, integrate_boundary_weighted,
                      integrate_weighted, polar_mesh, subdivide)
@@ -46,44 +45,40 @@ class MeridianDomain:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def ball(R: float, rings: int = 8, sectors: int = 32,
-             config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
+    def ball(R: float, rings: int = 8, sectors: int = 32) -> "MeridianDomain":
         if R <= 0:
             raise DomainError("ball radius must be positive")
-        return MeridianDomain(kind="ball", R=float(R)).meshed(
-            rings, sectors, config)
+        return MeridianDomain(kind="ball", R=float(R)).meshed(rings, sectors)
 
     @staticmethod
-    def spheroid(a: float, c: float, rings: int = 8, sectors: int = 32,
-                 config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
+    def spheroid(a: float, c: float, rings: int = 8,
+                 sectors: int = 32) -> "MeridianDomain":
         """Boundary (r/a)^2 + (z/c)^2 = 1."""
         if a <= 0 or c <= 0:
             raise DomainError("spheroid semi-axes must be positive")
         return MeridianDomain(kind="spheroid", a=float(a), c=float(c)).meshed(
-            rings, sectors, config)
+            rings, sectors)
 
     @staticmethod
     def perturbed_ball(R: float, eps: float, k: int, rings: int = 8,
-                       sectors: int = 32,
-                       config: NumericsConfig = DEFAULT_CONFIG
-                       ) -> "MeridianDomain":
+                       sectors: int = 32) -> "MeridianDomain":
         """Polar boundary radius R (1 + eps cos(k theta_colat))."""
         if R <= 0:
             raise DomainError("radius must be positive")
+        if k < 1:
+            raise DomainError("perturbation frequency k must be >= 1")
         if abs(eps) * k >= 1.0:
             raise DomainError("|eps|*k >= 1 breaks star-shapedness")
         return MeridianDomain(kind="perturbed_ball", R=float(R),
-                              eps=float(eps), k=int(k)).meshed(
-            rings, sectors, config)
+                              eps=float(eps), k=int(k)).meshed(rings, sectors)
 
-    def meshed(self, rings: int, sectors: int,
-               config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
+    def meshed(self, rings: int, sectors: int) -> "MeridianDomain":
         """Copy carrying the open polar fan over [-pi/2, pi/2]."""
         N = int(sectors)
         if N < 4:
             raise DomainError("meridian mesh needs sectors >= 4")
         alphas = -math.pi / 2.0 + math.pi * np.arange(N + 1) / N
-        return replace(self, mesh=polar_mesh(self, alphas, rings, False, config))
+        return replace(self, mesh=polar_mesh(self, alphas, rings, False))
 
     # -- geometry ---------------------------------------------------------
     def boundary_radius(self, alpha) -> np.ndarray:
@@ -126,9 +121,8 @@ class MeridianDomain:
         on_axis = (v[be[:, 0], 0] == 0.0) & (v[be[:, 1], 0] == 0.0)
         return be[~on_axis]
 
-    def refine(self, config: NumericsConfig = DEFAULT_CONFIG) -> "MeridianDomain":
-        return replace(self, mesh=subdivide(self.mesh, self.outer_edges, self,
-                                            config))
+    def refine(self) -> "MeridianDomain":
+        return replace(self, mesh=subdivide(self.mesh, self.outer_edges, self))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +144,8 @@ def meridian_measures(md: MeridianDomain, w: RadialWeight) -> tuple[float, float
 # mode assembly and spectra
 # ---------------------------------------------------------------------------
 
-def assemble_mode(md: MeridianDomain, w: RadialWeight, m: int,
-                  config: NumericsConfig = DEFAULT_CONFIG) -> AssembledSystem:
+def assemble_mode(md: MeridianDomain, w: RadialWeight,
+                  m: int) -> AssembledSystem:
     """Mode-m stiffness and outer-boundary mass, axis dofs removed for m >= 1."""
     if m < 0:
         raise DomainError("azimuthal mode must be >= 0")
@@ -160,13 +154,12 @@ def assemble_mode(md: MeridianDomain, w: RadialWeight, m: int,
 
 
 def solve_axisym_spectrum(md: MeridianDomain, w: RadialWeight,
-                          modes=(0, 1, 2), k_per_mode: int = 6,
-                          config: NumericsConfig = DEFAULT_CONFIG
-                          ) -> SteklovSpectrum:
+                          modes=(0, 1, 2),
+                          k_per_mode: int = 6) -> SteklovSpectrum:
     """Merged spectrum across azimuthal modes, multiplicity 2 for m >= 1."""
     entries: list[tuple[float, int, int]] = []
     for m in sorted(modes):
-        sys = assemble_mode(md, w, m, config)
+        sys = assemble_mode(md, w, m)
         S, Mb = dtn_reduce(sys)
         k_m = min(k_per_mode, S.shape[0] - 1)
         spec = solve_spectrum(S, Mb, k_m)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .axisym3d import MeridianDomain
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from .mesh2d import Domain2D, MeshQualityError
 from .radial import sigma1_ball
@@ -42,13 +42,13 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"command", "radii", "count", "waive_admissibility"}
 _SPACE_KEYS = {"curvature", "dim"}
-_WEIGHT_KEYS = {"kind", "c", "a", "b", "csv"}
-_MESH_KEYS = {"rings", "sectors", "levels", "min_angle_deg"}
-_TOL_KEYS = {"integrator_rtol", "integrator_method", "series_start_factor",
-             "report_points", "quadrature_abstol", "property_tol",
-             "identity_warn_tol", "hyperbolic_margin", "slack_floor",
-             "equality_floor", "radius_match_rtol", "radius_max"}
+_MESH_KEYS = {"rings", "sectors", "levels"}
 _OUTPUT_KEYS = {"dir", "format"}
+
+# weight kind -> its keys, in the order of the RadialWeight constructor's
+# arguments ('c' defaults to 0)
+_WEIGHT_KINDS = {"constant": ("c",), "linear": ("a",),
+                 "quadratic": ("a", "b"), "tabulated": ("csv",)}
 
 # kind -> (constructor, dim, keys in the order of the constructor's
 # arguments); planar kinds also take an optional 'center', their last
@@ -63,8 +63,6 @@ _DOMAIN_KINDS = {
     "perturbed_ball": (MeridianDomain.perturbed_ball, 3,
                        ("radius", "epsilon", "k")),
 }
-_DOMAIN_KEYS = {"kind", "center"}.union(
-    *(keys for _, _, keys in _DOMAIN_KINDS.values()))
 
 
 @dataclass
@@ -78,7 +76,6 @@ class RunConfig:
     rings: int = 8
     sectors: int | None = None
     levels: int = 3
-    numerics: NumericsConfig = DEFAULT_CONFIG
     out_dir: str = "out"
     out_format: str = "both"
     waive_admissibility: bool = False
@@ -97,7 +94,7 @@ class RunConfig:
             "count": self.count,
             "mesh": {"rings": self.rings, "sectors": self.sectors,
                      "levels": self.levels},
-            "tolerances": self.numerics.to_dict(),
+            "tolerances": DEFAULT_CONFIG.to_dict(),
             "output": {"dir": self.out_dir, "format": self.out_format},
             "waive_admissibility": self.waive_admissibility,
         }
@@ -182,7 +179,7 @@ def _read_sections(text: str):
     return sections
 
 
-def _check_keys(name: str, body: dict, allowed: set[str], start: int):
+def _check_keys(name: str, body: dict, allowed: set[str]):
     for key, (_, ln) in body.items():
         if key not in allowed:
             raise ConfigError(
@@ -190,47 +187,40 @@ def _check_keys(name: str, body: dict, allowed: set[str], start: int):
 
 
 def _build_weight(body: dict, start: int) -> tuple[RadialWeight, dict]:
-    _check_keys("weight", body, _WEIGHT_KEYS, start)
     if "kind" not in body:
         raise ConfigError("weight section needs a 'kind'", start)
     kind, kline = body["kind"][0].lower(), body["kind"][1]
-    if kind == "constant":
-        c = _parse_float(body["c"][0], body["c"][1]) if "c" in body else 0.0
-        return RadialWeight.constant(c), {"kind": kind, "c": c}
-    if kind == "linear":
-        if "a" not in body:
-            raise ConfigError("linear weight needs 'a'", kline)
-        a = _parse_float(body["a"][0], body["a"][1])
-        return RadialWeight.linear(a), {"kind": kind, "a": a}
-    if kind == "quadratic":
-        if "a" not in body or "b" not in body:
-            raise ConfigError("quadratic weight needs 'a' and 'b'", kline)
-        a = _parse_float(body["a"][0], body["a"][1])
-        b = _parse_float(body["b"][0], body["b"][1])
-        return RadialWeight.quadratic(a, b), {"kind": kind, "a": a, "b": b}
-    if kind == "tabulated":
-        if "csv" not in body:
-            raise ConfigError("tabulated weight needs 'csv = <path>'", kline)
-        path, pline = body["csv"]
-        try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except Exception as exc:
-            raise ConfigError(f"cannot read weight table {path!r}: {exc}",
-                              pline) from None
-        if table.shape[1] != 2:
-            raise ConfigError("weight table must have two columns (t, phi)", pline)
-        try:
-            w = RadialWeight.tabulated(table[:, 0], table[:, 1])
-        except Exception as exc:
-            raise ConfigError(f"invalid weight table {path!r}: {exc}",
-                              pline) from None
-        return w, {"kind": kind, "csv": str(path)}
-    raise ConfigError(f"unknown weight kind {kind!r}", kline)
+    if kind not in _WEIGHT_KINDS:
+        raise ConfigError(f"unknown weight kind {kind!r}", kline)
+    keys = _WEIGHT_KINDS[kind]
+    _check_keys("weight", body, {"kind", *keys})
+    if kind == "constant" and "c" not in body:
+        return RadialWeight.constant(0.0), {"kind": kind, "c": 0.0}
+    for key in keys:
+        if key not in body:
+            raise ConfigError(f"{kind} weight needs {key!r}", kline)
+    if kind != "tabulated":
+        params = {key: _parse_float(*body[key]) for key in keys}
+        return (getattr(RadialWeight, kind)(*params.values()),
+                {"kind": kind, **params})
+    path, pline = body["csv"]
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except Exception as exc:
+        raise ConfigError(f"cannot read weight table {path!r}: {exc}",
+                          pline) from None
+    if table.shape[1] != 2:
+        raise ConfigError("weight table must have two columns (t, phi)", pline)
+    try:
+        w = RadialWeight.tabulated(table[:, 0], table[:, 1])
+    except Exception as exc:
+        raise ConfigError(f"invalid weight table {path!r}: {exc}",
+                          pline) from None
+    return w, {"kind": kind, "csv": str(path)}
 
 
-def _build_domain(body: dict, start: int, dim: int, rings: int, sectors: int,
-                  config: NumericsConfig) -> tuple[Domain2D | MeridianDomain, dict]:
-    _check_keys("domain", body, _DOMAIN_KEYS, start)
+def _build_domain(body: dict, start: int, dim: int, rings: int,
+                  sectors: int) -> tuple[Domain2D | MeridianDomain, dict]:
     if "kind" not in body:
         raise ConfigError("domain section needs a 'kind'", start)
     kind, kline = body["kind"][0].lower(), body["kind"][1]
@@ -242,7 +232,7 @@ def _build_domain(body: dict, start: int, dim: int, rings: int, sectors: int,
     if kind_dim == 3 and "center" in body:
         raise ConfigError("axisymmetric domains are centered; drop 'center'",
                           kline)
-
+    _check_keys("domain", body, {"kind", "center", *keys})
     for key in keys:
         if key not in body:
             raise ConfigError(f"domain kind {kind!r} needs {key!r}", kline)
@@ -250,8 +240,7 @@ def _build_domain(body: dict, start: int, dim: int, rings: int, sectors: int,
              "center": _parse_point}
     params = {key: parse.get(key, _parse_float)(*body[key])
               for key in keys + ("center",) if key in body}
-    mesh = {"rings": rings, "sectors": sectors, "config": config} \
-        if kind_dim == 3 else {}
+    mesh = {"rings": rings, "sectors": sectors} if kind_dim == 3 else {}
     try:
         dom = ctor(*params.values(), **mesh)
     except (DomainError, MeshQualityError) as exc:
@@ -263,7 +252,7 @@ def parse_config(text: str) -> RunConfig:
     sections = _read_sections(text)
 
     top = sections[0][2]
-    _check_keys("", top, _TOP_KEYS, 0)
+    _check_keys("", top, _TOP_KEYS)
     if "command" not in top:
         raise ConfigError("missing required top-level key 'command'")
     command, cline = top["command"][0].lower(), top["command"][1]
@@ -273,7 +262,6 @@ def parse_config(text: str) -> RunConfig:
 
     curvature = Curvature.EUCLIDEAN
     dim = 2
-    numerics_kw: dict = {}
     rings, sectors, levels = 8, None, 3
     out_dir, out_format = "out", "both"
     weights: list[RadialWeight] = []
@@ -283,7 +271,7 @@ def parse_config(text: str) -> RunConfig:
 
     for name, start, body in sections[1:]:
         if name == "space":
-            _check_keys(name, body, _SPACE_KEYS, start)
+            _check_keys(name, body, _SPACE_KEYS)
             if "curvature" in body:
                 val, ln = body["curvature"]
                 try:
@@ -301,7 +289,7 @@ def parse_config(text: str) -> RunConfig:
         elif name == "domain":
             pass   # needs dim; handled in a second pass below
         elif name == "mesh":
-            _check_keys(name, body, _MESH_KEYS, start)
+            _check_keys(name, body, _MESH_KEYS)
             if "rings" in body:
                 rings = _parse_int(body["rings"][0], body["rings"][1])
             if "sectors" in body:
@@ -310,23 +298,8 @@ def parse_config(text: str) -> RunConfig:
                 levels = _parse_int(body["levels"][0], body["levels"][1])
                 if levels < 1:
                     raise ConfigError("levels must be >= 1", body["levels"][1])
-            if "min_angle_deg" in body:
-                numerics_kw["min_angle_deg"] = _parse_float(
-                    body["min_angle_deg"][0], body["min_angle_deg"][1])
-        elif name == "tolerances":
-            _check_keys(name, body, _TOL_KEYS, start)
-            for key, (val, ln) in body.items():
-                if key in ("report_points",):
-                    numerics_kw[key] = _parse_int(val, ln)
-                elif key == "integrator_method":
-                    numerics_kw[key] = val
-                else:
-                    parsed = _parse_float(val, ln)
-                    if parsed <= 0:
-                        raise ConfigError(f"tolerance {key!r} must be positive", ln)
-                    numerics_kw[key] = parsed
         elif name == "output":
-            _check_keys(name, body, _OUTPUT_KEYS, start)
+            _check_keys(name, body, _OUTPUT_KEYS)
             if "dir" in body:
                 out_dir = body["dir"][0]
             if "format" in body:
@@ -337,12 +310,11 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown section [{name}]", start)
 
-    numerics = DEFAULT_CONFIG.replace(**numerics_kw)
     for name, start, body in sections[1:]:
         if name == "domain":
             dom, src = _build_domain(
                 body, start, dim, rings,
-                default_sectors(dim) if sectors is None else sectors, numerics)
+                default_sectors(dim) if sectors is None else sectors)
             domains.append(dom)
             domain_sources.append(src)
 
@@ -371,7 +343,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         command=command, space=space, weights=weights, domains=domains,
         radii=radii, count=count, rings=rings, sectors=sectors, levels=levels,
-        numerics=numerics, out_dir=out_dir, out_format=out_format,
+        out_dir=out_dir, out_format=out_format,
         waive_admissibility=waive, weight_sources=weight_sources,
         domain_sources=domain_sources)
 
@@ -429,7 +401,7 @@ def _run_ball(cfg: RunConfig) -> int:
     rows = []
     for w in cfg.weights:
         for R in cfg.radii:
-            res = sigma1_ball(cfg.space, w, R, cfg.numerics,
+            res = sigma1_ball(cfg.space, w, R,
                               waive_admissibility=cfg.waive_admissibility)
             rows.append({
                 "curvature": cfg.space.curvature.label, "n": cfg.space.dim,
@@ -442,7 +414,7 @@ def _run_ball(cfg: RunConfig) -> int:
 
 def _run_spectrum(cfg: RunConfig) -> int:
     hier = MeshHierarchy(cfg.domains[0], cfg.space, cfg.rings, cfg.sectors,
-                         cfg.levels, cfg.numerics)
+                         cfg.levels)
     spec = hier.spectrum(-1, cfg.weights[0], cfg.count)
     spec.metadata["identities"] = {
         "zero_mode_ratio": abs(spec.eigenvalues[0]) /
@@ -460,8 +432,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
 def _verify_one(cfg: RunConfig, dom, w: RadialWeight):
     fn = question_a_report if cfg.space.dim == 2 else brock_report
     return fn(dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
-              levels=cfg.levels, config=cfg.numerics,
-              waive_admissibility=cfg.waive_admissibility)
+              levels=cfg.levels, waive_admissibility=cfg.waive_admissibility)
 
 
 def _run_verify(cfg: RunConfig) -> int:
@@ -491,7 +462,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 def _run_converge(cfg: RunConfig) -> int:
     study = convergence_study(cfg.domains[0], cfg.space, cfg.weights[0],
                               cfg.count, rings=cfg.rings, sectors=cfg.sectors,
-                              levels=max(cfg.levels, 3), config=cfg.numerics,
+                              levels=max(cfg.levels, 3),
                               waive_admissibility=cfg.waive_admissibility)
     rows = []
     for i in range(1, cfg.count + 1):
@@ -514,8 +485,7 @@ def _run_chain(cfg: RunConfig) -> int:
         for w in cfg.weights:
             reports.append(proof_chain_check(
                 dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
-                levels=cfg.levels, config=cfg.numerics,
-                waive_admissibility=cfg.waive_admissibility))
+                levels=cfg.levels, waive_admissibility=cfg.waive_admissibility))
     fields = ["domain", "weight", "n", "margin_divergence",
               "margin_variational", "margin_ball_G", "margin_ball_H",
               "capped_ball_G_comparison", "passed"]

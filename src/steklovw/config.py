@@ -1,8 +1,9 @@
-"""Shared numerical-tolerance knobs.
+"""The fixed numerical tolerances of the pipeline.
 
-A single frozen dataclass is threaded through the solvers so that every
-tolerance used anywhere in the pipeline is pinned in one place and can be
-embedded verbatim into emitted reports.
+Every tolerance used anywhere is declared once here, in the single frozen
+``DEFAULT_CONFIG``, and read where it is used; none can be overridden, so
+no setting can loosen a check or hide a finding.  Reports embed the values
+verbatim (``to_dict``) under ``config.tolerances``.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ class NumericsConfig:
     # NOTE: the polar construction puts triangles of apex angle 360/N deg at
     # the fan, so a 15 deg floor would reject every mesh with N > 24.  All
     # polar-mesh angles stay below 90 deg (the bound that actually governs
-    # P1 accuracy), hence the permissive default; tighten via config if a
-    # genuinely degenerate domain must be caught early.
+    # P1 accuracy), hence the permissive floor; a fan of more than 360
+    # sectors falls below it.
     min_angle_deg: float = 1.0
     hyperbolic_margin: float = 0.02          # domain must satisfy |x| <= 1 - margin
 
@@ -42,9 +43,6 @@ class NumericsConfig:
     equality_floor: float = 1e-3  # absolute floor for equality detection
     radius_match_rtol: float = 1e-10
     radius_max: float = 50.0
-
-    def replace(self, **kw) -> "NumericsConfig":
-        return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 
 
 class DomainError(ValueError):
@@ -213,9 +213,10 @@ class WeightAdmissibility:
     samples: int
 
 
-def validate_property_i(w: RadialWeight, t_max: float, samples: int = 256,
-                        tol: float | None = None,
-                        config: NumericsConfig = DEFAULT_CONFIG) -> WeightAdmissibility:
+def validate_property_i(w: RadialWeight, t_max: float,
+                        samples: int = DEFAULT_CONFIG.property_samples,
+                        tol: float = DEFAULT_CONFIG.property_tol
+                        ) -> WeightAdmissibility:
     """Check that phi is non-increasing and concave on [0, t_max].
 
     Inadmissibility is a report outcome, never an exception.  The check is
@@ -226,8 +227,6 @@ def validate_property_i(w: RadialWeight, t_max: float, samples: int = 256,
         raise DomainError("t_max must be positive")
     if samples < 16:
         raise DomainError("need at least 16 samples")
-    if tol is None:
-        tol = config.property_tol
     ts = np.linspace(0.0, t_max, samples)
     if w.kind == "tabulated":
         # stay on the tabulated range, and widen the tolerance to the
@@ -269,8 +268,10 @@ def _quad_checked(f, a: float, b: float, abstol: float):
 
 
 def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
-                         config: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """Weighted volume of the geodesic ball of radius R about the origin."""
+                         fn=None) -> float:
+    """int_{B_R} fn(t) dmu over the geodesic ball of radius R about the
+    origin; ``fn`` maps distance arrays to values (default 1, the weighted
+    volume)."""
     if R <= 0:
         raise DomainError("ball radius must be positive")
     _check_radial_arg(form, R)
@@ -278,9 +279,13 @@ def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
     omega = unit_sphere_area(n)
 
     def integrand(t):
-        return s_kappa(form, t) ** (n - 1) * math.exp(-w.phi(t))
+        dens = s_kappa(form, t) ** (n - 1)
+        if fn is not None:
+            dens = fn(np.asarray([t]))[0] * dens
+        return dens * math.exp(-w.phi(t))
 
-    return omega * _quad_checked(integrand, 0.0, R, config.quadrature_abstol)
+    return omega * _quad_checked(integrand, 0.0, R,
+                                 DEFAULT_CONFIG.quadrature_abstol)
 
 
 def ball_boundary_weighted_measure(form: SpaceForm, w: RadialWeight,

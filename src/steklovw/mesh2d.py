@@ -15,13 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        conformal_factor, poincare_distance)
 
 
 class MeshQualityError(ValueError):
-    """Triangle quality below the configured floor (increase M, N)."""
+    """Triangle quality below the fixed floor (increase M, N)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,18 +181,16 @@ class TriMesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _validate(mesh: TriMesh, min_angle_deg: float):
+def _validate(mesh: TriMesh):
     if np.any(mesh.signed_areas() <= 0):
         raise MeshQualityError("mesh contains non-positively-oriented triangles")
-    ang = mesh.min_angle_deg()
-    if ang < min_angle_deg:
+    ang, floor = mesh.min_angle_deg(), DEFAULT_CONFIG.min_angle_deg
+    if ang < floor:
         raise MeshQualityError(
-            f"minimum triangle angle {ang:.3f} deg below floor "
-            f"{min_angle_deg:g} deg (increase rings/sectors or lower the floor)")
+            f"minimum triangle angle {ang:.3f} deg below floor {floor:g} deg")
 
 
 def polar_mesh(shape, angles: np.ndarray, rings: int, closed: bool,
-               config: NumericsConfig = DEFAULT_CONFIG,
                domain: Domain2D | None = None) -> TriMesh:
     """Mapped polar grid of ``shape`` (``center``, ``boundary_radius``).
 
@@ -237,18 +235,17 @@ def polar_mesh(shape, angles: np.ndarray, rings: int, closed: bool,
     mesh = TriMesh(vertices=verts, triangles=triangles,
                    boundary_edges=np.array(boundary, dtype=np.int64),
                    h=_max_edge(verts, triangles), domain=domain)
-    _validate(mesh, config.min_angle_deg)
+    _validate(mesh)
     return mesh
 
 
-def generate_mesh(dom: Domain2D, rings: int, sectors: int,
-                  config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
+def generate_mesh(dom: Domain2D, rings: int, sectors: int) -> TriMesh:
     """Mapped polar mesh: 1 + rings*sectors vertices, deterministic layout."""
     N = int(sectors)
     if N < 8:
         raise DomainError("need at least 8 sectors")
     thetas = 2.0 * math.pi * np.arange(N) / N
-    return polar_mesh(dom, thetas, rings, True, config, domain=dom)
+    return polar_mesh(dom, thetas, rings, True, domain=dom)
 
 
 def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
@@ -257,8 +254,7 @@ def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.max(lengths))
 
 
-def subdivide(mesh: TriMesh, curved_edges, shape,
-              config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
+def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
     """Uniform 4-way split, midpoints appended in deterministic order.
 
     Midpoints of ``curved_edges`` move along their ray from ``shape.center``
@@ -300,22 +296,22 @@ def subdivide(mesh: TriMesh, curved_edges, shape,
     out = TriMesh(vertices=verts, triangles=tris,
                   boundary_edges=np.array(new_boundary, dtype=np.int64),
                   h=_max_edge(verts, tris), domain=mesh.domain)
-    _validate(out, config.min_angle_deg)
+    _validate(out)
     return out
 
 
-def refine(mesh: TriMesh, config: NumericsConfig = DEFAULT_CONFIG) -> TriMesh:
+def refine(mesh: TriMesh) -> TriMesh:
     """4-way refinement with boundary midpoints snapped to the exact curve."""
     dom = mesh.domain
     curved = mesh.boundary_edges if dom is not None else ()
-    return subdivide(mesh, curved, dom, config)
+    return subdivide(mesh, curved, dom)
 
 
-def mesh_levels(dom: Domain2D, rings: int, sectors: int, levels: int,
-                config: NumericsConfig = DEFAULT_CONFIG) -> list[TriMesh]:
-    meshes = [generate_mesh(dom, rings, sectors, config)]
+def mesh_levels(dom: Domain2D, rings: int, sectors: int,
+                levels: int) -> list[TriMesh]:
+    meshes = [generate_mesh(dom, rings, sectors)]
     for _ in range(levels - 1):
-        meshes.append(refine(meshes[-1], config))
+        meshes.append(refine(meshes[-1]))
     return meshes
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 from .geometry import (DomainError, RadialWeight, SpaceForm,
                        ball_boundary_weighted_measure, c_kappa, s_kappa,
                        unit_sphere_area, validate_property_i)
@@ -120,8 +120,7 @@ class RadialSolution:
         return self._eval(t, 1)
 
 
-def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float,
-               config: NumericsConfig = DEFAULT_CONFIG, *,
+def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
                lead_coeff: float = 1.0, t_end: float | None = None,
                waive_admissibility: bool = False) -> RadialSolution:
     """Integrate one radial mode and return the sampled solution with beta_i.
@@ -142,7 +141,7 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float,
         raise DomainError("spherical-cap solves require t_end < pi")
 
     if not waive_admissibility:
-        adm = validate_property_i(w, t_end, config.property_samples, config=config)
+        adm = validate_property_i(w, t_end)
         if not adm.admissible:
             raise AdmissibilityError(
                 "weight fails Property I (non-increasing, concave): "
@@ -152,7 +151,8 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float,
     n = form.dim
     lam = angular_eigenvalue(n, i)
     c1, c2 = _series_coeffs(form, w, i)
-    t0 = config.series_start_factor * R
+    cfg = DEFAULT_CONFIG
+    t0 = cfg.series_start_factor * R
 
     base = t0 ** i
     y0 = np.array([
@@ -167,13 +167,13 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float,
         return (dT,
                 -((n - 1) * c / s - w.phi_prime(t)) * dT + lam / (s * s) * T)
 
-    atol = config.integrator_rtol * max(abs(y0[0]), 1e-290)
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=config.integrator_method,
-                    rtol=config.integrator_rtol, atol=atol, dense_output=True)
+    atol = cfg.integrator_rtol * max(abs(y0[0]), 1e-290)
+    sol = solve_ivp(rhs, (t0, t_end), y0, method=cfg.integrator_method,
+                    rtol=cfg.integrator_rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"radial integration failed: {sol.message}")
 
-    grid = np.linspace(t0, t_end, config.report_points)
+    grid = np.linspace(t0, t_end, cfg.report_points)
     vals = sol.sol(grid)
     T_vals, dT_vals = vals[0], vals[1]
     if np.any(T_vals <= 0.0):
@@ -256,8 +256,7 @@ class BallSigma1:
         return self.value
 
 
-def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float,
-                config: NumericsConfig = DEFAULT_CONFIG, *,
+def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
                 waive_admissibility: bool = False) -> BallSigma1:
     """sigma_1 of the weighted ball via shooting, cross-checked by quadrature.
 
@@ -266,16 +265,17 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float,
     boundary-sphere eigenvalue at its t = R value, so the discrepancy
     between the two readings stays visible in data.
     """
-    sol = solve_mode(form, w, 1, R, config, waive_admissibility=waive_admissibility)
+    sol = solve_mode(form, w, 1, R, waive_admissibility=waive_admissibility)
     n = form.dim
     _, ih = ball_gh_integrals(sol)
     denom = (sol.T_at(R)[0] ** 2) * ball_boundary_weighted_measure(form, w, R)
     integral_value = ih / denom
     rel = abs(sol.beta - integral_value) / abs(sol.beta)
-    if rel > config.identity_warn_tol:
+    warn_tol = DEFAULT_CONFIG.identity_warn_tol
+    if rel > warn_tol:
         warnings.warn(
             f"shooting/integral identity discrepancy {rel:.3e} exceeds "
-            f"{config.identity_warn_tol:.1e}", RuntimeWarning, stacklevel=2)
+            f"{warn_tol:.1e}", RuntimeWarning, stacklevel=2)
 
     v1_at_R = (n - 1) / s_kappa(form, R) ** 2
     w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
@@ -288,8 +288,7 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float,
                       constant_boundary_eigenvalue_reading=alt, solution=sol)
 
 
-def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int,
-                  config: NumericsConfig = DEFAULT_CONFIG, *,
+def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int, *,
                   waive_admissibility: bool = False) -> SteklovSpectrum:
     """sigma_0 = 0 followed by the ``count`` smallest ball eigenvalues.
 
@@ -304,8 +303,7 @@ def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int,
     modes = [0]
     i = 1
     while len(values) < count + 1:
-        sol = solve_mode(form, w, i, R, config,
-                         waive_admissibility=waive_admissibility)
+        sol = solve_mode(form, w, i, R, waive_admissibility=waive_admissibility)
         mult = harmonic_multiplicity(n, i)
         values.extend([sol.beta] * mult)
         modes.extend([i] * mult)

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from .mesh2d import (_GAUSS2, Measure, TriMesh, boundary_gauss_points,
                      measure)
@@ -106,17 +106,18 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
                            boundary_index=boundary)
 
 
-def assemble(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-             config: NumericsConfig = DEFAULT_CONFIG) -> AssembledSystem:
+def assemble(mesh: TriMesh, form: SpaceForm,
+             w: RadialWeight) -> AssembledSystem:
     """Assemble weighted stiffness K and boundary mass M_b on a 2-D mesh."""
     if form.dim != 2:
         raise DomainError("steklov2d assembles 2-D problems only")
     if form.curvature is Curvature.HYPERBOLIC:
         rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
-        if rmax > 1.0 - config.hyperbolic_margin:
+        margin = DEFAULT_CONFIG.hyperbolic_margin
+        if rmax > 1.0 - margin:
             raise DomainError(
                 f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
-                f"1 - {config.hyperbolic_margin:g}")
+                f"1 - {margin:g}")
     return assemble_p1(mesh, measure(form), w, mesh.boundary_edges)
 
 
@@ -165,10 +166,10 @@ def solve_spectrum(schur: np.ndarray, mass: np.ndarray, k: int,
                            metadata=dict(metadata or {}))
 
 
-def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight, k: int,
-                    config: NumericsConfig = DEFAULT_CONFIG) -> SteklovSpectrum:
+def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
+                    k: int) -> SteklovSpectrum:
     """Assemble, reduce and solve one mesh; attaches mesh/weight metadata."""
-    sys = assemble(mesh, form, w, config)
+    sys = assemble(mesh, form, w)
     S, Mb = dtn_reduce(sys)
     meta = {
         "h": mesh.h,

@@ -20,10 +20,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .axisym3d import MeridianDomain, solve_axisym_spectrum
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
-                       _quad_checked, ball_weighted_volume, c_kappa,
-                       s_kappa, unit_sphere_area, validate_property_i)
+                       ball_weighted_volume, validate_property_i)
 from .mesh2d import (Domain2D, TriMesh, integrate_boundary_weighted,
                      integrate_weighted, measure, mesh_levels)
 from .radial import (AdmissibilityError, ball_gh_integrals, g_values,
@@ -33,7 +32,7 @@ from .steklov2d import domain_spectrum
 
 
 class BracketError(RuntimeError):
-    """No ball radius below the configured maximum reaches the target volume."""
+    """No ball radius below the fixed maximum reaches the target volume."""
 
 
 class SymmetryError(ValueError):
@@ -44,8 +43,8 @@ class SymmetryError(ValueError):
 # volume matching and extrapolation
 # ---------------------------------------------------------------------------
 
-def match_radius(form: SpaceForm, w: RadialWeight, target_volume: float,
-                 config: NumericsConfig = DEFAULT_CONFIG) -> float:
+def match_radius(form: SpaceForm, w: RadialWeight,
+                 target_volume: float) -> float:
     """Radius R with |B_R|_phi equal to the target weighted volume.
 
     Bisection-type root find on the strictly increasing volume map with a
@@ -55,16 +54,17 @@ def match_radius(form: SpaceForm, w: RadialWeight, target_volume: float,
         raise DomainError("target volume must be positive")
 
     def vol(R):
-        return ball_weighted_volume(form, w, R, config) - target_volume
+        return ball_weighted_volume(form, w, R) - target_volume
 
+    radius_max = DEFAULT_CONFIG.radius_max
     hi = 1.0
     if form.curvature is Curvature.SPHERICAL_CAP:
         hi = 1.5
     while vol(hi) < 0:
         hi *= 2.0
-        if hi > config.radius_max:
+        if hi > radius_max:
             raise BracketError(
-                f"no radius <= {config.radius_max:g} reaches the target volume")
+                f"no radius <= {radius_max:g} reaches the target volume")
         if form.curvature is Curvature.SPHERICAL_CAP and hi >= math.pi:
             raise BracketError("spherical-cap volume bracket exceeded t = pi")
     lo = hi / 2.0
@@ -74,7 +74,7 @@ def match_radius(form: SpaceForm, w: RadialWeight, target_volume: float,
             raise BracketError("target volume too small to bracket")
 
     return float(brentq(vol, lo, hi, xtol=1e-300,
-                        rtol=max(config.radius_match_rtol, 4e-16)))
+                        rtol=max(DEFAULT_CONFIG.radius_match_rtol, 4e-16)))
 
 
 @dataclass
@@ -126,25 +126,24 @@ class MeshHierarchy:
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
-                 sectors: int | None = None, levels: int = 3,
-                 config: NumericsConfig = DEFAULT_CONFIG):
+                 sectors: int | None = None, levels: int = 3):
         if form.curvature is Curvature.SPHERICAL_CAP:
             raise DomainError(
                 "inequality verification covers curvature 0 and -1 only")
-        self.form, self.config = form, config
+        self.form = form
         if sectors is None:
             sectors = default_sectors(form.dim)
         if isinstance(dom, Domain2D):
             if form.dim != 2:
                 raise DomainError("planar domains require a 2-D space form")
-            self.levels = mesh_levels(dom, rings, sectors, levels, config)
+            self.levels = mesh_levels(dom, rings, sectors, levels)
             self.meshes = self.levels
         elif isinstance(dom, MeridianDomain):
             if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
                 raise DomainError("axisymmetric domains require Euclidean n = 3")
-            self.levels = [dom.meshed(rings, sectors, config)]
+            self.levels = [dom.meshed(rings, sectors)]
             for _ in range(levels - 1):
-                self.levels.append(self.levels[-1].refine(config))
+                self.levels.append(self.levels[-1].refine())
             self.meshes = [md.mesh for md in self.levels]
         else:
             raise DomainError(f"unsupported domain type {type(dom).__name__}")
@@ -153,9 +152,8 @@ class MeshHierarchy:
         """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
         lev = self.levels[level]
         if isinstance(lev, TriMesh):
-            return domain_spectrum(lev, self.form, w, k, self.config)
-        spec = solve_axisym_spectrum(lev, w, k_per_mode=max(4, k),
-                                     config=self.config)
+            return domain_spectrum(lev, self.form, w, k)
+        spec = solve_axisym_spectrum(lev, w, k_per_mode=max(4, k))
         spec.eigenvalues, spec.modes = spec.eigenvalues[:k + 1], spec.modes[:k + 1]
         return spec
 
@@ -167,8 +165,7 @@ class MeshHierarchy:
         mesh; returns t_max."""
         dist = measure(self.form).dist(self.meshes[-1].vertices)
         t_max = max(float(np.max(dist)), 1e-6)
-        adm = validate_property_i(w, t_max, self.config.property_samples,
-                                  config=self.config)
+        adm = validate_property_i(w, t_max)
         if not adm.admissible and not waive:
             raise AdmissibilityError(
                 "weight fails Property I on the domain range "
@@ -236,7 +233,6 @@ class VerificationReport:
 
 def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
                  rings: int = 8, sectors: int | None = None, levels: int = 3,
-                 config: NumericsConfig = DEFAULT_CONFIG,
                  question_a: bool = False,
                  waive_admissibility: bool = False) -> VerificationReport:
     """Volume-matched ball comparison for the sum of reciprocal eigenvalues.
@@ -245,7 +241,7 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     relative floor and 3x the Richardson error estimate of the lhs.
     """
     n = form.dim
-    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier = MeshHierarchy(dom, form, rings, sectors, levels)
     hier.check_weight(w, waive_admissibility)
     eigs = [s.eigenvalues for s in hier.spectra(w, n)]
     volume = integrate_weighted(hier.meshes[-1], form, w)
@@ -254,22 +250,22 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     sigma = [ex.value for ex in extraps]
     errs = [ex.error for ex in extraps]
 
-    R = match_radius(form, w, volume, config)
-    ball = sigma1_ball(form, w, R, config, waive_admissibility=waive_admissibility)
+    R = match_radius(form, w, volume)
+    ball = sigma1_ball(form, w, R, waive_admissibility=waive_admissibility)
 
     lhs = sum(1.0 / s for s in sigma[:n - 1])
     rhs = (n - 1) / ball.value
     err_lhs = sum(e / s ** 2 for e, s in zip(errs[:n - 1], sigma[:n - 1]))
-    slack = max(config.slack_floor * abs(rhs), 3.0 * err_lhs)
+    slack = max(DEFAULT_CONFIG.slack_floor * abs(rhs), 3.0 * err_lhs)
     gap = lhs - rhs
-    equality_tol = max(config.equality_floor, 3.0 * err_lhs)
+    equality_tol = max(DEFAULT_CONFIG.equality_floor, 3.0 * err_lhs)
 
     qa = None
     if question_a:
         lhs_n = lhs + 1.0 / sigma[n - 1]
         rhs_n = n / ball.value
         err_n = err_lhs + errs[n - 1] / sigma[n - 1] ** 2
-        slack_n = max(config.slack_floor * abs(rhs_n), 3.0 * err_n)
+        slack_n = max(DEFAULT_CONFIG.slack_floor * abs(rhs_n), 3.0 * err_n)
         gap_n = lhs_n - rhs_n
         qa = {
             "sigma_n": sigma[n - 1], "lhs_n": lhs_n, "rhs_n": rhs_n,
@@ -292,11 +288,10 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
 def question_a_report(dom, form: SpaceForm, w: RadialWeight, *,
                       rings: int = 8, sectors: int | None = None,
                       levels: int = 3,
-                      config: NumericsConfig = DEFAULT_CONFIG,
                       waive_admissibility: bool = False) -> VerificationReport:
     """Brock report plus the open sum-of-n-reciprocals block (never asserted)."""
     return brock_report(dom, form, w, rings=rings, sectors=sectors,
-                        levels=levels, config=config, question_a=True,
+                        levels=levels, question_a=True,
                         waive_admissibility=waive_admissibility)
 
 
@@ -323,12 +318,11 @@ class ConvergenceStudy:
 def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
                       rings: int = 8, sectors: int | None = None,
                       levels: int = 3,
-                      config: NumericsConfig = DEFAULT_CONFIG,
                       waive_admissibility: bool = False) -> ConvergenceStudy:
     """Per-eigenvalue Richardson table used to calibrate inequality slacks."""
     if levels < 3:
         raise DomainError("convergence study needs at least 3 levels")
-    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier = MeshHierarchy(dom, form, rings, sectors, levels)
     hier.check_weight(w, waive_admissibility)
     values = [[float(x) for x in s.eigenvalues] for s in hier.spectra(w, k)]
 
@@ -373,7 +367,6 @@ class RearrangementReport:
 def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
                         rings: int = 8, sectors: int | None = None,
                         levels: int = 3,
-                        config: NumericsConfig = DEFAULT_CONFIG,
                         waive_admissibility: bool = False) -> RearrangementReport:
     """Compare int_Omega v(t) dmu with the volume-matched ball integral.
 
@@ -382,23 +375,19 @@ def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
     """
     if kind not in ("non_decreasing", "non_increasing"):
         raise DomainError("kind must be non_decreasing or non_increasing")
-    n = form.dim
-    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier = MeshHierarchy(dom, form, rings, sectors, levels)
     hier.check_weight(w, waive_admissibility)
     volume = integrate_weighted(hier.meshes[-1], form, w)
     omega_side = integrate_weighted(hier.meshes[-1], form, w, fn)
-    R = match_radius(form, w, volume, config)
-
-    ball_side = unit_sphere_area(n) * _quad_checked(
-        lambda t: fn(np.asarray([t]))[0] * s_kappa(form, t) ** (n - 1)
-        * math.exp(-w.phi(t)), 0.0, R, config.quadrature_abstol)
+    R = match_radius(form, w, volume)
+    ball_side = ball_weighted_volume(form, w, R, fn)
 
     if kind == "non_decreasing":
         margin = omega_side - ball_side
     else:
         margin = ball_side - omega_side
     scale = max(abs(omega_side), abs(ball_side), 1e-300)
-    slack = config.slack_floor * scale
+    slack = DEFAULT_CONFIG.slack_floor * scale
     return RearrangementReport(
         domain=dom.label, weight=w.label, kind=kind,
         omega_integral=omega_side, ball_integral=ball_side, R=R,
@@ -474,7 +463,6 @@ def domain_is_reflection_symmetric(dom: Domain2D, tol: float = 1e-12) -> bool:
 def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
                       rings: int = 8, sectors: int | None = None,
                       levels: int = 3,
-                      config: NumericsConfig = DEFAULT_CONFIG,
                       waive_admissibility: bool = False) -> ChainReport:
     """Audit the trial-function inequality chain behind the ball comparison.
 
@@ -499,57 +487,50 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
             f"domain {dom.label} is not symmetric under x->-x, y->-y")
     n = form.dim
 
-    hier = MeshHierarchy(dom, form, rings, sectors, levels, config)
+    hier = MeshHierarchy(dom, form, rings, sectors, levels)
     t_max = hier.check_weight(w, waive_admissibility)
     eigs = [s.eigenvalues for s in hier.spectra(w, n)]
     mesh = hier.meshes[-1]
 
     volume = integrate_weighted(mesh, form, w)
-    R = match_radius(form, w, volume, config)
-    ball = sigma1_ball(form, w, R, config, waive_admissibility=waive_admissibility)
+    R = match_radius(form, w, volume)
+    ball = sigma1_ball(form, w, R, waive_admissibility=waive_admissibility)
 
     extraps = [richardson([e[i] for e in eigs]) for i in range(1, n)]
     sigma = [ex.value for ex in extraps]
     sigma_err = sum(ex.error / ex.value ** 2 for ex in extraps)
 
     t_end = max(R, t_max) * (1.0 + 1e-9)
-    sol = solve_mode(form, w, 1, R, config, t_end=t_end,
+    sol = solve_mode(form, w, 1, R, t_end=t_end,
                      waive_admissibility=waive_admissibility)
-    TR = float(sol.T_at(R)[0])
 
-    def along(values):
-        """t -> values(form, w, t, T, T') along the mode-1 solution."""
-        return lambda t: values(form, w, t, sol.T_at(t), sol.Tprime_at(t))
+    def along(values, cap=math.inf):
+        """t -> values(form, w, t, T, T') along the mode-1 solution, with
+        T frozen at T(cap) and T' = 0 beyond ``cap``."""
+        def fn(t):
+            tc = np.minimum(t, cap)
+            dT = np.where(t <= cap, sol.Tprime_at(tc), 0.0)
+            return values(form, w, t, sol.T_at(tc), dT)
+        return fn
 
-    G, H = along(g_values), along(h_values)
+    def T2(cap=math.inf):
+        """Boundary integrand T^2, T frozen at T(cap) beyond ``cap``."""
+        return lambda t: sol.T_at(np.minimum(t, cap)) ** 2
 
-    def f_fn(t):
-        return np.where(t <= R, sol.T_at(np.minimum(t, R)), TR)
-
-    def G_capped(t):
-        s, c = s_kappa(form, t), c_kappa(form, t)
-        outside = (n - 1) * c / s * TR ** 2 - TR ** 2 * w.phi_prime(t)
-        return np.where(t <= R, G(np.minimum(t, R)), outside)
-
-    def H_capped(t):
-        s = s_kappa(form, t)
-        outside = (n - 1) * TR ** 2 / s ** 2
-        return np.where(t <= R, H(np.minimum(t, R)), outside)
-
-    A = integrate_boundary_weighted(mesh, form, w, lambda t: sol.T_at(t) ** 2)
-    B = integrate_weighted(mesh, form, w, G)
-    C = integrate_weighted(mesh, form, w, H)
-    A_cap = integrate_boundary_weighted(mesh, form, w, lambda t: f_fn(t) ** 2)
-    B_cap = integrate_weighted(mesh, form, w, G_capped)
-    C_cap = integrate_weighted(mesh, form, w, H_capped)
+    A = integrate_boundary_weighted(mesh, form, w, T2())
+    B = integrate_weighted(mesh, form, w, along(g_values))
+    C = integrate_weighted(mesh, form, w, along(h_values))
+    A_cap = integrate_boundary_weighted(mesh, form, w, T2(R))
+    B_cap = integrate_weighted(mesh, form, w, along(g_values, R))
+    C_cap = integrate_weighted(mesh, form, w, along(h_values, R))
     ball_G, ball_H = ball_gh_integrals(sol)
 
     inv_sum = sum(1.0 / s for s in sigma)
     bound = inv_sum * C / (n - 1)
     bound_cap = inv_sum * C_cap / (n - 1)
 
-    link_slack = config.slack_floor
-    variational_slack = config.slack_floor + 3.0 * sigma_err * C / ((n - 1) * A)
+    link_slack = DEFAULT_CONFIG.slack_floor
+    variational_slack = link_slack + 3.0 * sigma_err * C / ((n - 1) * A)
 
     margin_div = (A - B) / A
     margin_var = (bound - A) / A

@@ -128,6 +128,9 @@ def test_z_reflection_symmetry():
 def test_perturbed_ball_validation():
     with pytest.raises(DomainError):
         MeridianDomain.perturbed_ball(1.0, 0.5, 3)
+    for k in (0, -3):       # k = 0 is a ball; k < 0 would dodge |eps| k < 1
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            MeridianDomain.perturbed_ball(1.0, 0.1 if k == 0 else 0.5, k)
     md = MeridianDomain.perturbed_ball(1.0, 0.1, 2, 6, 24)
     assert md.mesh is not None
     vol = integrate_meridian(md, W0)

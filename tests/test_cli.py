@@ -1,5 +1,6 @@
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ def test_parse_minimal_ball_config_fills_defaults():
     assert cfg.radii == [0.5, 1.0, 2.0]
     assert cfg.space.dim == 2
     assert cfg.levels == 3
-    assert cfg.numerics.integrator_rtol == 1e-10
     assert cfg.out_format == "both"
     resolved = cfg.resolved_dict()
+    assert resolved["tolerances"]["integrator_rtol"] == 1e-10
     assert resolved["tolerances"]["slack_floor"] == 1e-3
 
 
@@ -49,15 +50,20 @@ def test_parse_rejects_unknown_key():
             dim = 2
             extra = 3
         """))
-    with pytest.raises(ConfigError, match="unknown key 'zero_mode_tol'"):
-        parse_config(cfg_text(BALL_CFG + "\n[tolerances]\nzero_mode_tol = 1e-8"))
+    with pytest.raises(ConfigError, match="unknown key 'min_angle_deg'"):
+        parse_config(cfg_text(BALL_CFG + "\n[mesh]\nmin_angle_deg = 15"))
+    # keys of another kind are rejected, not dropped
+    with pytest.raises(ConfigError, match="unknown key 'a'"):
+        parse_config("command = verify\n[domain]\nkind = disk\nradius = 1\n"
+                     "a = 5\nepsilon = 3\n")
+    with pytest.raises(ConfigError, match="unknown key 'a'"):
+        parse_config(cfg_text(BALL_CFG + "\n[weight]\nkind = constant\na = 5"))
 
 
 def test_parse_rejects_non_finite_numbers():
     cases = [
         ("[domain]\nkind = disk\nradius = nan", "nan"),
         ("[weight]\nkind = linear\na = inf", "inf"),
-        ("[tolerances]\nslack_floor = nan", "nan"),
         ("radii = 1, nan", "nan"),
         ("[domain]\nkind = disk\nradius = 1\ncenter = 0, inf", "inf"),
     ]
@@ -75,6 +81,8 @@ def test_parse_rejects_non_finite_numbers():
 def test_parse_rejects_unknown_section_and_command():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(cfg_text(BALL_CFG + "\n[misc]\nx = 1"))
+    with pytest.raises(ConfigError, match="unknown section"):
+        parse_config(cfg_text(BALL_CFG + "\n[tolerances]\nslack_floor = 0.2"))
     with pytest.raises(ConfigError, match="unknown command"):
         parse_config(cfg_text("command = fly\nradii = 1"))
     with pytest.raises(ConfigError, match="command"):
@@ -93,9 +101,11 @@ def test_parse_rejects_star_shape_violation():
             k = 3
         """))
     # the constructors' own checks, reported at the line of the kind
-    for params, match in (("vertices = 0 0; 1 0; 2 0", "star-shaped"),
-                          ("radius = 1\nepsilon = 0.1\nk = 0", "k must be")):
-        kind = "polygon" if "vertices" in params else "perturbed_disk"
+    pk0 = "radius = 1\nepsilon = 0.1\nk = 0"
+    for kind, params, match in (
+            ("polygon", "vertices = 0 0; 1 0; 2 0", "star-shaped"),
+            ("perturbed_disk", pk0, "k must be"),
+            ("perturbed_ball", pk0 + "\n[space]\ndim = 3", "k must be")):
         with pytest.raises(ConfigError, match=match) as err:
             parse_config(f"command = verify\n\n[domain]\nkind = {kind}\n"
                          f"{params}\n")
@@ -450,3 +460,12 @@ def test_main_reports_config_error(tmp_path, capsys):
         cfg_path.write_text(text)
         assert main(["--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.command == "sweep"
+    assert [d.kind for d in cfg.domains] == ["ellipse", "perturbed_disk"]
+    assert [w.kind for w in cfg.weights] == ["constant", "quadratic"]

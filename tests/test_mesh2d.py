@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeshQualityError, generate_mesh,
                              load_mesh, mesh_levels, mesh_measures, refine,
@@ -79,11 +78,11 @@ def test_boundary_edges_belong_to_one_triangle():
 
 
 def test_min_angle_floor_enforced():
-    # fan triangles have apex 360/N deg, so a 15 deg floor rejects N = 64
-    cfg = DEFAULT_CONFIG.replace(min_angle_deg=15.0)
+    # fan triangles have apex 360/N deg, so the fixed 1 deg floor rejects
+    # N = 400 (0.9 deg)
     with pytest.raises(MeshQualityError):
-        generate_mesh(Domain2D.disk(1.0), 8, 64, cfg)
-    m = generate_mesh(Domain2D.disk(1.0), 2, 8, cfg)   # 45 deg fan passes
+        generate_mesh(Domain2D.disk(1.0), 2, 400)
+    m = generate_mesh(Domain2D.disk(1.0), 2, 8)   # 45 deg fan passes
     assert m.min_angle_deg() >= 15.0
 
 
