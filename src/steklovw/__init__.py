@@ -20,13 +20,12 @@ from .radial import (AdmissibilityError, BallSigma1, GHProfile,
                      sigma1_ball, solve_mode)
 from .spectrum import SteklovSpectrum
 from .steklov2d import (AssembledSystem, FactorizationError, assemble,
-                        domain_spectrum, dtn_reduce, solve_spectrum)
+                        domain_spectrum, solve_spectrum)
 from .axisym3d import (MeridianDomain, assemble_mode, meridian_measures,
                        solve_axisym_spectrum)
 from .verify import (BracketError, ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
                      match_radius, proof_chain_check, question_a_report,
                      rearrangement_check, richardson)
-from .cli import ConfigError, RunConfig, parse_config, run
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from .mesh2d import (MERIDIAN, TriMesh, integrate_boundary_weighted,
                      integrate_weighted, polar_mesh, subdivide)
 from .spectrum import SteklovSpectrum
-from .steklov2d import AssembledSystem, assemble_p1, dtn_reduce, solve_spectrum
+from .steklov2d import AssembledSystem, assemble_p1, solve_spectrum
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 
@@ -160,9 +160,8 @@ def solve_axisym_spectrum(md: MeridianDomain, w: RadialWeight,
     entries: list[tuple[float, int, int]] = []
     for m in sorted(modes):
         sys = assemble_mode(md, w, m)
-        S, Mb = dtn_reduce(sys)
-        k_m = min(k_per_mode, S.shape[0] - 1)
-        spec = solve_spectrum(S, Mb, k_m)
+        spec = solve_spectrum(
+            sys, min(k_per_mode, len(sys.boundary_index) - 2))
         mult = 1 if m == 0 else 2
         for val in spec.eigenvalues:
             for copy in range(mult):

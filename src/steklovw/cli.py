@@ -331,6 +331,8 @@ def parse_config(text: str) -> RunConfig:
         if any(r <= 0 for r in radii):
             raise ConfigError("radii must be positive", top["radii"][1])
     count = _parse_int(*top["count"]) if "count" in top else 5
+    if count < 1:
+        raise ConfigError("count must be >= 1", top["count"][1])
     waive = _parse_bool(*top["waive_admissibility"]) \
         if "waive_admissibility" in top else False
 

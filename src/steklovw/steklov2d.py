@@ -4,16 +4,16 @@ The weak form pairs the weighted Dirichlet energy against the weighted
 boundary mass.  One assembler serves every model: the plane, the
 Poincare disk and the azimuthal modes of an axisymmetric solid differ only
 in the ``Measure`` densities (see ``mesh2d.measure``), plus an m^2/r^2
-term and an axis condition for the modes m >= 1.  The Dirichlet-to-Neumann
-matrix is the boundary Schur complement of the stiffness; the small dense
-pencil on boundary nodes is solved directly.
+term and an axis condition for the modes m >= 1.  The sparse pencil
+K u = sigma M_b u is solved as it stands by shift-invert Lanczos; its
+finite eigenvalues are those of the Dirichlet-to-Neumann map, since M_b
+vanishes off the boundary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -29,16 +29,18 @@ _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
 
 
 class FactorizationError(RuntimeError):
-    """Sparse factorization of the interior block failed."""
+    """The sparse shift-invert factorization or its Lanczos iteration failed."""
 
 
 @dataclass
 class AssembledSystem:
-    """Stiffness over all nodes plus boundary mass and boundary index list."""
+    """Stiffness over all nodes, boundary mass, boundary index list and the
+    mesh extent (largest coordinate range), which sets the solver shift."""
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
     boundary_index: np.ndarray
+    extent: float
 
 
 def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
@@ -103,7 +105,8 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
         K, Mb = K[np.ix_(keep, keep)].tocsr(), Mb[np.ix_(keep, keep)].tocsr()
         boundary = np.sort(renum[np.setdiff1d(boundary, fixed)])
     return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                           boundary_index=boundary)
+                           boundary_index=boundary,
+                           extent=float(np.ptp(mesh.vertices, axis=0).max()))
 
 
 def assemble(mesh: TriMesh, form: SpaceForm,
@@ -121,56 +124,41 @@ def assemble(mesh: TriMesh, form: SpaceForm,
     return assemble_p1(mesh, measure(form), w, mesh.boundary_edges)
 
 
-def dtn_reduce(sys: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary Schur complement S = K_bb - K_bi K_ii^{-1} K_ib and mass."""
-    nv = sys.stiffness.shape[0]
-    b = sys.boundary_index
-    mask = np.ones(nv, dtype=bool)
-    mask[b] = False
-    i = np.nonzero(mask)[0]
-
-    K = sys.stiffness.tocsc()
-    K_bb = K[np.ix_(b, b)].toarray()
-    if len(i):
-        K_ii = K[np.ix_(i, i)].tocsc()
-        K_ib = K[np.ix_(i, b)].toarray()
-        try:
-            lu = spla.splu(K_ii)
-        except RuntimeError as exc:
-            raise FactorizationError(
-                f"interior stiffness factorization failed: {exc}") from exc
-        X = lu.solve(K_ib)
-        S = K_bb - K[np.ix_(b, i)].toarray() @ X
-    else:
-        S = K_bb
-    S = 0.5 * (S + S.T)
-    Mb = sys.boundary_mass[np.ix_(b, b)].toarray()
-    Mb = 0.5 * (Mb + Mb.T)
-    return S, Mb
-
-
-def solve_spectrum(schur: np.ndarray, mass: np.ndarray, k: int,
+def solve_spectrum(sys: AssembledSystem, k: int,
                    metadata: dict | None = None) -> SteklovSpectrum:
-    """k+1 smallest eigenpairs of S u = sigma M u (mass-orthonormal)."""
-    nb = schur.shape[0]
-    if k + 1 > nb:
-        raise DomainError(f"requested {k + 1} eigenvalues from a {nb}-node boundary")
+    """k+1 smallest eigenpairs of K u = sigma M_b u by shift-invert Lanczos.
+
+    For a shift s < 0, K - s M_b is positive definite (K is semidefinite
+    and M_b is positive on its kernel), so ARPACK factors it once and the
+    eigenvalues nearest s are the smallest.  s = -1/extent scales with the
+    domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).  The
+    start vector is fixed, so repeated solves agree bit for bit, and the
+    Lanczos basis is capped at the boundary size, the rank of M_b.
+    Returns the boundary traces, which are M_b-orthonormal.
+    """
+    b = sys.boundary_index
+    nb = len(b)
+    if k + 2 > nb:
+        raise DomainError(
+            f"requested {k + 1} eigenvalues from a {nb}-node boundary")
+    v0 = np.random.default_rng(0).standard_normal(sys.stiffness.shape[0])
     try:
-        vals, vecs = sla.eigh(schur, mass)
-    except sla.LinAlgError as exc:
-        raise FactorizationError(
-            f"boundary mass not positive definite: {exc}") from exc
-    vals = vals[:k + 1]
-    vecs = vecs[:, :k + 1]
-    return SteklovSpectrum(eigenvalues=vals, boundary_eigenvectors=vecs,
+        vals, vecs = spla.eigsh(sys.stiffness, k + 1, M=sys.boundary_mass,
+                                sigma=-1.0 / sys.extent, which="LM", v0=v0,
+                                ncv=min(nb, max(2 * k + 3, 20)))
+    except RuntimeError as exc:
+        raise FactorizationError(f"shift-invert eigensolve failed: {exc}") \
+            from exc
+    order = np.argsort(vals)
+    return SteklovSpectrum(eigenvalues=vals[order],
+                           boundary_eigenvectors=vecs[b][:, order],
                            metadata=dict(metadata or {}))
 
 
 def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
                     k: int) -> SteklovSpectrum:
-    """Assemble, reduce and solve one mesh; attaches mesh/weight metadata."""
+    """Assemble and solve one mesh; attaches mesh/weight metadata."""
     sys = assemble(mesh, form, w)
-    S, Mb = dtn_reduce(sys)
     meta = {
         "h": mesh.h,
         "curvature": form.curvature.label,
@@ -181,4 +169,4 @@ def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     }
     if mesh.domain is not None:
         meta["domain"] = mesh.domain.label
-    return solve_spectrum(S, Mb, k, metadata=meta)
+    return solve_spectrum(sys, k, metadata=meta)

@@ -5,6 +5,11 @@ directly (3-point scheme plus one-sided endpoint derivative) and never
 touches the package's Runge-Kutta shooting path, so agreement between the
 two is a genuine cross-check.
 
+The dense Dirichlet-to-Neumann reduction reduces an assembled P1 pencil
+to its boundary Schur complement and solves that small pencil with a
+dense symmetric-definite ``eigh``; it checks the package's sparse
+shift-invert solve on the same matrices by a different method.
+
 The off-centre-disk oracle at the end (polynomial Ritz/Schur solve with
 polar quadrature about the weight origin) shares no code with the
 package's mesh, FEM or volume-matching paths either; it uses numpy and
@@ -13,6 +18,7 @@ scipy only.
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
@@ -60,6 +66,37 @@ def linear_weight_beta1_euclid_n2(a, R):
     """
     s = a * R
     return a * (1 - (1 + s) * math.exp(-s)) / (s * (math.exp(-s) - 1 + s))
+
+
+# ---------------------------------------------------------------------------
+# Dense Dirichlet-to-Neumann reduction of an assembled P1 pencil
+# ---------------------------------------------------------------------------
+
+def dtn_reduce(sys):
+    """Boundary Schur complement S = K_bb - K_bi K_ii^{-1} K_ib and mass.
+
+    ``sys`` is a ``steklov2d.AssembledSystem``; both returned matrices are
+    dense and symmetrized.
+    """
+    nv = sys.stiffness.shape[0]
+    b = sys.boundary_index
+    mask = np.ones(nv, dtype=bool)
+    mask[b] = False
+    i = np.nonzero(mask)[0]
+
+    K = sys.stiffness.tocsc()
+    S = K[np.ix_(b, b)].toarray()
+    if len(i):
+        lu = spla.splu(K[np.ix_(i, i)].tocsc())
+        S = S - K[np.ix_(b, i)].toarray() @ lu.solve(K[np.ix_(i, b)].toarray())
+    S = 0.5 * (S + S.T)
+    Mb = sys.boundary_mass[np.ix_(b, b)].toarray()
+    return S, 0.5 * (Mb + Mb.T)
+
+
+def dense_spectrum(sys, k):
+    """sigma_0..sigma_k of the reduced pencil by a dense eigh."""
+    return eigh(*dtn_reduce(sys), eigvals_only=True)[:k + 1]
 
 
 # ---------------------------------------------------------------------------

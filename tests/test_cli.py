@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steklovw
 from steklovw.cli import ConfigError, main, parse_config, run
 
 
@@ -76,6 +80,25 @@ def test_parse_rejects_non_finite_numbers():
         with pytest.raises(ConfigError, match="finite number") as err:
             parse_config(text)
         assert err.value.line == line
+
+
+def test_parse_rejects_count_below_one():
+    for command in ("ball", "spectrum", "verify", "sweep", "converge", "chain"):
+        for count in ("0", "-2"):
+            text = (f"command = {command}\nradii = 1\ncount = {count}\n\n"
+                    "[domain]\nkind = disk\nradius = 1\n")
+            with pytest.raises(ConfigError, match="count must be >= 1") as err:
+                parse_config(text)
+            assert err.value.line == 3
+
+
+def test_module_entrypoint_runs_without_warnings():
+    src = str(Path(steklovw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "steklovw.cli", "--help"],
+                          capture_output=True, text=True, check=True, env=env)
+    assert "--config" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_parse_rejects_unknown_section_and_command():

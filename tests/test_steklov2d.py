@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from oracles import dense_spectrum, dtn_reduce
+from steklovw.axisym3d import MeridianDomain, assemble_mode
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import Domain2D, TriMesh, generate_mesh, mesh_measures
 from steklovw.radial import sigma1_ball
-from steklovw.steklov2d import (assemble, domain_spectrum, dtn_reduce,
+from steklovw.steklov2d import (FactorizationError, assemble, domain_spectrum,
                                 solve_spectrum)
-from steklovw.verify import MeshHierarchy
+from steklovw.verify import MeshHierarchy, standard_spheroids
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -95,11 +98,70 @@ def test_spectral_ordering_and_zero_mode(disk_mesh):
 
 def test_eigenvectors_mass_orthonormal(disk_mesh):
     sys = assemble(disk_mesh, E2, W0)
-    S, Mb = dtn_reduce(sys)
-    spec = solve_spectrum(S, Mb, 4)
+    spec = solve_spectrum(sys, 4)
     V = spec.boundary_eigenvectors
-    gram = V.T @ Mb @ V
+    b = sys.boundary_index
+    gram = V.T @ sys.boundary_mass[np.ix_(b, b)] @ V
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
+
+
+def _sparse_vs_dense(sys, k):
+    got = solve_spectrum(sys, k).eigenvalues
+    want = dense_spectrum(sys, k)
+    return np.max(np.abs(got - want)) / want[1]
+
+
+@pytest.mark.parametrize("dom, form, w", [
+    (Domain2D.disk(1.0, center=(0.3, 0.0)), E2, RadialWeight.quadratic(1.0, 0.25)),
+    (Domain2D.ellipse(0.5, 0.35), H2, RadialWeight.linear(0.5)),
+], ids=["offset-disk-E2", "ellipse-H2"])
+def test_sparse_solve_matches_dense_oracle(dom, form, w):
+    for mesh in MeshHierarchy(dom, form, 8, 64, 2).levels:
+        assert _sparse_vs_dense(assemble(mesh, form, w), 5) < 1e-10
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_sparse_mode_solve_matches_dense_oracle(m):
+    md = standard_spheroids()[2]
+    sys = assemble_mode(md, RadialWeight.linear(0.5), m)
+    assert _sparse_vs_dense(sys, 6) < 1e-10
+
+
+def test_repeated_solves_bit_identical(disk_mesh):
+    sys = assemble(disk_mesh, E2, RadialWeight.quadratic(1.0, 0.25))
+    first = solve_spectrum(sys, 5).eigenvalues
+    second = solve_spectrum(sys, 5).eigenvalues
+    assert np.array_equal(first, second)
+
+
+def test_pencil_with_fewer_than_twenty_boundary_nodes():
+    md = MeridianDomain.ball(1.0, rings=4, sectors=16)
+    sys = assemble_mode(md, W0, 1)
+    assert len(sys.boundary_index) < 20
+    assert _sparse_vs_dense(sys, 6) < 1e-10
+    with pytest.raises(DomainError):
+        solve_spectrum(sys, len(sys.boundary_index) - 1)
+
+
+def test_singular_pencil_is_a_factorization_error(disk_mesh):
+    sys = assemble(disk_mesh, E2, W0)
+    # a vertex no triangle uses leaves a zero row in K - s M_b
+    pad = lambda A: sp.block_diag([A, sp.csr_matrix((1, 1))]).tocsr()
+    sys.stiffness, sys.boundary_mass = pad(sys.stiffness), pad(sys.boundary_mass)
+    with pytest.raises(FactorizationError):
+        solve_spectrum(sys, 4)
+
+
+@pytest.mark.parametrize("t", [0.01, 1000.0, 1e5])
+def test_euclidean_scaling(t):
+    mesh = generate_mesh(Domain2D.ellipse(1.0, 0.6, center=(0.2, 0.1)), 6, 48)
+    scaled = TriMesh(vertices=t * mesh.vertices, triangles=mesh.triangles,
+                     boundary_edges=mesh.boundary_edges, h=t * mesh.h,
+                     domain=None)
+    base = domain_spectrum(mesh, E2, W0, 5).eigenvalues
+    got = domain_spectrum(scaled, E2, W0, 5).eigenvalues
+    assert np.max(np.abs(t * got[1:] / base[1:] - 1.0)) < 1e-10
+    assert abs(got[0]) <= 1e-10 * got[1]
 
 
 def test_weight_shift_invariance(disk_mesh):
