@@ -12,7 +12,7 @@ from .geometry import (Curvature, DomainError, QuadratureError, RadialWeight,
                        poincare_distance, s_kappa, unit_sphere_area,
                        validate_property_i)
 from .mesh2d import (Domain2D, MeshQualityError, TriMesh, generate_mesh,
-                     load_mesh, mesh_measures, refine, save_mesh)
+                     mesh_measures, refine)
 from .radial import (AdmissibilityError, BallSigma1, GHProfile,
                      IntegrationError, NonPositiveSolutionError,
                      RadialSolution, ball_gh_integrals, ball_spectrum,

@@ -129,11 +129,6 @@ class MeridianDomain:
 # weighted measures of the solid (the mesh integrals under MERIDIAN)
 # ---------------------------------------------------------------------------
 
-def integrate_meridian(md: MeridianDomain, w: RadialWeight, fn=None) -> float:
-    """Weighted volume integral of fn(t) over the solid of revolution."""
-    return integrate_weighted(md.mesh, E3, w, fn)
-
-
 def meridian_measures(md: MeridianDomain, w: RadialWeight) -> tuple[float, float]:
     """(weighted volume, weighted boundary area) of the solid."""
     return (integrate_weighted(md.mesh, E3, w),

@@ -432,9 +432,31 @@ def _run_spectrum(cfg: RunConfig) -> int:
 
 
 def _verify_one(cfg: RunConfig, dom, w: RadialWeight):
+    """The verify report of a domain or of its prebuilt MeshHierarchy."""
     fn = question_a_report if cfg.space.dim == 2 else brock_report
     return fn(dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
               levels=cfg.levels, waive_admissibility=cfg.waive_admissibility)
+
+
+def _each_run(cfg: RunConfig, report) -> list:
+    """report(hierarchy, w) for every (domain, weight) pair in input order.
+
+    Each domain is meshed once: its MeshHierarchy serves all the weights.
+    A failure names the domain, and the weight when a report failed.
+    """
+    out = []
+    for dom in cfg.domains:
+        run = dom.kind
+        try:
+            hier = MeshHierarchy(dom, cfg.space, cfg.rings, cfg.sectors,
+                                 cfg.levels)
+            for w in cfg.weights:
+                run = f"{dom.kind} x {w.label}"
+                out.append(report(hier, w))
+        except Exception as exc:
+            raise RuntimeError(
+                f"{cfg.command} run {run} failed: {exc}") from exc
+    return out
 
 
 def _run_verify(cfg: RunConfig) -> int:
@@ -446,14 +468,7 @@ def _run_verify(cfg: RunConfig) -> int:
 
 def _run_sweep(cfg: RunConfig) -> int:
     """Every (domain, weight) pair in input order, one JSON file per run."""
-    reports = []
-    for dom in cfg.domains:
-        for w in cfg.weights:
-            try:
-                reports.append(_verify_one(cfg, dom, w))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"sweep run {dom.kind} x {w.label} failed: {exc}") from exc
+    reports = _each_run(cfg, lambda hier, w: _verify_one(cfg, hier, w))
     for i, rep in enumerate(reports):
         _emit(cfg, f"sweep_{i:03d}", {"report": rep.to_json_dict()})
     rows = [r.csv_row() for r in reports]
@@ -482,12 +497,8 @@ def _run_converge(cfg: RunConfig) -> int:
 
 
 def _run_chain(cfg: RunConfig) -> int:
-    reports = []
-    for dom in cfg.domains:
-        for w in cfg.weights:
-            reports.append(proof_chain_check(
-                dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
-                levels=cfg.levels, waive_admissibility=cfg.waive_admissibility))
+    reports = _each_run(cfg, lambda hier, w: proof_chain_check(
+        hier, cfg.space, w, waive_admissibility=cfg.waive_admissibility))
     fields = ["domain", "weight", "n", "margin_divergence",
               "margin_variational", "margin_ball_G", "margin_ball_H",
               "capped_ball_G_comparison", "passed"]

@@ -214,8 +214,7 @@ class WeightAdmissibility:
 
 
 def validate_property_i(w: RadialWeight, t_max: float,
-                        samples: int = DEFAULT_CONFIG.property_samples,
-                        tol: float = DEFAULT_CONFIG.property_tol
+                        samples: int = DEFAULT_CONFIG.property_samples
                         ) -> WeightAdmissibility:
     """Check that phi is non-increasing and concave on [0, t_max].
 
@@ -228,6 +227,7 @@ def validate_property_i(w: RadialWeight, t_max: float,
     if samples < 16:
         raise DomainError("need at least 16 samples")
     ts = np.linspace(0.0, t_max, samples)
+    tol = DEFAULT_CONFIG.property_tol
     if w.kind == "tabulated":
         # stay on the tabulated range, and widen the tolerance to the
         # roundoff floor of twice-differenced table values (~eps/h^2)

@@ -255,46 +255,49 @@ def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
 
 
 def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
-    """Uniform 4-way split, midpoints appended in deterministic order.
+    """Uniform 4-way split, midpoints appended in first-appearance order.
 
-    Midpoints of ``curved_edges`` move along their ray from ``shape.center``
-    onto ``shape.boundary_radius``: exact (a no-op) on straight pieces, it
-    restores corner/curvature geometry otherwise.  Other midpoints stay, so
-    one between two axis nodes keeps r = 0 exactly.
+    Edges are numbered by walking the triangles' edges (ab, bc, ca) in
+    order.  Midpoints of ``curved_edges`` move along their ray from
+    ``shape.center`` onto ``shape.boundary_radius``: exact (a no-op) on
+    straight pieces, it restores corner/curvature geometry otherwise.  Other
+    midpoints stay, so one between two axis nodes keeps r = 0 exactly.
     """
-    verts = list(map(tuple, mesh.vertices))
-    mid_index: dict[tuple[int, int], int] = {}
+    V, tri = mesh.vertices, mesh.triangles
+    nv = len(V)
+    occurrences = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.sort(occurrences, axis=1)
+    codes, first, inverse = np.unique(keys[:, 0] * nv + keys[:, 1],
+                                      return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = keys[first[order]]                  # unique edges, first seen first
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        if key not in mid_index:
-            mid_index[key] = len(verts)
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-        return mid_index[key]
+    def mid(e: np.ndarray) -> np.ndarray:
+        """Vertex index of the midpoint of each edge in ``e``."""
+        e = np.sort(np.asarray(e, dtype=np.int64).reshape(-1, 2), axis=1)
+        return nv + rank[np.searchsorted(codes, e[:, 0] * nv + e[:, 1])]
 
-    new_tris = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc),
-                         (mab, mbc, mca)])
-    new_boundary = []
-    for a, b in mesh.boundary_edges:
-        m = midpoint(a, b)
-        new_boundary.extend([(a, m), (m, b)])
-    verts = np.array(verts, dtype=float)
-    tris = np.array(new_tris, dtype=np.int64)
+    mab, mbc, mca = (nv + rank[inverse]).reshape(-1, 3).T
+    a, b, c = tri.T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
+    be = mesh.boundary_edges
+    m = mid(be)
+    new_boundary = np.stack([be[:, 0], m, m, be[:, 1]], axis=1).reshape(-1, 2)
+    verts = np.concatenate([V, (V[edges[:, 0]] + V[edges[:, 1]]) / 2.0])
 
-    center = None if shape is None else np.asarray(shape.center, dtype=float)
-    for a, b in curved_edges:
-        m = mid_index[(a, b) if a < b else (b, a)]
-        d = verts[m] - center
-        theta = math.atan2(d[1], d[0])
-        r = shape.boundary_radius(theta)[0]
-        verts[m] = center + r * np.array([math.cos(theta), math.sin(theta)])
+    curved = np.asarray(curved_edges, dtype=np.int64).reshape(-1, 2)
+    if len(curved):
+        center = np.asarray(shape.center, dtype=float)
+        for i in mid(curved):
+            d = verts[i] - center
+            theta = math.atan2(d[1], d[0])
+            r = shape.boundary_radius(theta)[0]
+            verts[i] = center + r * np.array([math.cos(theta), math.sin(theta)])
 
-    out = TriMesh(vertices=verts, triangles=tris,
-                  boundary_edges=np.array(new_boundary, dtype=np.int64),
+    out = TriMesh(vertices=verts, triangles=tris, boundary_edges=new_boundary,
                   h=_max_edge(verts, tris), domain=mesh.domain)
     _validate(out)
     return out
@@ -371,12 +374,13 @@ def measure(form: SpaceForm) -> Measure:
 
 
 def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                       fn=None) -> float:
+                       fn=None):
     """int_Omega fn(t(x)) dmu with the 3-point edge-midpoint triangle rule.
 
-    ``fn`` maps distance values to integrand values (default 1).  The area
-    element is the density of ``measure(form)``; for n = 3 the mesh is the
-    meridian of a solid of revolution.
+    ``fn`` maps distance values to integrand values (default 1), or to a
+    stack of k integrands, shape (k, T, 3), for a list of k integrals.
+    The area element is the density of ``measure(form)``; for n = 3 the
+    mesh is the meridian of a solid of revolution.
     """
     meas = measure(form)
     p = mesh.vertices[mesh.triangles]
@@ -389,7 +393,8 @@ def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     if fn is not None:
         vals = vals * fn(t)
     vals = vals * meas.area(mids)
-    return meas.revolution * float(np.sum(areas / 3.0 * np.sum(vals, axis=1)))
+    sums = np.sum(areas / 3.0 * np.sum(vals, axis=-1), axis=-1)
+    return (meas.revolution * sums).tolist()
 
 
 _GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
@@ -410,9 +415,10 @@ def boundary_gauss_points(mesh: TriMesh, edges: np.ndarray | None = None):
 
 
 def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                                fn=None, edges: np.ndarray | None = None) -> float:
+                                fn=None, edges: np.ndarray | None = None):
     """int over the Steklov ``edges`` (default: the boundary loop) of
-    fn(t(x)) dmu-hat with 2-point Gauss per edge."""
+    fn(t(x)) dmu-hat with 2-point Gauss per edge; a stack of k integrands,
+    shape (k, B, 2), gives a list of k integrals."""
     meas = measure(form)
     pts, wts = boundary_gauss_points(mesh, edges)
     t = meas.dist(pts)
@@ -420,7 +426,7 @@ def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     if fn is not None:
         vals = vals * fn(t)
     vals = vals * meas.length(pts)
-    return meas.revolution * float(np.sum(wts * vals))
+    return (meas.revolution * np.sum(wts * vals, axis=(-2, -1))).tolist()
 
 
 def mesh_measures(mesh: TriMesh, form: SpaceForm,
@@ -428,33 +434,3 @@ def mesh_measures(mesh: TriMesh, form: SpaceForm,
     """(weighted area, weighted boundary length) of the meshed domain."""
     return (integrate_weighted(mesh, form, w),
             integrate_boundary_weighted(mesh, form, w))
-
-
-# ---------------------------------------------------------------------------
-# plain-text export / import
-# ---------------------------------------------------------------------------
-
-def save_mesh(mesh: TriMesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} "
-                 f"{len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        for i, j in mesh.boundary_edges:
-            fh.write(f"{i} {j}\n")
-
-
-def load_mesh(path) -> TriMesh:
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    nv, nt, nb = map(int, tokens[0].split())
-    verts = np.array([[float(v) for v in tokens[1 + i].split()]
-                      for i in range(nv)])
-    tris = np.array([[int(v) for v in tokens[1 + nv + i].split()]
-                     for i in range(nt)], dtype=np.int64)
-    bnd = np.array([[int(v) for v in tokens[1 + nv + nt + i].split()]
-                    for i in range(nb)], dtype=np.int64)
-    return TriMesh(vertices=verts, triangles=tris, boundary_edges=bnd,
-                   h=_max_edge(verts, tris), domain=None)

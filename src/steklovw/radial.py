@@ -17,7 +17,6 @@ whose weighted ball integrals satisfy sigma_1(B_R) = int H dmu / int G dmu.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .config import DEFAULT_CONFIG
-from .geometry import (DomainError, RadialWeight, SpaceForm,
+from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        ball_boundary_weighted_measure, c_kappa, s_kappa,
                        unit_sphere_area, validate_property_i)
 from .spectrum import SteklovSpectrum
@@ -57,6 +56,14 @@ def harmonic_multiplicity(n: int, i: int) -> int:
         return 2
     return (2 * i + n - 2) * math.factorial(i + n - 3) // (
         math.factorial(i) * math.factorial(n - 2))
+
+
+# S_kappa and C_kappa of one scalar t for the ODE right-hand side: the
+# ufuncs of s_kappa/c_kappa (so the same bits) without their argument check,
+# which solve_mode makes once for the whole interval.
+_METRIC = {Curvature.EUCLIDEAN: (float, lambda t: 1.0),
+           Curvature.HYPERBOLIC: (np.sinh, np.cosh),
+           Curvature.SPHERICAL_CAP: (np.sin, np.cos)}
 
 
 def _series_coeffs(form: SpaceForm, w: RadialWeight, i: int) -> tuple[float, float]:
@@ -160,10 +167,11 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
         lead_coeff * (i * t0 ** (i - 1) + c1 * (i + 1) * base + c2 * (i + 2) * base * t0),
     ])
 
+    s_fn, c_fn = _METRIC[form.curvature]
+
     def rhs(t, y):
         T, dT = y
-        s = s_kappa(form, t)
-        c = c_kappa(form, t)
+        s, c = float(s_fn(t)), float(c_fn(t))
         return (dT,
                 -((n - 1) * c / s - w.phi_prime(t)) * dT + lam / (s * s) * T)
 
@@ -372,17 +380,3 @@ def check_gh_monotonicity(p: GHProfile, tol: float = 1e-8) -> GHMonotonicityRepo
         g_scale=g_scale, h_scale=h_scale, tol=tol,
         g_ok=(min_g >= -tol * g_scale), h_ok=(max_h <= tol * h_scale))
 
-
-def export_radial_csv(sol: RadialSolution, path, profile: GHProfile | None = None):
-    """Write the sampled trajectory (and optional G/H columns) as CSV."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        if profile is None:
-            wr.writerow(["t", "T", "Tprime"])
-            for row in zip(sol.grid, sol.T_values, sol.Tprime_values):
-                wr.writerow([repr(float(v)) for v in row])
-        else:
-            wr.writerow(["t", "T", "Tprime", "G", "H"])
-            for row in zip(sol.grid, sol.T_values, sol.Tprime_values,
-                           profile.G_values, profile.H_values):
-                wr.writerow([repr(float(v)) for v in row])

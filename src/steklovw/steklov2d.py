@@ -129,9 +129,11 @@ def solve_spectrum(sys: AssembledSystem, k: int,
     """k+1 smallest eigenpairs of K u = sigma M_b u by shift-invert Lanczos.
 
     For a shift s < 0, K - s M_b is positive definite (K is semidefinite
-    and M_b is positive on its kernel), so ARPACK factors it once and the
-    eigenvalues nearest s are the smallest.  s = -1/extent scales with the
-    domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).  The
+    and M_b is positive on its kernel; K alone is definite for the modes
+    m >= 1 with the axis removed), so it is factored once with a symmetric
+    fill-reducing order (minimum degree on A^T + A) and diagonal pivots,
+    and the eigenvalues nearest s are the smallest.  s = -1/extent scales
+    with the domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).  The
     start vector is fixed, so repeated solves agree bit for bit, and the
     Lanczos basis is capped at the boundary size, the rank of M_b.
     Returns the boundary traces, which are M_b-orthonormal.
@@ -141,11 +143,16 @@ def solve_spectrum(sys: AssembledSystem, k: int,
     if k + 2 > nb:
         raise DomainError(
             f"requested {k + 1} eigenvalues from a {nb}-node boundary")
-    v0 = np.random.default_rng(0).standard_normal(sys.stiffness.shape[0])
+    K, Mb, shift = sys.stiffness, sys.boundary_mass, -1.0 / sys.extent
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     try:
-        vals, vecs = spla.eigsh(sys.stiffness, k + 1, M=sys.boundary_mass,
-                                sigma=-1.0 / sys.extent, which="LM", v0=v0,
-                                ncv=min(nb, max(2 * k + 3, 20)))
+        lu = spla.splu((K - shift * Mb).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        op_inv = spla.LinearOperator(K.shape, lu.solve, dtype=K.dtype)
+        vals, vecs = spla.eigsh(K, k + 1, M=Mb, sigma=shift, which="LM",
+                                v0=v0, ncv=min(nb, max(2 * k + 3, 20)),
+                                OPinv=op_inv)
     except RuntimeError as exc:
         raise FactorizationError(f"shift-invert eigensolve failed: {exc}") \
             from exc

@@ -122,7 +122,9 @@ class MeshHierarchy:
     ``default_sectors``), a planar domain as a closed polar fan and a solid
     as the open meridian fan of ``MeridianDomain.meshed``; the mesh a solid
     was built with is not used.  Quadrature runs on ``meshes`` through the
-    form's measure; ``spectrum`` solves one level.
+    form's measure; ``spectrum`` solves one level.  Nothing here depends on
+    a weight, so one hierarchy serves every weight of a domain: the report
+    functions take it in place of the domain.
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
@@ -130,6 +132,7 @@ class MeshHierarchy:
         if form.curvature is Curvature.SPHERICAL_CAP:
             raise DomainError(
                 "inequality verification covers curvature 0 and -1 only")
+        self.domain = dom
         self.form = form
         if sectors is None:
             sectors = default_sectors(form.dim)
@@ -172,6 +175,18 @@ class MeshHierarchy:
                 f"[0, {t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
                 f"max phi'' = {adm.max_phi_second:.3e}")
         return t_max
+
+
+def _hierarchy(dom, form: SpaceForm, rings: int, sectors: int | None,
+               levels: int) -> MeshHierarchy:
+    """``dom`` itself when it is a prebuilt ``MeshHierarchy`` (its meshes
+    stand, and ``rings``/``sectors``/``levels`` go unused), else a new one."""
+    if not isinstance(dom, MeshHierarchy):
+        return MeshHierarchy(dom, form, rings, sectors, levels)
+    if dom.form != form:
+        raise DomainError(f"the mesh hierarchy was built for {dom.form.label}, "
+                          f"not {form.label}")
+    return dom
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +252,13 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
                  waive_admissibility: bool = False) -> VerificationReport:
     """Volume-matched ball comparison for the sum of reciprocal eigenvalues.
 
-    status is "pass" when lhs - rhs >= -slack with slack the larger of the
-    relative floor and 3x the Richardson error estimate of the lhs.
+    ``dom`` is a domain or its prebuilt ``MeshHierarchy``.  status is
+    "pass" when lhs - rhs >= -slack with slack the larger of the relative
+    floor and 3x the Richardson error estimate of the lhs.
     """
     n = form.dim
-    hier = MeshHierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, rings, sectors, levels)
+    dom = hier.domain
     hier.check_weight(w, waive_admissibility)
     eigs = [s.eigenvalues for s in hier.spectra(w, n)]
     volume = integrate_weighted(hier.meshes[-1], form, w)
@@ -281,8 +298,8 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
         lhs=lhs, rhs=rhs, gap=gap, slack=slack,
         status="pass" if gap >= -slack else "violation",
         near_equality=(dom.is_centered_ball() and abs(gap) <= equality_tol),
-        equality_tol=equality_tol, h_finest=hier.meshes[-1].h, levels=levels,
-        question_a=qa)
+        equality_tol=equality_tol, h_finest=hier.meshes[-1].h,
+        levels=len(hier.levels), question_a=qa)
 
 
 def question_a_report(dom, form: SpaceForm, w: RadialWeight, *,
@@ -460,7 +477,8 @@ def domain_is_reflection_symmetric(dom: Domain2D, tol: float = 1e-12) -> bool:
     return matches(np.array([-1.0, 1.0])) and matches(np.array([1.0, -1.0]))
 
 
-def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
+def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
+                      w: RadialWeight, *,
                       rings: int = 8, sectors: int | None = None,
                       levels: int = 3,
                       waive_admissibility: bool = False) -> ChainReport:
@@ -478,16 +496,18 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
     also evaluated and reported: its divergence and variational bounds are
     valid and checked, while its ball comparison for the G-side is known
     to fail at first order in the domain perturbation, so that number is
-    recorded for inspection but never asserted.
+    recorded for inspection but never asserted.  ``dom`` is a domain or
+    its prebuilt ``MeshHierarchy``.
     """
-    if not isinstance(dom, Domain2D):
+    plane = dom.domain if isinstance(dom, MeshHierarchy) else dom
+    if not isinstance(plane, Domain2D):
         raise DomainError("the chain audit runs on planar domains")
-    if not domain_is_reflection_symmetric(dom):
+    if not domain_is_reflection_symmetric(plane):
         raise SymmetryError(
-            f"domain {dom.label} is not symmetric under x->-x, y->-y")
+            f"domain {plane.label} is not symmetric under x->-x, y->-y")
     n = form.dim
 
-    hier = MeshHierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, rings, sectors, levels)
     t_max = hier.check_weight(w, waive_admissibility)
     eigs = [s.eigenvalues for s in hier.spectra(w, n)]
     mesh = hier.meshes[-1]
@@ -504,25 +524,26 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
     sol = solve_mode(form, w, 1, R, t_end=t_end,
                      waive_admissibility=waive_admissibility)
 
-    def along(values, cap=math.inf):
-        """t -> values(form, w, t, T, T') along the mode-1 solution, with
-        T frozen at T(cap) and T' = 0 beyond ``cap``."""
-        def fn(t):
-            tc = np.minimum(t, cap)
-            dT = np.where(t <= cap, sol.Tprime_at(tc), 0.0)
-            return values(form, w, t, sol.T_at(tc), dT)
-        return fn
+    # The capped profile keeps T frozen at T(R) and T' = 0 beyond R.
+    TR = sol.T_at(R)[0]
 
-    def T2(cap=math.inf):
-        """Boundary integrand T^2, T frozen at T(cap) beyond ``cap``."""
-        return lambda t: sol.T_at(np.minimum(t, cap)) ** 2
+    def squares(t):
+        """T^2, then the capped T^2, at distances t."""
+        T = sol.T_at(t)
+        return np.stack([T, np.where(t <= R, T, TR)]) ** 2
 
-    A = integrate_boundary_weighted(mesh, form, w, T2())
-    B = integrate_weighted(mesh, form, w, along(g_values))
-    C = integrate_weighted(mesh, form, w, along(h_values))
-    A_cap = integrate_boundary_weighted(mesh, form, w, T2(R))
-    B_cap = integrate_weighted(mesh, form, w, along(g_values, R))
-    C_cap = integrate_weighted(mesh, form, w, along(h_values, R))
+    def profiles(t):
+        """G and H along the mode-1 solution at distances t, then both
+        along the capped profile."""
+        T, dT = sol.T_at(t), sol.Tprime_at(t)
+        Tc, dTc = np.where(t <= R, T, TR), np.where(t <= R, dT, 0.0)
+        return np.stack([g_values(form, w, t, T, dT),
+                         h_values(form, w, t, T, dT),
+                         g_values(form, w, t, Tc, dTc),
+                         h_values(form, w, t, Tc, dTc)])
+
+    A, A_cap = integrate_boundary_weighted(mesh, form, w, squares)
+    B, C, B_cap, C_cap = integrate_weighted(mesh, form, w, profiles)
     ball_G, ball_H = ball_gh_integrals(sol)
 
     inv_sum = sum(1.0 / s for s in sigma)
@@ -551,7 +572,7 @@ def proof_chain_check(dom: Domain2D, form: SpaceForm, w: RadialWeight, *,
     implication_consistent = (lhs >= mid - tol) and (mid >= rhs - tol)
 
     return ChainReport(
-        domain=dom.label, curvature=form.curvature.label, weight=w.label, n=n,
+        domain=plane.label, curvature=form.curvature.label, weight=w.label, n=n,
         volume=volume, R=R, sigma_omega=sigma, sigma1_ball=ball.value,
         boundary_T2=A, omega_G=B, omega_H=C, ball_G=ball_G, ball_H=ball_H,
         capped_boundary_f2=A_cap, capped_omega_G=B_cap, capped_omega_H=C_cap,

@@ -10,6 +10,9 @@ to its boundary Schur complement and solves that small pencil with a
 dense symmetric-definite ``eigh``; it checks the package's sparse
 shift-invert solve on the same matrices by a different method.
 
+The dict-based 4-way split is the reference for the package's array-based
+``mesh2d.subdivide``: it numbers midpoints one triangle edge at a time.
+
 The off-centre-disk oracle at the end (polynomial Ritz/Schur solve with
 polar quadrature about the weight origin) shares no code with the
 package's mesh, FEM or volume-matching paths either; it uses numpy and
@@ -114,6 +117,44 @@ def dense_spectrum(sys, k):
 # (doubling them moves sigma_1 and the area by less than 1e-13).
 
 _N_THETA, _N_R, _N_BOUNDARY = 256, 48, 256
+
+
+def subdivide(vertices, triangles, boundary_edges, curved_edges, shape):
+    """Uniform 4-way split by a per-triangle dict walk; returns (vertices,
+    triangles, boundary_edges).  Midpoints are numbered as they are first
+    met along the triangles' edges ab, bc, ca; those of ``curved_edges``
+    move along their ray from ``shape.center`` onto its boundary."""
+    verts = list(map(tuple, vertices))
+    mid_index = {}
+
+    def midpoint(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in mid_index:
+            mid_index[key] = len(verts)
+            pa, pb = vertices[a], vertices[b]
+            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+        return mid_index[key]
+
+    new_tris = []
+    for a, b, c in triangles:
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc),
+                         (mab, mbc, mca)])
+    new_boundary = []
+    for a, b in boundary_edges:
+        m = midpoint(a, b)
+        new_boundary.extend([(a, m), (m, b)])
+    verts = np.array(verts, dtype=float)
+
+    for a, b in curved_edges:
+        m = mid_index[(a, b) if a < b else (b, a)]
+        center = np.asarray(shape.center, dtype=float)
+        d = verts[m] - center
+        theta = math.atan2(d[1], d[0])
+        r = shape.boundary_radius(theta)[0]
+        verts[m] = center + r * np.array([math.cos(theta), math.sin(theta)])
+    return (verts, np.array(new_tris, dtype=np.int64),
+            np.array(new_boundary, dtype=np.int64))
 
 
 def _polar_nodes(center, radius):

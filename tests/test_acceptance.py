@@ -18,7 +18,7 @@ from steklovw.geometry import (Curvature, RadialWeight, SpaceForm,
 from steklovw.mesh2d import Domain2D
 from steklovw.radial import (check_gh_monotonicity, compute_gh, sigma1_ball,
                              solve_mode)
-from steklovw.verify import (brock_report, convergence_study,
+from steklovw.verify import (MeshHierarchy, brock_report, convergence_study,
                              proof_chain_check, question_a_report,
                              standard_chain_domains, standard_sweep_euclidean,
                              standard_sweep_hyperbolic,
@@ -190,9 +190,9 @@ def _euclidean_sweep_runs():
     """(domain, weight, report) for the 20 x 3 Euclidean sweep."""
     runs = []
     for dom in standard_sweep_euclidean():
+        hier = MeshHierarchy(dom, E2, rings=8, sectors=64, levels=3)
         for w in standard_weights_euclidean():
-            runs.append((dom, w, question_a_report(dom, E2, w, rings=8,
-                                                   sectors=64, levels=3)))
+            runs.append((dom, w, question_a_report(hier, E2, w)))
     return runs
 
 
@@ -326,9 +326,9 @@ def test_criterion_11_question_a_data():
 def test_criterion_08_hyperbolic_sweep():
     reports = []
     for dom in standard_sweep_hyperbolic():
+        hier = MeshHierarchy(dom, H2, rings=8, sectors=64, levels=3)
         for w in standard_weights_hyperbolic():
-            reports.append(brock_report(dom, H2, w, rings=8, sectors=64,
-                                        levels=3))
+            reports.append(brock_report(hier, H2, w))
     assert len(reports) == 20
     worst_gap = min(r.gap + r.slack for r in reports)
     violations = [r for r in reports if not r.passed]
@@ -353,8 +353,9 @@ def test_criterion_09_axisym_sweep():
     for ratio in (1.0, 1.25, 1.5):
         a = ratio ** (1.0 / 3.0)
         md = MeridianDomain.spheroid(a, a / ratio, rings=8, sectors=32)
+        hier = MeshHierarchy(md, E3, levels=3)
         for w in weights:
-            rep = brock_report(md, E3, w, levels=3)
+            rep = brock_report(hier, E3, w)
             worst_gap = min(worst_gap, rep.gap + rep.slack)
             if not rep.passed:
                 violations += 1
@@ -379,8 +380,9 @@ def test_criterion_10_proof_chain():
     ball_worst = 0.0
     failures = 0
     for dom in standard_chain_domains():
+        hier = MeshHierarchy(dom, E2, rings=8, sectors=64, levels=3)
         for w in weights:
-            rep = proof_chain_check(dom, E2, w, rings=8, sectors=64, levels=3)
+            rep = proof_chain_check(hier, E2, w)
             margins = (rep.margin_divergence, rep.margin_variational,
                        rep.margin_ball_G, rep.margin_ball_H)
             worst_margin = min(worst_margin,

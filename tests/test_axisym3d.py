@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from steklovw.axisym3d import (MeridianDomain, assemble_mode,
-                               integrate_meridian, meridian_measures,
-                               solve_axisym_spectrum)
+                               meridian_measures, solve_axisym_spectrum)
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume)
-from steklovw.mesh2d import TriMesh
+from steklovw.mesh2d import TriMesh, integrate_weighted
 from steklovw.radial import sigma1_ball
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -133,5 +132,5 @@ def test_perturbed_ball_validation():
             MeridianDomain.perturbed_ball(1.0, 0.1 if k == 0 else 0.5, k)
     md = MeridianDomain.perturbed_ball(1.0, 0.1, 2, 6, 24)
     assert md.mesh is not None
-    vol = integrate_meridian(md, W0)
+    vol = integrate_weighted(md.mesh, E3, W0)
     assert vol > 0

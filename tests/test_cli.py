@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import steklovw
-from steklovw.cli import ConfigError, main, parse_config, run
+import steklovw.verify
+from steklovw.axisym3d import MeridianDomain
+from steklovw.cli import ConfigError, _sanitize, main, parse_config, run
+from steklovw.verify import brock_report, proof_chain_check, question_a_report
 
 
 def cfg_text(body: str) -> str:
@@ -361,6 +364,98 @@ def test_sweep_csv_schema(tmp_path):
                       "sigma1_omega", "sigma2_omega", "sigma1_ball",
                       "lhs", "rhs", "gap", "gap_n", "status"]
     assert not (tmp_path / "out" / "sweep_000.json").exists()
+
+
+def _count_calls(monkeypatch, holder, name) -> list:
+    """Patch ``holder.name`` with a wrapper that logs each call."""
+    calls, inner = [], getattr(holder, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+TWO_WEIGHTS = """
+    [weight]
+    kind = constant
+
+    [weight]
+    kind = linear
+    a = 0.5
+"""
+
+
+@pytest.mark.parametrize("command, dim, domains", [
+    ("sweep", 2, "[domain]\nkind = disk\nradius = 1\n\n"
+                 "[domain]\nkind = ellipse\na = 1.2\nb = 0.8"),
+    ("sweep", 3, "[domain]\nkind = spheroid\na = 1.1\nc = 0.8\n\n"
+                 "[domain]\nkind = ball\nradius = 1"),
+    ("chain", 2, "[domain]\nkind = ellipse\na = 1.2\nb = 0.8\n\n"
+                 "[domain]\nkind = perturbed_disk\nradius = 1\n"
+                 "epsilon = 0.05\nk = 2"),
+])
+def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
+                                    domains):
+    """sweep and chain build one MeshHierarchy per domain and reuse it for
+    every weight; the reports equal one library call per (domain, weight)."""
+    cfg = parse_config(cfg_text(f"""
+        command = {command}
+
+        [space]
+        dim = {dim}
+    """) + cfg_text(TWO_WEIGHTS) + domains + "\n\n" + cfg_text(f"""
+
+        [mesh]
+        rings = 4
+        sectors = 16
+        levels = 2
+
+        [output]
+        dir = {tmp_path}/out
+        format = json
+    """))
+    planar = _count_calls(monkeypatch, steklovw.verify, "mesh_levels")
+    solid = _count_calls(monkeypatch, MeridianDomain, "meshed")
+    assert run(cfg) == 0
+    assert len(planar if dim == 2 else solid) == 2
+    assert len(solid if dim == 2 else planar) == 0
+
+    out = tmp_path / "out"
+    if command == "chain":
+        got = json.loads((out / "chain.json").read_text())["reports"]
+        report = proof_chain_check
+    else:
+        got = [json.loads((out / f"sweep_{i:03d}.json").read_text())["report"]
+               for i in range(4)]
+        report = question_a_report if dim == 2 else brock_report
+    want = [report(dom, cfg.space, w, rings=4, sectors=16, levels=2)
+            for dom in cfg.domains for w in cfg.weights]
+    assert got == [json.loads(json.dumps(_sanitize(r.to_json_dict())))
+                   for r in want]
+
+
+def test_sweep_mesh_failure_names_the_domain(tmp_path, capsys):
+    cfg = parse_config(cfg_text(f"""
+        command = sweep
+
+        [domain]
+        kind = ellipse
+        a = 1.2
+        b = 0.8
+
+        [mesh]
+        rings = 2
+        sectors = 400
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert "sweep run ellipse failed" in err
+    assert "minimum triangle angle" in err
 
 
 def test_chain_command(tmp_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import (Domain2D, MeshQualityError, generate_mesh,
-                             load_mesh, mesh_levels, mesh_measures, refine,
-                             save_mesh)
+from steklovw.mesh2d import (Domain2D, MeshQualityError, TriMesh, _max_edge,
+                             generate_mesh, mesh_levels, mesh_measures, refine)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -160,6 +161,61 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.boundary_edges, b.boundary_edges)
+
+
+def test_subdivide_matches_dict_oracle():
+    """The array split equals the per-triangle dict walk of
+    ``oracles.subdivide`` over 3 levels: same triangles and boundary loop,
+    bit-identical vertices; axis midpoints of a meridian keep r = 0."""
+    planar = [Domain2D.disk(1.0), Domain2D.disk(1.0, center=(0.3, 0.0)),
+              Domain2D.ellipse(1.3, 0.7), Domain2D.perturbed_disk(1.0, 0.1, 3),
+              Domain2D.polygon([(1.2, -0.5), (1.2, 0.5), (-1.2, 0.5),
+                                (-1.2, -0.5), (0.0, -0.9)])]
+    cases = [(dom, generate_mesh(dom, 4, 16), refine) for dom in planar]
+    md = MeridianDomain.spheroid(1.2, 0.8, rings=4, sectors=8)
+    cases.append((md, md.mesh, None))
+    for shape, mesh, step in cases:
+        for _ in range(3):
+            curved = mesh.boundary_edges if step else md.outer_edges
+            want = oracles.subdivide(mesh.vertices, mesh.triangles,
+                                     mesh.boundary_edges, curved, shape)
+            if step:
+                mesh = step(mesh)
+            else:
+                md = md.refine()
+                mesh = md.mesh
+            assert np.array_equal(mesh.triangles, want[1]), shape.label
+            assert np.array_equal(mesh.boundary_edges, want[2]), shape.label
+            assert mesh.vertices.tobytes() == want[0].tobytes(), shape.label
+    axis = md.axis_nodes
+    assert len(axis) == 2 * 4 * 2 ** 3 + 1
+    assert np.all(md.mesh.vertices[axis, 0] == 0.0)
+
+
+def save_mesh(mesh: TriMesh, path):
+    with open(path, "w") as fh:
+        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} "
+                 f"{len(mesh.boundary_edges)}\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"{i} {j} {k}\n")
+        for i, j in mesh.boundary_edges:
+            fh.write(f"{i} {j}\n")
+
+
+def load_mesh(path) -> TriMesh:
+    with open(path) as fh:
+        tokens = fh.read().split("\n")
+    nv, nt, nb = map(int, tokens[0].split())
+    verts = np.array([[float(v) for v in tokens[1 + i].split()]
+                      for i in range(nv)])
+    tris = np.array([[int(v) for v in tokens[1 + nv + i].split()]
+                     for i in range(nt)], dtype=np.int64)
+    bnd = np.array([[int(v) for v in tokens[1 + nv + nt + i].split()]
+                    for i in range(nb)], dtype=np.int64)
+    return TriMesh(vertices=verts, triangles=tris, boundary_edges=bnd,
+                   h=_max_edge(verts, tris), domain=None)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -7,9 +7,11 @@ import oracles
 
 from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import Domain2D
-from steklovw.radial import AdmissibilityError
-from steklovw.verify import (SymmetryError, brock_report, convergence_study,
+from steklovw.mesh2d import (Domain2D, integrate_boundary_weighted,
+                             integrate_weighted)
+from steklovw.radial import AdmissibilityError, g_values, h_values, solve_mode
+from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
+                             convergence_study,
                              domain_is_reflection_symmetric, match_radius,
                              proof_chain_check, question_a_report,
                              rearrangement_check, richardson,
@@ -290,6 +292,37 @@ def test_chain_hyperbolic():
     rep = proof_chain_check(Domain2D.ellipse(0.5, 0.35), H2,
                             RadialWeight.linear(0.5), levels=3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("dom, form", [(ELLIPSE, E2),
+                                       (Domain2D.ellipse(0.5, 0.35), H2)])
+def test_chain_integrals_match_one_call_per_integrand(dom, form):
+    """The audit's stacked integrals (one T, T' evaluation per point set)
+    equal, bit for bit, one quadrature call per integrand with the capped
+    profile evaluated at min(t, R)."""
+    w = RadialWeight.linear(0.5)
+    hier = MeshHierarchy(dom, form, levels=2)
+    rep = proof_chain_check(hier, form, w)
+    mesh, R = hier.meshes[-1], rep.R
+    t_end = max(R, hier.check_weight(w, False)) * (1.0 + 1e-9)
+    sol = solve_mode(form, w, 1, R, t_end=t_end)
+
+    def along(values, cap):
+        def fn(t):
+            tc = np.minimum(t, cap)
+            dT = np.where(t <= cap, sol.Tprime_at(tc), 0.0)
+            return values(form, w, t, sol.T_at(tc), dT)
+        return fn
+
+    def squared(cap):
+        return lambda t: sol.T_at(np.minimum(t, cap)) ** 2
+
+    for cap, A, B, C in ((math.inf, rep.boundary_T2, rep.omega_G, rep.omega_H),
+                         (R, rep.capped_boundary_f2, rep.capped_omega_G,
+                          rep.capped_omega_H)):
+        assert A == integrate_boundary_weighted(mesh, form, w, squared(cap))
+        assert B == integrate_weighted(mesh, form, w, along(g_values, cap))
+        assert C == integrate_weighted(mesh, form, w, along(h_values, cap))
 
 
 # ---------------------------------------------------------------------------
