@@ -21,8 +21,7 @@ from .radial import (AdmissibilityError, BallSigma1, GHProfile,
 from .spectrum import SteklovSpectrum
 from .steklov2d import (AssembledSystem, FactorizationError, assemble,
                         domain_spectrum, solve_spectrum)
-from .axisym3d import (MeridianDomain, assemble_mode, meridian_measures,
-                       solve_axisym_spectrum)
+from .axisym3d import MeridianDomain, assemble_mode, solve_axisym_spectrum
 from .verify import (BracketError, ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
                      match_radius, proof_chain_check, question_a_report,

@@ -16,22 +16,22 @@ spectrum once for m = 0 and twice for m >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from .mesh2d import (MERIDIAN, TriMesh, integrate_boundary_weighted,
-                     integrate_weighted, polar_mesh, subdivide)
+from .geometry import DomainError, RadialWeight
+from .mesh2d import MERIDIAN, TriMesh
 from .spectrum import SteklovSpectrum
 from .steklov2d import AssembledSystem, assemble_p1, solve_spectrum
 
-E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
+# Azimuthal modes solved for a merged spectrum.
+MODES = (0, 1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class MeridianDomain:
-    """Axisymmetric solid: shape parameters plus its meridian mesh."""
+    """Axisymmetric solid, given by the shape of its meridian half-section."""
 
     kind: str                 # ball | spheroid | perturbed_ball
     R: float = 1.0
@@ -39,29 +39,25 @@ class MeridianDomain:
     c: float = 1.0
     eps: float = 0.0
     k: int = 0
-    mesh: TriMesh = None
 
     center = (0.0, 0.0)       # rays of the meridian fan start at the origin
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def ball(R: float, rings: int = 8, sectors: int = 32) -> "MeridianDomain":
+    def ball(R: float) -> "MeridianDomain":
         if R <= 0:
             raise DomainError("ball radius must be positive")
-        return MeridianDomain(kind="ball", R=float(R)).meshed(rings, sectors)
+        return MeridianDomain(kind="ball", R=float(R))
 
     @staticmethod
-    def spheroid(a: float, c: float, rings: int = 8,
-                 sectors: int = 32) -> "MeridianDomain":
+    def spheroid(a: float, c: float) -> "MeridianDomain":
         """Boundary (r/a)^2 + (z/c)^2 = 1."""
         if a <= 0 or c <= 0:
             raise DomainError("spheroid semi-axes must be positive")
-        return MeridianDomain(kind="spheroid", a=float(a), c=float(c)).meshed(
-            rings, sectors)
+        return MeridianDomain(kind="spheroid", a=float(a), c=float(c))
 
     @staticmethod
-    def perturbed_ball(R: float, eps: float, k: int, rings: int = 8,
-                       sectors: int = 32) -> "MeridianDomain":
+    def perturbed_ball(R: float, eps: float, k: int) -> "MeridianDomain":
         """Polar boundary radius R (1 + eps cos(k theta_colat))."""
         if R <= 0:
             raise DomainError("radius must be positive")
@@ -70,17 +66,19 @@ class MeridianDomain:
         if abs(eps) * k >= 1.0:
             raise DomainError("|eps|*k >= 1 breaks star-shapedness")
         return MeridianDomain(kind="perturbed_ball", R=float(R),
-                              eps=float(eps), k=int(k)).meshed(rings, sectors)
+                              eps=float(eps), k=int(k))
 
-    def meshed(self, rings: int, sectors: int) -> "MeridianDomain":
-        """Copy carrying the open polar fan over [-pi/2, pi/2]."""
+    # -- geometry ---------------------------------------------------------
+    def fan(self, sectors: int) -> tuple[np.ndarray, bool]:
+        """The open meridian fan: sectors + 1 rays over [-pi/2, pi/2]."""
         N = int(sectors)
         if N < 4:
             raise DomainError("meridian mesh needs sectors >= 4")
-        alphas = -math.pi / 2.0 + math.pi * np.arange(N + 1) / N
-        return replace(self, mesh=polar_mesh(self, alphas, rings, False))
+        return -math.pi / 2.0 + math.pi * np.arange(N + 1) / N, False
 
-    # -- geometry ---------------------------------------------------------
+    def curved_edges(self, mesh: TriMesh) -> np.ndarray:
+        return outer_edges(mesh)
+
     def boundary_radius(self, alpha) -> np.ndarray:
         """Boundary distance along the ray at angle alpha from the +r axis."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -109,52 +107,40 @@ class MeridianDomain:
             return self.a == self.c
         return self.eps == 0.0
 
-    @property
-    def axis_nodes(self) -> np.ndarray:
-        return np.nonzero(self.mesh.vertices[:, 0] == 0.0)[0]
 
-    @property
-    def outer_edges(self) -> np.ndarray:
-        """Boundary edges not lying on the axis (at least one endpoint r > 0)."""
-        v = self.mesh.vertices
-        be = self.mesh.boundary_edges
-        on_axis = (v[be[:, 0], 0] == 0.0) & (v[be[:, 1], 0] == 0.0)
-        return be[~on_axis]
-
-    def refine(self) -> "MeridianDomain":
-        return replace(self, mesh=subdivide(self.mesh, self.outer_edges, self))
+def axis_nodes(mesh: TriMesh) -> np.ndarray:
+    """Vertices of a meridian mesh on the symmetry axis (r = 0 exactly)."""
+    return np.nonzero(mesh.vertices[:, 0] == 0.0)[0]
 
 
-# ---------------------------------------------------------------------------
-# weighted measures of the solid (the mesh integrals under MERIDIAN)
-# ---------------------------------------------------------------------------
-
-def meridian_measures(md: MeridianDomain, w: RadialWeight) -> tuple[float, float]:
-    """(weighted volume, weighted boundary area) of the solid."""
-    return (integrate_weighted(md.mesh, E3, w),
-            integrate_boundary_weighted(md.mesh, E3, w, edges=md.outer_edges))
+def outer_edges(mesh: TriMesh) -> np.ndarray:
+    """Boundary edges of a meridian mesh off the axis (an endpoint at r > 0)."""
+    v = mesh.vertices
+    be = mesh.boundary_edges
+    on_axis = (v[be[:, 0], 0] == 0.0) & (v[be[:, 1], 0] == 0.0)
+    return be[~on_axis]
 
 
 # ---------------------------------------------------------------------------
 # mode assembly and spectra
 # ---------------------------------------------------------------------------
 
-def assemble_mode(md: MeridianDomain, w: RadialWeight,
-                  m: int) -> AssembledSystem:
-    """Mode-m stiffness and outer-boundary mass, axis dofs removed for m >= 1."""
+def assemble_mode(mesh: TriMesh, w: RadialWeight, m: int) -> AssembledSystem:
+    """Mode-m stiffness and outer-boundary mass of a meridian mesh, axis dofs
+    removed for m >= 1."""
     if m < 0:
         raise DomainError("azimuthal mode must be >= 0")
-    return assemble_p1(md.mesh, MERIDIAN, w, md.outer_edges, m,
-                       md.axis_nodes if m else None)
+    return assemble_p1(mesh, MERIDIAN, w, outer_edges(mesh), m,
+                       axis_nodes(mesh) if m else None)
 
 
-def solve_axisym_spectrum(md: MeridianDomain, w: RadialWeight,
-                          modes=(0, 1, 2),
+def solve_axisym_spectrum(mesh: TriMesh, w: RadialWeight,
                           k_per_mode: int = 6) -> SteklovSpectrum:
-    """Merged spectrum across azimuthal modes, multiplicity 2 for m >= 1."""
+    """Merged spectrum across the azimuthal ``MODES``, multiplicity 2 for
+    m >= 1."""
     entries: list[tuple[float, int, int]] = []
-    for m in sorted(modes):
-        sys = assemble_mode(md, w, m)
+    for m in MODES:
+        sys = assemble_mode(mesh, w, m)
         spec = solve_spectrum(
             sys, min(k_per_mode, len(sys.boundary_index) - 2))
         mult = 1 if m == 0 else 2
@@ -166,6 +152,6 @@ def solve_axisym_spectrum(md: MeridianDomain, w: RadialWeight,
     mode_tags = [e[1] for e in entries]
     return SteklovSpectrum(
         eigenvalues=eigenvalues, modes=mode_tags,
-        metadata={"h": md.mesh.h, "curvature": "euclidean", "n": 3,
-                  "weight": w.label, "domain": md.label,
-                  "modes_solved": list(sorted(modes))})
+        metadata={"h": mesh.h, "curvature": "euclidean", "n": 3,
+                  "weight": w.label, "domain": mesh.domain.label,
+                  "modes_solved": list(MODES)})

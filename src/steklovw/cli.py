@@ -23,10 +23,10 @@ import numpy as np
 from .axisym3d import MeridianDomain
 from .config import DEFAULT_CONFIG
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from .mesh2d import Domain2D, MeshQualityError
+from .mesh2d import Domain2D
 from .radial import sigma1_ball
 from .verify import (MeshHierarchy, brock_report, convergence_study,
-                     default_sectors, proof_chain_check, question_a_report)
+                     proof_chain_check, question_a_report)
 
 SCHEMA_VERSION = "steklovw-v1"
 
@@ -219,8 +219,8 @@ def _build_weight(body: dict, start: int) -> tuple[RadialWeight, dict]:
     return w, {"kind": kind, "csv": str(path)}
 
 
-def _build_domain(body: dict, start: int, dim: int, rings: int,
-                  sectors: int) -> tuple[Domain2D | MeridianDomain, dict]:
+def _build_domain(body: dict, start: int,
+                  dim: int) -> tuple[Domain2D | MeridianDomain, dict]:
     if "kind" not in body:
         raise ConfigError("domain section needs a 'kind'", start)
     kind, kline = body["kind"][0].lower(), body["kind"][1]
@@ -240,10 +240,9 @@ def _build_domain(body: dict, start: int, dim: int, rings: int,
              "center": _parse_point}
     params = {key: parse.get(key, _parse_float)(*body[key])
               for key in keys + ("center",) if key in body}
-    mesh = {"rings": rings, "sectors": sectors} if kind_dim == 3 else {}
     try:
-        dom = ctor(*params.values(), **mesh)
-    except (DomainError, MeshQualityError) as exc:
+        dom = ctor(*params.values())
+    except DomainError as exc:
         raise ConfigError(str(exc), kline) from None
     return dom, {"kind": kind, **params}
 
@@ -312,9 +311,7 @@ def parse_config(text: str) -> RunConfig:
 
     for name, start, body in sections[1:]:
         if name == "domain":
-            dom, src = _build_domain(
-                body, start, dim, rings,
-                default_sectors(dim) if sectors is None else sectors)
+            dom, src = _build_domain(body, start, dim)
             domains.append(dom)
             domain_sources.append(src)
 

@@ -87,6 +87,16 @@ class Domain2D:
                         center_offset=(float(center[0]), float(center[1])))
 
     # -- geometry -----------------------------------------------------
+    def fan(self, sectors: int) -> tuple[np.ndarray, bool]:
+        """The closed fan: ``sectors`` rays over the full turn."""
+        N = int(sectors)
+        if N < 8:
+            raise DomainError("need at least 8 sectors")
+        return 2.0 * math.pi * np.arange(N) / N, True
+
+    def curved_edges(self, mesh: TriMesh) -> np.ndarray:
+        return mesh.boundary_edges
+
     @property
     def center(self) -> np.ndarray:
         off = np.asarray(self.center_offset, dtype=float)
@@ -137,27 +147,31 @@ class Domain2D:
             return f"pdisk(R={self.radius:g},eps={self.eps:g},k={self.k}){off}"
         return f"polygon[{len(self.vertices_local)}]{off}"
 
-    def is_centered_ball(self, tol: float = 0.0) -> bool:
+    def is_centered_ball(self) -> bool:
         if self.center_offset != (0.0, 0.0):
             return False
         if self.kind == "disk":
             return True
         if self.kind == "ellipse":
-            return abs(self.a - self.b) <= tol
+            return self.a == self.b
         if self.kind == "perturbed_disk":
-            return abs(self.eps) <= tol
+            return self.eps == 0.0
         return False
 
 
 @dataclass(eq=False)
 class TriMesh:
-    """Planar triangulation with an oriented boundary-edge loop."""
+    """Planar triangulation with an oriented boundary-edge loop.
+
+    ``domain`` is the shape it was meshed from: a ``Domain2D`` or the
+    ``MeridianDomain`` of a solid.
+    """
 
     vertices: np.ndarray          # (V, 2)
     triangles: np.ndarray         # (T, 3) int, positive orientation
     boundary_edges: np.ndarray    # (B, 2) int, CCW loop
     h: float                      # maximum edge length
-    domain: Domain2D | None = None
+    domain: object = None
 
     @property
     def boundary_nodes(self) -> np.ndarray:
@@ -190,14 +204,15 @@ def _validate(mesh: TriMesh):
             f"minimum triangle angle {ang:.3f} deg below floor {floor:g} deg")
 
 
-def polar_mesh(shape, angles: np.ndarray, rings: int, closed: bool,
-               domain: Domain2D | None = None) -> TriMesh:
-    """Mapped polar grid of ``shape`` (``center``, ``boundary_radius``).
+def generate_mesh(shape, rings: int, sectors: int) -> TriMesh:
+    """Mapped polar grid of ``shape``: 1 + rings * rays vertices.
 
-    A closed fan wraps the last ray onto the first.  An open fan is a
-    meridian half-plane: its end rays are snapped onto the symmetry axis
-    and form the flat side of the boundary loop.
+    The shape states its fan of rays (``fan``), its ``center`` and its
+    ``boundary_radius``.  A closed fan wraps the last ray onto the first.
+    An open fan is a meridian half-plane: its end rays are snapped onto the
+    symmetry axis and form the flat side of the boundary loop.
     """
+    angles, closed = shape.fan(sectors)
     M, K = int(rings), len(angles)
     if M < 2:
         raise DomainError("need at least 2 rings")
@@ -234,18 +249,9 @@ def polar_mesh(shape, angles: np.ndarray, rings: int, closed: bool,
 
     mesh = TriMesh(vertices=verts, triangles=triangles,
                    boundary_edges=np.array(boundary, dtype=np.int64),
-                   h=_max_edge(verts, triangles), domain=domain)
+                   h=_max_edge(verts, triangles), domain=shape)
     _validate(mesh)
     return mesh
-
-
-def generate_mesh(dom: Domain2D, rings: int, sectors: int) -> TriMesh:
-    """Mapped polar mesh: 1 + rings*sectors vertices, deterministic layout."""
-    N = int(sectors)
-    if N < 8:
-        raise DomainError("need at least 8 sectors")
-    thetas = 2.0 * math.pi * np.arange(N) / N
-    return polar_mesh(dom, thetas, rings, True, domain=dom)
 
 
 def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
@@ -304,15 +310,17 @@ def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
 
 
 def refine(mesh: TriMesh) -> TriMesh:
-    """4-way refinement with boundary midpoints snapped to the exact curve."""
+    """4-way refinement with the midpoints of the shape's curved boundary
+    edges snapped to the exact curve."""
     dom = mesh.domain
-    curved = mesh.boundary_edges if dom is not None else ()
+    curved = dom.curved_edges(mesh) if dom is not None else ()
     return subdivide(mesh, curved, dom)
 
 
-def mesh_levels(dom: Domain2D, rings: int, sectors: int,
+def mesh_levels(shape, rings: int, sectors: int,
                 levels: int) -> list[TriMesh]:
-    meshes = [generate_mesh(dom, rings, sectors)]
+    """``levels`` meshes of a planar domain or a solid, coarse to fine."""
+    meshes = [generate_mesh(shape, rings, sectors)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
     return meshes
@@ -415,12 +423,13 @@ def boundary_gauss_points(mesh: TriMesh, edges: np.ndarray | None = None):
 
 
 def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                                fn=None, edges: np.ndarray | None = None):
-    """int over the Steklov ``edges`` (default: the boundary loop) of
-    fn(t(x)) dmu-hat with 2-point Gauss per edge; a stack of k integrands,
-    shape (k, B, 2), gives a list of k integrals."""
+                                fn=None):
+    """int over the boundary loop of fn(t(x)) dmu-hat with 2-point Gauss per
+    edge; a stack of k integrands, shape (k, B, 2), gives a list of k
+    integrals.  On the meridian of a solid the axis edges add nothing: their
+    Gauss points have r = 0 exactly, where the length density vanishes."""
     meas = measure(form)
-    pts, wts = boundary_gauss_points(mesh, edges)
+    pts, wts = boundary_gauss_points(mesh)
     t = meas.dist(pts)
     vals = np.exp(-w.phi(t))
     if fn is not None:

@@ -206,14 +206,15 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
 # ---------------------------------------------------------------------------
 
 def _radial_integral(sol: RadialSolution, values_fn, upto: float,
-                     head: float, npts: int = 4097) -> float:
+                     head: float) -> float:
     """omega_{n-1} * int_0^upto values_fn(t, T, T') S^{n-1} e^{-phi} dt.
 
-    ``head`` supplies the (analytic leading-order) contribution of [0, t0].
+    Simpson on 4097 points over [t0, upto]; ``head`` supplies the (analytic
+    leading-order) contribution of [0, t0].
     """
     form, w = sol.form, sol.weight
     n = form.dim
-    ts = np.linspace(sol.t0, upto, npts)
+    ts = np.linspace(sol.t0, upto, 4097)
     T = sol.T_at(ts)
     dT = sol.Tprime_at(ts)
     s = s_kappa(form, ts)
@@ -233,7 +234,7 @@ def g_values(form: SpaceForm, w: RadialWeight, t, T, dT):
     return 2.0 * T * dT + ((form.dim - 1) * c / s - w.phi_prime(t)) * T * T
 
 
-def ball_gh_integrals(sol: RadialSolution, npts: int = 4097) -> tuple[float, float]:
+def ball_gh_integrals(sol: RadialSolution) -> tuple[float, float]:
     """Weighted ball integrals (int_B G dmu, int_B H dmu) for a mode-1 solve."""
     if sol.mode_degree != 1:
         raise DomainError("G/H integrals are defined for the mode-1 solution")
@@ -243,9 +244,9 @@ def ball_gh_integrals(sol: RadialSolution, npts: int = 4097) -> tuple[float, flo
     head_g = w0 * sol.t0 ** (n + 1)        # G ~ (n+1) t, S^{n-1} ~ t^{n-1}
     head_h = w0 * sol.t0 ** n              # H ~ n
     ig = _radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT),
-                          sol.R, head_g, npts)
+                          sol.R, head_g)
     ih = _radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT),
-                          sol.R, head_h, npts)
+                          sol.R, head_h)
     return ig, ih
 
 

@@ -23,7 +23,7 @@ from .axisym3d import MeridianDomain, solve_axisym_spectrum
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        ball_weighted_volume, validate_property_i)
-from .mesh2d import (Domain2D, TriMesh, integrate_boundary_weighted,
+from .mesh2d import (Domain2D, integrate_boundary_weighted,
                      integrate_weighted, measure, mesh_levels)
 from .radial import (AdmissibilityError, ball_gh_integrals, g_values,
                      h_values, sigma1_ball, solve_mode)
@@ -118,13 +118,12 @@ class MeshHierarchy:
     """Refinement levels of a planar domain or a solid, coarse to fine.
 
     The one place that picks the mesh: both domain kinds are meshed here
-    from their shape at ``rings`` x ``sectors`` (``None`` means
-    ``default_sectors``), a planar domain as a closed polar fan and a solid
-    as the open meridian fan of ``MeridianDomain.meshed``; the mesh a solid
-    was built with is not used.  Quadrature runs on ``meshes`` through the
-    form's measure; ``spectrum`` solves one level.  Nothing here depends on
-    a weight, so one hierarchy serves every weight of a domain: the report
-    functions take it in place of the domain.
+    by ``mesh_levels`` from their shape at ``rings`` x ``sectors``
+    (``None`` means ``default_sectors``), each on the fan its shape states.
+    Quadrature runs on ``meshes`` through the form's measure; ``spectrum``
+    solves one level.  Nothing here depends on a weight, so one hierarchy
+    serves every weight of a domain: the report functions take it in place
+    of the domain.
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
@@ -139,29 +138,24 @@ class MeshHierarchy:
         if isinstance(dom, Domain2D):
             if form.dim != 2:
                 raise DomainError("planar domains require a 2-D space form")
-            self.levels = mesh_levels(dom, rings, sectors, levels)
-            self.meshes = self.levels
         elif isinstance(dom, MeridianDomain):
             if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
                 raise DomainError("axisymmetric domains require Euclidean n = 3")
-            self.levels = [dom.meshed(rings, sectors)]
-            for _ in range(levels - 1):
-                self.levels.append(self.levels[-1].refine())
-            self.meshes = [md.mesh for md in self.levels]
         else:
             raise DomainError(f"unsupported domain type {type(dom).__name__}")
+        self.meshes = mesh_levels(dom, rings, sectors, levels)
 
     def spectrum(self, level: int, w: RadialWeight, k: int) -> SteklovSpectrum:
         """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
-        lev = self.levels[level]
-        if isinstance(lev, TriMesh):
-            return domain_spectrum(lev, self.form, w, k)
-        spec = solve_axisym_spectrum(lev, w, k_per_mode=max(4, k))
+        mesh = self.meshes[level]
+        if self.form.dim == 2:
+            return domain_spectrum(mesh, self.form, w, k)
+        spec = solve_axisym_spectrum(mesh, w, k_per_mode=max(4, k))
         spec.eigenvalues, spec.modes = spec.eigenvalues[:k + 1], spec.modes[:k + 1]
         return spec
 
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
-        return [self.spectrum(i, w, k) for i in range(len(self.levels))]
+        return [self.spectrum(i, w, k) for i in range(len(self.meshes))]
 
     def check_weight(self, w: RadialWeight, waive: bool) -> float:
         """Property I check on the distance range [0, t_max] of the finest
@@ -299,7 +293,7 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
         status="pass" if gap >= -slack else "violation",
         near_equality=(dom.is_centered_ball() and abs(gap) <= equality_tol),
         equality_tol=equality_tol, h_finest=hier.meshes[-1].h,
-        levels=len(hier.levels), question_a=qa)
+        levels=len(hier.meshes), question_a=qa)
 
 
 def question_a_report(dom, form: SpaceForm, w: RadialWeight, *,
@@ -458,8 +452,9 @@ class ChainReport:
         return dict(self.__dict__)
 
 
-def domain_is_reflection_symmetric(dom: Domain2D, tol: float = 1e-12) -> bool:
-    """True when the domain is invariant under x -> -x and y -> -y."""
+def domain_is_reflection_symmetric(dom: Domain2D) -> bool:
+    """True when the domain is invariant under x -> -x and y -> -y, polygon
+    vertices compared on a 1e-12 grid."""
     if not isinstance(dom, Domain2D):
         return False
     if tuple(dom.center_offset) != (0.0, 0.0):
@@ -469,6 +464,7 @@ def domain_is_reflection_symmetric(dom: Domain2D, tol: float = 1e-12) -> bool:
     if dom.kind == "perturbed_disk":
         return dom.k % 2 == 0
     verts = dom.vertices_local
+    tol = 1e-12
     key = {tuple(np.round(v / tol) * tol) for v in verts}
 
     def matches(sign):
@@ -514,12 +510,12 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
 
     volume = integrate_weighted(mesh, form, w)
     R = match_radius(form, w, volume)
-    ball = sigma1_ball(form, w, R, waive_admissibility=waive_admissibility)
 
     extraps = [richardson([e[i] for e in eigs]) for i in range(1, n)]
     sigma = [ex.value for ex in extraps]
     sigma_err = sum(ex.error / ex.value ** 2 for ex in extraps)
 
+    # one mode-1 solve past R: its shooting value at R is the ball's sigma_1
     t_end = max(R, t_max) * (1.0 + 1e-9)
     sol = solve_mode(form, w, 1, R, t_end=t_end,
                      waive_admissibility=waive_admissibility)
@@ -566,14 +562,14 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
 
     # composed chain: sum 1/sigma_i >= (n-1) B / C >= (n-1) ball_G / ball_H
     lhs = inv_sum
-    rhs = (n - 1) / ball.value
+    rhs = (n - 1) / sol.beta
     mid = (n - 1) * B / C
     tol = (link_slack * 3 + variational_slack) * max(lhs, rhs, 1.0)
     implication_consistent = (lhs >= mid - tol) and (mid >= rhs - tol)
 
     return ChainReport(
         domain=plane.label, curvature=form.curvature.label, weight=w.label, n=n,
-        volume=volume, R=R, sigma_omega=sigma, sigma1_ball=ball.value,
+        volume=volume, R=R, sigma_omega=sigma, sigma1_ball=sol.beta,
         boundary_T2=A, omega_G=B, omega_H=C, ball_G=ball_G, ball_H=ball_H,
         capped_boundary_f2=A_cap, capped_omega_G=B_cap, capped_omega_H=C_cap,
         margin_divergence=margin_div, margin_variational=margin_var,

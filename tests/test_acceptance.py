@@ -352,7 +352,7 @@ def test_criterion_09_axisym_sweep():
     ball_sigma_dev = None
     for ratio in (1.0, 1.25, 1.5):
         a = ratio ** (1.0 / 3.0)
-        md = MeridianDomain.spheroid(a, a / ratio, rings=8, sectors=32)
+        md = MeridianDomain.spheroid(a, a / ratio)
         hier = MeshHierarchy(md, E3, levels=3)
         for w in weights:
             rep = brock_report(hier, E3, w)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from steklovw.axisym3d import (MeridianDomain, assemble_mode,
-                               meridian_measures, solve_axisym_spectrum)
+from steklovw.axisym3d import (MeridianDomain, assemble_mode, axis_nodes,
+                               outer_edges, solve_axisym_spectrum)
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume)
-from steklovw.mesh2d import TriMesh, integrate_weighted
+from steklovw.mesh2d import (TriMesh, boundary_gauss_points, generate_mesh,
+                             integrate_weighted, mesh_levels, mesh_measures,
+                             refine)
 from steklovw.radial import sigma1_ball
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -17,44 +19,54 @@ W0 = RadialWeight.constant()
 
 @pytest.fixture(scope="module")
 def ball_fine():
-    return MeridianDomain.ball(1.0, rings=8, sectors=32).refine().refine()
+    return mesh_levels(MeridianDomain.ball(1.0), 8, 32, 3)[-1]
 
 
 def test_axis_nodes_exact():
-    md = MeridianDomain.ball(1.0, rings=4, sectors=16)
-    assert len(md.axis_nodes) == 2 * 4 + 1
-    assert np.all(md.mesh.vertices[md.axis_nodes, 0] == 0.0)
-    r = md.refine()
-    assert np.all(r.mesh.vertices[r.axis_nodes, 0] == 0.0)
+    mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
+    assert len(axis_nodes(mesh)) == 2 * 4 + 1
+    assert np.all(mesh.vertices[axis_nodes(mesh), 0] == 0.0)
+    r = refine(mesh)
+    assert np.all(r.vertices[axis_nodes(r), 0] == 0.0)
+
+
+def test_axis_gauss_points_on_axis(ball_fine):
+    """Every 2-point Gauss point of an axis edge has r = 0 exactly, so the
+    MERIDIAN length density r drops the axis from the boundary integrals."""
+    be = ball_fine.boundary_edges
+    on_axis = np.all(ball_fine.vertices[be, 0] == 0.0, axis=1)
+    assert on_axis.sum() == 2 * 8 * 4
+    pts, _ = boundary_gauss_points(ball_fine, be[on_axis])
+    assert np.all(pts[..., 0] == 0.0)
 
 
 def test_meridian_mesh_valid():
-    md = MeridianDomain.spheroid(1.2, 0.8, 6, 24)
-    assert np.all(md.mesh.signed_areas() > 0)
-    assert np.all(md.mesh.vertices[:, 0] >= 0.0)
+    mesh = generate_mesh(MeridianDomain.spheroid(1.2, 0.8), 6, 24)
+    assert np.all(mesh.signed_areas() > 0)
+    assert np.all(mesh.vertices[:, 0] >= 0.0)
     # boundary split: outer arc has both r>0 interior, axis edges r=0
-    outer = md.outer_edges
+    outer = outer_edges(mesh)
     assert len(outer) == 24
-    assert len(md.mesh.boundary_edges) == 24 + 2 * 6
+    assert len(mesh.boundary_edges) == 24 + 2 * 6
 
 
 def test_ball_measures_converge(ball_fine):
-    vol, area = meridian_measures(ball_fine, W0)
+    vol, area = mesh_measures(ball_fine, E3, W0)
     assert vol == pytest.approx(4 * math.pi / 3, rel=2e-3)
     assert area == pytest.approx(4 * math.pi, rel=2e-3)
 
 
 def test_weighted_measures_match_radial_quadrature(ball_fine):
     w = RadialWeight.linear(0.5)
-    vol, area = meridian_measures(ball_fine, w)
+    vol, area = mesh_measures(ball_fine, E3, w)
     assert vol == pytest.approx(ball_weighted_volume(E3, w, 1.0), rel=5e-3)
     assert area == pytest.approx(ball_boundary_weighted_measure(E3, w, 1.0),
                                  rel=5e-3)
 
 
 def test_mode0_constants_in_kernel():
-    md = MeridianDomain.ball(1.0, 6, 24)
-    sys = assemble_mode(md, RadialWeight.linear(0.5), 0)
+    mesh = generate_mesh(MeridianDomain.ball(1.0), 6, 24)
+    sys = assemble_mode(mesh, RadialWeight.linear(0.5), 0)
     one = np.ones(sys.stiffness.shape[0])
     assert np.max(np.abs(sys.stiffness @ one)) < 1e-12
     # boundary mass totals the weighted sphere area / (2 pi), O(h^2)
@@ -65,18 +77,18 @@ def test_mode0_constants_in_kernel():
 
 
 def test_constant_weight_scales_mode_stiffness():
-    md = MeridianDomain.ball(1.0, 4, 16)
+    mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
     c = 0.9
-    k0 = assemble_mode(md, RadialWeight.constant(0.0), 1).stiffness
-    kc = assemble_mode(md, RadialWeight.constant(c), 1).stiffness
+    k0 = assemble_mode(mesh, RadialWeight.constant(0.0), 1).stiffness
+    kc = assemble_mode(mesh, RadialWeight.constant(c), 1).stiffness
     assert abs(kc - math.exp(-c) * k0).max() < 1e-13 * abs(k0).max()
 
 
 def test_mode1_drops_axis_dofs():
-    md = MeridianDomain.ball(1.0, 4, 16)
-    sys0 = assemble_mode(md, W0, 0)
-    sys1 = assemble_mode(md, W0, 1)
-    assert sys1.stiffness.shape[0] == sys0.stiffness.shape[0] - len(md.axis_nodes)
+    mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
+    sys0 = assemble_mode(mesh, W0, 0)
+    sys1 = assemble_mode(mesh, W0, 1)
+    assert sys1.stiffness.shape[0] == sys0.stiffness.shape[0] - len(axis_nodes(mesh))
 
 
 def test_unit_ball_triple_eigenvalue(ball_fine):
@@ -103,22 +115,20 @@ def test_weighted_ball_matches_radial(ball_fine):
 
 
 def test_degenerate_spheroid_is_ball():
-    a = MeridianDomain.ball(1.0, 6, 24)
-    b = MeridianDomain.spheroid(1.0, 1.0, 6, 24)
-    assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
-    assert np.array_equal(a.mesh.triangles, b.mesh.triangles)
+    a = generate_mesh(MeridianDomain.ball(1.0), 6, 24)
+    b = generate_mesh(MeridianDomain.spheroid(1.0, 1.0), 6, 24)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.triangles, b.triangles)
 
 
 def test_z_reflection_symmetry():
-    md = MeridianDomain.spheroid(1.1, 0.9, 6, 24)
-    spec = solve_axisym_spectrum(md, RadialWeight.linear(0.5), k_per_mode=3)
-    flipped_mesh = TriMesh(
-        vertices=md.mesh.vertices * np.array([1.0, -1.0]),
-        triangles=md.mesh.triangles[:, ::-1].copy(),   # restore orientation
-        boundary_edges=md.mesh.boundary_edges[:, ::-1].copy(),
-        h=md.mesh.h, domain=None)
-    from dataclasses import replace
-    flipped = replace(md, mesh=flipped_mesh)
+    mesh = generate_mesh(MeridianDomain.spheroid(1.1, 0.9), 6, 24)
+    spec = solve_axisym_spectrum(mesh, RadialWeight.linear(0.5), k_per_mode=3)
+    flipped = TriMesh(
+        vertices=mesh.vertices * np.array([1.0, -1.0]),
+        triangles=mesh.triangles[:, ::-1].copy(),   # restore orientation
+        boundary_edges=mesh.boundary_edges[:, ::-1].copy(),
+        h=mesh.h, domain=mesh.domain)   # the spheroid is z-symmetric
     spec_f = solve_axisym_spectrum(flipped, RadialWeight.linear(0.5),
                                    k_per_mode=3)
     assert np.allclose(spec.eigenvalues, spec_f.eigenvalues, atol=1e-10)
@@ -130,7 +140,7 @@ def test_perturbed_ball_validation():
     for k in (0, -3):       # k = 0 is a ball; k < 0 would dodge |eps| k < 1
         with pytest.raises(DomainError, match="k must be >= 1"):
             MeridianDomain.perturbed_ball(1.0, 0.1 if k == 0 else 0.5, k)
-    md = MeridianDomain.perturbed_ball(1.0, 0.1, 2, 6, 24)
-    assert md.mesh is not None
-    vol = integrate_weighted(md.mesh, E3, W0)
+    mesh = generate_mesh(MeridianDomain.perturbed_ball(1.0, 0.1, 2), 6, 24)
+    assert mesh is not None
+    vol = integrate_weighted(mesh, E3, W0)
     assert vol > 0

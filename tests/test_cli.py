@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import steklovw
+import steklovw.mesh2d
 import steklovw.verify
-from steklovw.axisym3d import MeridianDomain
 from steklovw.cli import ConfigError, _sanitize, main, parse_config, run
 from steklovw.verify import brock_report, proof_chain_check, question_a_report
 
@@ -399,7 +399,10 @@ TWO_WEIGHTS = """
 def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
                                     domains):
     """sweep and chain build one MeshHierarchy per domain and reuse it for
-    every weight; the reports equal one library call per (domain, weight)."""
+    every weight, and parsing meshes nothing: k domains give k base meshes.
+    The reports equal one library call per (domain, weight)."""
+    hierarchies = _count_calls(monkeypatch, steklovw.verify, "mesh_levels")
+    base_meshes = _count_calls(monkeypatch, steklovw.mesh2d, "generate_mesh")
     cfg = parse_config(cfg_text(f"""
         command = {command}
 
@@ -416,11 +419,9 @@ def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
         dir = {tmp_path}/out
         format = json
     """))
-    planar = _count_calls(monkeypatch, steklovw.verify, "mesh_levels")
-    solid = _count_calls(monkeypatch, MeridianDomain, "meshed")
     assert run(cfg) == 0
-    assert len(planar if dim == 2 else solid) == 2
-    assert len(solid if dim == 2 else planar) == 0
+    assert len(hierarchies) == 2
+    assert len(base_meshes) == 2
 
     out = tmp_path / "out"
     if command == "chain":
@@ -456,6 +457,32 @@ def test_sweep_mesh_failure_names_the_domain(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep run ellipse failed" in err
     assert "minimum triangle angle" in err
+
+
+def test_sweep_solid_mesh_failure_names_the_domain(tmp_path, capsys):
+    """A solid is meshed at run time, like a planar domain: a mesh it cannot
+    take fails that run, named, with exit 1."""
+    cfg = parse_config(cfg_text(f"""
+        command = sweep
+
+        [space]
+        dim = 3
+
+        [domain]
+        kind = spheroid
+        a = 1.1
+        c = 0.8
+
+        [mesh]
+        sectors = 2
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert "sweep run spheroid failed" in err
+    assert "meridian mesh needs sectors >= 4" in err
 
 
 def test_chain_command(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from steklovw.axisym3d import MeridianDomain
+from steklovw.axisym3d import MeridianDomain, axis_nodes, outer_edges
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeshQualityError, TriMesh, _max_edge,
                              generate_mesh, mesh_levels, mesh_measures, refine)
@@ -171,25 +171,21 @@ def test_subdivide_matches_dict_oracle():
               Domain2D.ellipse(1.3, 0.7), Domain2D.perturbed_disk(1.0, 0.1, 3),
               Domain2D.polygon([(1.2, -0.5), (1.2, 0.5), (-1.2, 0.5),
                                 (-1.2, -0.5), (0.0, -0.9)])]
-    cases = [(dom, generate_mesh(dom, 4, 16), refine) for dom in planar]
-    md = MeridianDomain.spheroid(1.2, 0.8, rings=4, sectors=8)
-    cases.append((md, md.mesh, None))
-    for shape, mesh, step in cases:
+    md = MeridianDomain.spheroid(1.2, 0.8)
+    cases = [(dom, generate_mesh(dom, 4, 16)) for dom in planar]
+    cases.append((md, generate_mesh(md, 4, 8)))
+    for shape, mesh in cases:
         for _ in range(3):
-            curved = mesh.boundary_edges if step else md.outer_edges
+            curved = outer_edges(mesh) if shape is md else mesh.boundary_edges
             want = oracles.subdivide(mesh.vertices, mesh.triangles,
                                      mesh.boundary_edges, curved, shape)
-            if step:
-                mesh = step(mesh)
-            else:
-                md = md.refine()
-                mesh = md.mesh
+            mesh = refine(mesh)
             assert np.array_equal(mesh.triangles, want[1]), shape.label
             assert np.array_equal(mesh.boundary_edges, want[2]), shape.label
             assert mesh.vertices.tobytes() == want[0].tobytes(), shape.label
-    axis = md.axis_nodes
+    axis = axis_nodes(mesh)
     assert len(axis) == 2 * 4 * 2 ** 3 + 1
-    assert np.all(md.mesh.vertices[axis, 0] == 0.0)
+    assert np.all(mesh.vertices[axis, 0] == 0.0)
 
 
 def save_mesh(mesh: TriMesh, path):

@@ -116,14 +116,14 @@ def _sparse_vs_dense(sys, k):
     (Domain2D.ellipse(0.5, 0.35), H2, RadialWeight.linear(0.5)),
 ], ids=["offset-disk-E2", "ellipse-H2"])
 def test_sparse_solve_matches_dense_oracle(dom, form, w):
-    for mesh in MeshHierarchy(dom, form, 8, 64, 2).levels:
+    for mesh in MeshHierarchy(dom, form, 8, 64, 2).meshes:
         assert _sparse_vs_dense(assemble(mesh, form, w), 5) < 1e-10
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_sparse_mode_solve_matches_dense_oracle(m):
-    md = standard_spheroids()[2]
-    sys = assemble_mode(md, RadialWeight.linear(0.5), m)
+    mesh = generate_mesh(standard_spheroids()[2], 8, 32)
+    sys = assemble_mode(mesh, RadialWeight.linear(0.5), m)
     assert _sparse_vs_dense(sys, 6) < 1e-10
 
 
@@ -135,8 +135,8 @@ def test_repeated_solves_bit_identical(disk_mesh):
 
 
 def test_pencil_with_fewer_than_twenty_boundary_nodes():
-    md = MeridianDomain.ball(1.0, rings=4, sectors=16)
-    sys = assemble_mode(md, W0, 1)
+    mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
+    sys = assemble_mode(mesh, W0, 1)
     assert len(sys.boundary_index) < 20
     assert _sparse_vs_dense(sys, 6) < 1e-10
     with pytest.raises(DomainError):

@@ -126,7 +126,7 @@ def test_hyperbolic_disk_equality_case():
 
 
 def test_axisym_ball_equality_case():
-    md = MeridianDomain.ball(1.0, rings=6, sectors=24)
+    md = MeridianDomain.ball(1.0)
     w = RadialWeight.linear(0.5)
     rep = brock_report(md, E3, w, rings=6, sectors=24, levels=3)
     assert rep.passed
