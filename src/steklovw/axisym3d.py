@@ -42,6 +42,10 @@ class MeridianDomain:
 
     center = (0.0, 0.0)       # rays of the meridian fan start at the origin
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.R, self.a, self.c, self.eps])):
+            raise DomainError(f"{self.kind} parameters must be finite")
+
     # -- constructors ---------------------------------------------------
     @staticmethod
     def ball(R: float) -> "MeridianDomain":

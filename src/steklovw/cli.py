@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -411,10 +411,13 @@ def _run_ball(cfg: RunConfig) -> int:
     return 0
 
 
+def _mesh(cfg: RunConfig, dom) -> MeshHierarchy:
+    """The mesh hierarchy of one domain at the config's mesh settings."""
+    return MeshHierarchy(dom, cfg.space, cfg.rings, cfg.sectors, cfg.levels)
+
+
 def _run_spectrum(cfg: RunConfig) -> int:
-    hier = MeshHierarchy(cfg.domains[0], cfg.space, cfg.rings, cfg.sectors,
-                         cfg.levels)
-    spec = hier.spectrum(-1, cfg.weights[0], cfg.count)
+    spec = _mesh(cfg, cfg.domains[0]).spectrum(-1, cfg.weights[0], cfg.count)
     spec.metadata["identities"] = {
         "zero_mode_ratio": abs(spec.eigenvalues[0]) /
         max(spec.eigenvalues[1], 1e-300),
@@ -428,11 +431,10 @@ def _run_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_one(cfg: RunConfig, dom, w: RadialWeight):
-    """The verify report of a domain or of its prebuilt MeshHierarchy."""
+def _verify_one(cfg: RunConfig, hier: MeshHierarchy, w: RadialWeight):
+    """The verify report of one meshed domain under one weight."""
     fn = question_a_report if cfg.space.dim == 2 else brock_report
-    return fn(dom, cfg.space, w, rings=cfg.rings, sectors=cfg.sectors,
-              levels=cfg.levels, waive_admissibility=cfg.waive_admissibility)
+    return fn(hier, cfg.space, w, waive_admissibility=cfg.waive_admissibility)
 
 
 def _each_run(cfg: RunConfig, report) -> list:
@@ -445,8 +447,7 @@ def _each_run(cfg: RunConfig, report) -> list:
     for dom in cfg.domains:
         run = dom.kind
         try:
-            hier = MeshHierarchy(dom, cfg.space, cfg.rings, cfg.sectors,
-                                 cfg.levels)
+            hier = _mesh(cfg, dom)
             for w in cfg.weights:
                 run = f"{dom.kind} x {w.label}"
                 out.append(report(hier, w))
@@ -457,9 +458,9 @@ def _each_run(cfg: RunConfig, report) -> list:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    report = _verify_one(cfg, cfg.domains[0], cfg.weights[0])
+    report = _verify_one(cfg, _mesh(cfg, cfg.domains[0]), cfg.weights[0])
     row = report.csv_row()   # its keys are the report fields, in order
-    _emit(cfg, "verify", {"report": report.to_json_dict()}, list(row), [row])
+    _emit(cfg, "verify", {"report": asdict(report)}, list(row), [row])
     return 0 if report.passed else 2
 
 
@@ -467,16 +468,15 @@ def _run_sweep(cfg: RunConfig) -> int:
     """Every (domain, weight) pair in input order, one JSON file per run."""
     reports = _each_run(cfg, lambda hier, w: _verify_one(cfg, hier, w))
     for i, rep in enumerate(reports):
-        _emit(cfg, f"sweep_{i:03d}", {"report": rep.to_json_dict()})
+        _emit(cfg, f"sweep_{i:03d}", {"report": asdict(rep)})
     rows = [r.csv_row() for r in reports]
     _emit(cfg, "sweep", None, list(rows[0]), rows)
     return 0 if all(r.passed for r in reports) else 2
 
 
 def _run_converge(cfg: RunConfig) -> int:
-    study = convergence_study(cfg.domains[0], cfg.space, cfg.weights[0],
-                              cfg.count, rings=cfg.rings, sectors=cfg.sectors,
-                              levels=max(cfg.levels, 3),
+    study = convergence_study(_mesh(cfg, cfg.domains[0]), cfg.space,
+                              cfg.weights[0], cfg.count,
                               waive_admissibility=cfg.waive_admissibility)
     rows = []
     for i in range(1, cfg.count + 1):
@@ -489,7 +489,7 @@ def _run_converge(cfg: RunConfig) -> int:
         rows.append(row)
     fields = (["index"] + [f"level{l}" for l in range(len(study.values))]
               + ["extrapolated", "order", "error"])
-    _emit(cfg, "converge", {"study": study.to_json_dict()}, fields, rows)
+    _emit(cfg, "converge", {"study": asdict(study)}, fields, rows)
     return 0
 
 
@@ -500,7 +500,7 @@ def _run_chain(cfg: RunConfig) -> int:
               "margin_variational", "margin_ball_G", "margin_ball_H",
               "capped_ball_G_comparison", "passed"]
     rows = [{f: getattr(rep, f) for f in fields} for rep in reports]
-    _emit(cfg, "chain", {"reports": [r.to_json_dict() for r in reports]},
+    _emit(cfg, "chain", {"reports": [asdict(r) for r in reports]},
           fields, rows)
     return 0 if all(r.passed for r in reports) else 2
 

@@ -101,9 +101,9 @@ def c_kappa(form: SpaceForm, t):
 class RadialWeight:
     """Radial weight phi(t) with first/second derivative evaluators.
 
-    Closed-form kinds carry exact derivatives; tabulated weights use
-    centered finite differences on their sample grid and linear
-    interpolation in between.
+    Closed-form kinds are the polynomial c - a t - b t^2 with exact
+    derivatives; tabulated weights use centered finite differences on their
+    sample grid and linear interpolation in between.
     """
 
     kind: str
@@ -114,6 +114,10 @@ class RadialWeight:
     grid_phi: np.ndarray | None = field(default=None, repr=False)
     grid_dphi: np.ndarray | None = field(default=None, repr=False)
     grid_d2phi: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.c, self.a, self.b)):
+            raise DomainError("weight coefficients must be finite")
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -150,44 +154,31 @@ class RadialWeight:
         t_arr = np.asarray(t, dtype=float)
         lo, hi = self.grid_t[0], self.grid_t[-1]
         pad = 1e-12 * max(1.0, abs(hi))
-        if np.any(t_arr < lo - pad) or np.any(t_arr > hi + pad):
+        if not np.all((t_arr >= lo - pad) & (t_arr <= hi + pad)):
             raise DomainError(
                 f"tabulated weight queried outside its grid [{lo}, {hi}]")
         out = np.interp(t_arr, self.grid_t, values)
         return out if out.ndim else float(out)
 
     def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(t, self.c)
-        elif self.kind == "linear":
-            out = -self.a * t
-        elif self.kind == "quadratic":
-            out = -self.a * t - self.b * t * t
-        else:
+        """c - a t - b t^2, or the table interpolated."""
+        if self.kind == "tabulated":
             return self._tab_interp(self.grid_phi, t)
+        t = np.asarray(t, dtype=float)
+        out = self.c - self.a * t - self.b * t * t
         return out if out.ndim else float(out)
 
     def phi_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = np.zeros_like(t)
-        elif self.kind == "linear":
-            out = np.full_like(t, -self.a)
-        elif self.kind == "quadratic":
-            out = -self.a - 2.0 * self.b * t
-        else:
+        if self.kind == "tabulated":
             return self._tab_interp(self.grid_dphi, t)
+        t = np.asarray(t, dtype=float)
+        out = 0.0 - self.a - 2.0 * self.b * t
         return out if out.ndim else float(out)
 
     def phi_second(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant" or self.kind == "linear":
-            out = np.zeros_like(t)
-        elif self.kind == "quadratic":
-            out = np.full_like(t, -2.0 * self.b)
-        else:
+        if self.kind == "tabulated":
             return self._tab_interp(self.grid_d2phi, t)
+        out = np.full_like(np.asarray(t, dtype=float), 0.0 - 2.0 * self.b)
         return out if out.ndim else float(out)
 
     @property
@@ -222,8 +213,8 @@ def validate_property_i(w: RadialWeight, t_max: float,
     numerical on a sample grid; closed-form kinds use their exact
     derivatives on that grid.
     """
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise DomainError("t_max must be positive and finite")
     if samples < 16:
         raise DomainError("need at least 16 samples")
     ts = np.linspace(0.0, t_max, samples)
@@ -272,8 +263,8 @@ def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
     """int_{B_R} fn(t) dmu over the geodesic ball of radius R about the
     origin; ``fn`` maps distance arrays to values (default 1, the weighted
     volume)."""
-    if R <= 0:
-        raise DomainError("ball radius must be positive")
+    if not 0 < R < math.inf:
+        raise DomainError("ball radius must be positive and finite")
     _check_radial_arg(form, R)
     n = form.dim
     omega = unit_sphere_area(n)
@@ -291,8 +282,8 @@ def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
 def ball_boundary_weighted_measure(form: SpaceForm, w: RadialWeight,
                                    R: float) -> float:
     """Weighted surface measure of the geodesic sphere of radius R."""
-    if R <= 0:
-        raise DomainError("ball radius must be positive")
+    if not 0 < R < math.inf:
+        raise DomainError("ball radius must be positive and finite")
     sr = s_kappa(form, R)
     return unit_sphere_area(form.dim) * sr ** (form.dim - 1) * math.exp(-w.phi(R))
 

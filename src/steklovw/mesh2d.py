@@ -41,6 +41,12 @@ class Domain2D:
     vertices_local: np.ndarray | None = field(default=None, repr=False)
     center_offset: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self):
+        verts = () if self.vertices_local is None else self.vertices_local.ravel()
+        if not np.all(np.isfinite([self.radius, self.a, self.b, self.eps,
+                                   *self.center_offset, *verts])):
+            raise DomainError(f"{self.kind} parameters must be finite")
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def disk(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":

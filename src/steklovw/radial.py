@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
@@ -66,16 +67,12 @@ _METRIC = {Curvature.EUCLIDEAN: (float, lambda t: 1.0),
            Curvature.SPHERICAL_CAP: (np.sin, np.cos)}
 
 
-def _series_coeffs(form: SpaceForm, w: RadialWeight, i: int) -> tuple[float, float]:
-    """Coefficients of T = t^i (1 + c1 t + c2 t^2 + ...) near t = 0."""
-    n = form.dim
-    kappa = form.kappa
-    lam = angular_eigenvalue(n, i)
-    dp0 = float(w.phi_prime(0.0))
-    d2p0 = float(w.phi_second(0.0))
-    c1 = i * dp0 / (2 * i + n - 1)
-    c2 = (kappa * (lam + (n - 1) * i) / 3.0 + dp0 * c1 * (i + 1) + i * d2p0) / (4 * i + 2 * n)
-    return c1, c2
+def _series(t, i: int, lead: float, c1: float, c2: float):
+    """T and T' of the series lead * t^i (1 + c1 t + c2 t^2)."""
+    base = t ** i
+    return (lead * base * (1.0 + c1 * t + c2 * t * t),
+            lead * (i * t ** (i - 1) + c1 * (i + 1) * base
+                    + c2 * (i + 2) * base * t))
 
 
 @dataclass
@@ -97,25 +94,14 @@ class RadialSolution:
     series_c2: float = 0.0
     _dense: object = field(default=None, repr=False)
 
-    @property
-    def t_end(self) -> float:
-        return float(self.grid[-1])
-
-    def _series_eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i, c1, c2 = self.mode_degree, self.series_c1, self.series_c2
-        base = t ** i
-        T = self.lead_coeff * base * (1.0 + c1 * t + c2 * t * t)
-        dT = self.lead_coeff * (i * t ** (i - 1) + c1 * (i + 1) * base
-                                + c2 * (i + 2) * base * t)
-        return T, dT
-
     def _eval(self, t, row: int) -> np.ndarray:
         """Row 0 (T) or 1 (T') at t: the series below t0, dense output above."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         low = t < self.t0
         if np.any(low):
-            out[low] = self._series_eval(t[low])[row]
+            out[low] = _series(t[low], self.mode_degree, self.lead_coeff,
+                               self.series_c1, self.series_c2)[row]
         if np.any(~low):
             out[~low] = self._dense(t[~low])[row]
         return out
@@ -138,12 +124,12 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
     """
     if i < 1:
         raise DomainError("mode degree must be >= 1")
-    if R <= 0:
-        raise DomainError("R must be positive")
+    if not 0 < R < math.inf:
+        raise DomainError("R must be positive and finite")
     if t_end is None:
         t_end = R
-    if t_end < R:
-        raise DomainError("t_end must be >= R")
+    if not R <= t_end < math.inf:
+        raise DomainError("t_end must be finite and >= R")
     if form.curvature.kappa == 1 and t_end >= math.pi:
         raise DomainError("spherical-cap solves require t_end < pi")
 
@@ -157,15 +143,15 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
 
     n = form.dim
     lam = angular_eigenvalue(n, i)
-    c1, c2 = _series_coeffs(form, w, i)
+    # coefficients of T = t^i (1 + c1 t + c2 t^2 + ...) near t = 0
+    dp0, d2p0 = float(w.phi_prime(0.0)), float(w.phi_second(0.0))
+    c1 = i * dp0 / (2 * i + n - 1)
+    c2 = (form.kappa * (lam + (n - 1) * i) / 3.0 + dp0 * c1 * (i + 1)
+          + i * d2p0) / (4 * i + 2 * n)
     cfg = DEFAULT_CONFIG
     t0 = cfg.series_start_factor * R
 
-    base = t0 ** i
-    y0 = np.array([
-        lead_coeff * base * (1.0 + c1 * t0 + c2 * t0 * t0),
-        lead_coeff * (i * t0 ** (i - 1) + c1 * (i + 1) * base + c2 * (i + 2) * base * t0),
-    ])
+    y0 = np.array(_series(t0, i, lead_coeff, c1, c2))
 
     s_fn, c_fn = _METRIC[form.curvature]
 
@@ -205,22 +191,22 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
 # weighted radial integrals
 # ---------------------------------------------------------------------------
 
-def _radial_integral(sol: RadialSolution, values_fn, upto: float,
-                     head: float) -> float:
-    """omega_{n-1} * int_0^upto values_fn(t, T, T') S^{n-1} e^{-phi} dt.
+def _radial_integrals(sol: RadialSolution, fns, heads) -> list[float]:
+    """omega_{n-1} * int_0^R f(t, T, T') S^{n-1} e^{-phi} dt for each f.
 
-    Simpson on 4097 points over [t0, upto]; ``head`` supplies the (analytic
-    leading-order) contribution of [0, t0].
+    One pass: T, T', S^{n-1} and e^{-phi} are evaluated once on 4097 points
+    over [t0, R]; each integrand, formed as (f * S^{n-1}) * e^{-phi} to keep
+    the bits of one quadrature per integrand, is Simpson-integrated there.
+    ``heads`` are the (analytic leading-order) contributions of [0, t0].
     """
     form, w = sol.form, sol.weight
-    n = form.dim
-    ts = np.linspace(sol.t0, upto, 4097)
-    T = sol.T_at(ts)
-    dT = sol.Tprime_at(ts)
-    s = s_kappa(form, ts)
-    integrand = values_fn(ts, T, dT) * s ** (n - 1) * np.exp(-w.phi(ts))
-    body = simpson(integrand, x=ts)
-    return unit_sphere_area(n) * (body + head)
+    ts = np.linspace(sol.t0, sol.R, 4097)
+    T, dT = sol.T_at(ts), sol.Tprime_at(ts)
+    radial = s_kappa(form, ts) ** (form.dim - 1)
+    density = np.exp(-w.phi(ts))
+    omega = unit_sphere_area(form.dim)
+    return [omega * (simpson(f(ts, T, dT) * radial * density, x=ts) + head)
+            for f, head in zip(fns, heads)]
 
 
 def h_values(form: SpaceForm, w: RadialWeight, t, T, dT):
@@ -243,10 +229,9 @@ def ball_gh_integrals(sol: RadialSolution) -> tuple[float, float]:
     w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
     head_g = w0 * sol.t0 ** (n + 1)        # G ~ (n+1) t, S^{n-1} ~ t^{n-1}
     head_h = w0 * sol.t0 ** n              # H ~ n
-    ig = _radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT),
-                          sol.R, head_g)
-    ih = _radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT),
-                          sol.R, head_h)
+    ig, ih = _radial_integrals(
+        sol, [partial(g_values, form, w), partial(h_values, form, w)],
+        [head_g, head_h])
     return ig, ih
 
 
@@ -258,43 +243,45 @@ class BallSigma1:
     beta: float
     integral_value: float
     rel_discrepancy: float
-    constant_boundary_eigenvalue_reading: float
     solution: RadialSolution
 
     def __float__(self) -> float:
         return self.value
+
+    @property
+    def constant_boundary_eigenvalue_reading(self) -> float:
+        """The (inconsistent) reading that freezes the boundary-sphere
+        eigenvalue at its t = R value, kept so that its discrepancy from
+        ``beta`` stays visible in data."""
+        sol = self.solution
+        form, w, R, n = sol.form, sol.weight, sol.R, sol.form.dim
+        v1_at_R = (n - 1) / s_kappa(form, R) ** 2
+        w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
+        head = w0 * sol.t0 ** n / n   # (T')^2 ~ 1 dominates the head
+        (alt,) = _radial_integrals(
+            sol, [lambda t, T, dT: dT * dT + v1_at_R * T * T], [head])
+        return alt / (sol.T_at(R)[0] ** 2
+                      * ball_boundary_weighted_measure(form, w, R))
 
 
 def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
                 waive_admissibility: bool = False) -> BallSigma1:
     """sigma_1 of the weighted ball via shooting, cross-checked by quadrature.
 
-    The identity checked is beta_1 = int_B H dmu / (T(R)^2 |bd B_R|_phi);
-    the metadata also records the (inconsistent) reading that freezes the
-    boundary-sphere eigenvalue at its t = R value, so the discrepancy
-    between the two readings stays visible in data.
+    The identity checked is beta_1 = int_B H dmu / (T(R)^2 |bd B_R|_phi).
     """
     sol = solve_mode(form, w, 1, R, waive_admissibility=waive_admissibility)
-    n = form.dim
     _, ih = ball_gh_integrals(sol)
-    denom = (sol.T_at(R)[0] ** 2) * ball_boundary_weighted_measure(form, w, R)
-    integral_value = ih / denom
+    integral_value = ih / (sol.T_at(R)[0] ** 2
+                           * ball_boundary_weighted_measure(form, w, R))
     rel = abs(sol.beta - integral_value) / abs(sol.beta)
     warn_tol = DEFAULT_CONFIG.identity_warn_tol
     if rel > warn_tol:
         warnings.warn(
             f"shooting/integral identity discrepancy {rel:.3e} exceeds "
             f"{warn_tol:.1e}", RuntimeWarning, stacklevel=2)
-
-    v1_at_R = (n - 1) / s_kappa(form, R) ** 2
-    w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
-    head_alt = w0 * sol.t0 ** n / n   # (T')^2 ~ 1 dominates the head
-    alt = _radial_integral(
-        sol, lambda t, T, dT: dT * dT + v1_at_R * T * T, sol.R, head_alt) / denom
-
     return BallSigma1(value=sol.beta, beta=sol.beta, integral_value=integral_value,
-                      rel_discrepancy=rel,
-                      constant_boundary_eigenvalue_reading=alt, solution=sol)
+                      rel_discrepancy=rel, solution=sol)
 
 
 def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int, *,

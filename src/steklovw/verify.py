@@ -50,8 +50,8 @@ def match_radius(form: SpaceForm, w: RadialWeight,
     Bisection-type root find on the strictly increasing volume map with a
     geometrically grown bracket.
     """
-    if target_volume <= 0:
-        raise DomainError("target volume must be positive")
+    if not 0 < target_volume < math.inf:
+        raise DomainError("target volume must be positive and finite")
 
     def vol(R):
         return ball_weighted_volume(form, w, R) - target_volume
@@ -108,20 +108,15 @@ def richardson(values) -> Extrapolation:
 # the level driver for both domain kinds
 # ---------------------------------------------------------------------------
 
-def default_sectors(dim: int) -> int:
-    """Polar sectors when a caller leaves them unset: 64 rays for a planar
-    fan, 32 for the meridian half-fan of a solid."""
-    return 64 if dim == 2 else 32
-
-
 class MeshHierarchy:
     """Refinement levels of a planar domain or a solid, coarse to fine.
 
     The one place that picks the mesh: both domain kinds are meshed here
     by ``mesh_levels`` from their shape at ``rings`` x ``sectors``
-    (``None`` means ``default_sectors``), each on the fan its shape states.
-    Quadrature runs on ``meshes`` through the form's measure; ``spectrum``
-    solves one level.  Nothing here depends on a weight, so one hierarchy
+    (``None`` means 64 rays for a planar fan, 32 for a meridian half-fan),
+    each on the fan its shape states.  Quadrature runs on ``meshes``;
+    ``extrapolate`` walks the levels and ``matched_radius`` picks the
+    matched volume.  Nothing here depends on a weight, so one hierarchy
     serves every weight of a domain: the report functions take it in place
     of the domain.
     """
@@ -134,7 +129,7 @@ class MeshHierarchy:
         self.domain = dom
         self.form = form
         if sectors is None:
-            sectors = default_sectors(form.dim)
+            sectors = 64 if form.dim == 2 else 32
         if isinstance(dom, Domain2D):
             if form.dim != 2:
                 raise DomainError("planar domains require a 2-D space form")
@@ -144,6 +139,8 @@ class MeshHierarchy:
         else:
             raise DomainError(f"unsupported domain type {type(dom).__name__}")
         self.meshes = mesh_levels(dom, rings, sectors, levels)
+        dist = measure(form).dist(self.meshes[-1].vertices)
+        self.t_max = max(float(np.max(dist)), 1e-6)
 
     def spectrum(self, level: int, w: RadialWeight, k: int) -> SteklovSpectrum:
         """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
@@ -157,18 +154,28 @@ class MeshHierarchy:
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
         return [self.spectrum(i, w, k) for i in range(len(self.meshes))]
 
-    def check_weight(self, w: RadialWeight, waive: bool) -> float:
+    def check_weight(self, w: RadialWeight, waive: bool) -> None:
         """Property I check on the distance range [0, t_max] of the finest
-        mesh; returns t_max."""
-        dist = measure(self.form).dist(self.meshes[-1].vertices)
-        t_max = max(float(np.max(dist)), 1e-6)
-        adm = validate_property_i(w, t_max)
+        mesh."""
+        adm = validate_property_i(w, self.t_max)
         if not adm.admissible and not waive:
             raise AdmissibilityError(
                 "weight fails Property I on the domain range "
-                f"[0, {t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
+                f"[0, {self.t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
                 f"max phi'' = {adm.max_phi_second:.3e}")
-        return t_max
+
+    def extrapolate(self, w: RadialWeight, k: int) -> tuple[list, list]:
+        """Per-level sigma_0..sigma_k, and the Richardson extrapolation of
+        each of sigma_1..sigma_k over the levels."""
+        values = [[float(x) for x in s.eigenvalues] for s in self.spectra(w, k)]
+        return values, [richardson([row[i] for row in values])
+                        for i in range(1, k + 1)]
+
+    def matched_radius(self, w: RadialWeight) -> tuple[float, float]:
+        """(volume, R): the weighted volume of the finest mesh and the radius
+        of the centred ball with that weighted volume."""
+        volume = integrate_weighted(self.meshes[-1], self.form, w)
+        return volume, match_radius(self.form, w, volume)
 
 
 def _hierarchy(dom, form: SpaceForm, rings: int, sectors: int | None,
@@ -216,13 +223,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["sigma_omega"] = [float(x) for x in self.sigma_omega]
-        d["sigma_errors"] = [float(x) for x in self.sigma_errors]
-        d["sigma_levels"] = [[float(x) for x in row] for row in self.sigma_levels]
-        return d
-
     def csv_row(self) -> dict:
         row = {
             "domain": self.domain, "weight": self.weight,
@@ -254,14 +254,11 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     hier = _hierarchy(dom, form, rings, sectors, levels)
     dom = hier.domain
     hier.check_weight(w, waive_admissibility)
-    eigs = [s.eigenvalues for s in hier.spectra(w, n)]
-    volume = integrate_weighted(hier.meshes[-1], form, w)
-
-    extraps = [richardson([e[i] for e in eigs]) for i in range(1, n + 1)]
+    sigma_levels, extraps = hier.extrapolate(w, n)
     sigma = [ex.value for ex in extraps]
     errs = [ex.error for ex in extraps]
 
-    R = match_radius(form, w, volume)
+    volume, R = hier.matched_radius(w)
     ball = sigma1_ball(form, w, R, waive_admissibility=waive_admissibility)
 
     lhs = sum(1.0 / s for s in sigma[:n - 1])
@@ -287,7 +284,7 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     return VerificationReport(
         domain=dom.label, curvature=form.curvature.label, weight=w.label, n=n,
         volume=volume, R=R, sigma_omega=sigma, sigma_errors=errs,
-        sigma_levels=[list(map(float, e)) for e in eigs],
+        sigma_levels=sigma_levels,
         sigma1_ball=ball.value, identity_discrepancy=ball.rel_discrepancy,
         lhs=lhs, rhs=rhs, gap=gap, slack=slack,
         status="pass" if gap >= -slack else "violation",
@@ -322,37 +319,32 @@ class ConvergenceStudy:
     errors: list[float]
     monotone: list[bool]
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
                       rings: int = 8, sectors: int | None = None,
                       levels: int = 3,
                       waive_admissibility: bool = False) -> ConvergenceStudy:
-    """Per-eigenvalue Richardson table used to calibrate inequality slacks."""
-    if levels < 3:
-        raise DomainError("convergence study needs at least 3 levels")
-    hier = MeshHierarchy(dom, form, rings, sectors, levels)
-    hier.check_weight(w, waive_admissibility)
-    values = [[float(x) for x in s.eigenvalues] for s in hier.spectra(w, k)]
+    """Per-eigenvalue Richardson table used to calibrate inequality slacks.
 
-    extrapolated, orders, errors, monotone = [], [], [], []
-    for i in range(1, k + 1):
-        ex = richardson([row[i] for row in values])
-        extrapolated.append(ex.value)
-        orders.append(ex.order)
-        errors.append(ex.error)
-        monotone.append(ex.monotone)
+    ``dom`` is a domain or its prebuilt ``MeshHierarchy``.
+    """
+    hier = _hierarchy(dom, form, rings, sectors, levels)
+    if len(hier.meshes) < 3:
+        raise DomainError("convergence study needs at least 3 levels")
+    hier.check_weight(w, waive_admissibility)
+    values, extraps = hier.extrapolate(w, k)
+    for i, ex in enumerate(extraps, start=1):
         if not ex.monotone:
             warnings.warn(
                 f"non-monotone convergence for eigenvalue index {i}",
                 RuntimeWarning, stacklevel=2)
     return ConvergenceStudy(
-        domain=dom.label, weight=w.label, curvature=form.curvature.label,
-        hs=[m.h for m in hier.meshes], values=values,
-        extrapolated=extrapolated, orders=orders, errors=errors,
-        monotone=monotone)
+        domain=hier.domain.label, weight=w.label,
+        curvature=form.curvature.label, hs=[m.h for m in hier.meshes],
+        values=values, extrapolated=[ex.value for ex in extraps],
+        orders=[ex.order for ex in extraps],
+        errors=[ex.error for ex in extraps],
+        monotone=[ex.monotone for ex in extraps])
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +363,6 @@ class RearrangementReport:
     slack: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
                         rings: int = 8, sectors: int | None = None,
@@ -382,15 +371,15 @@ def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
     """Compare int_Omega v(t) dmu with the volume-matched ball integral.
 
     ``kind`` is "non_decreasing" (Omega side must dominate) or
-    "non_increasing" (ball side must dominate).
+    "non_increasing" (ball side must dominate).  ``dom`` is a domain or its
+    prebuilt ``MeshHierarchy``.
     """
     if kind not in ("non_decreasing", "non_increasing"):
         raise DomainError("kind must be non_decreasing or non_increasing")
-    hier = MeshHierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, rings, sectors, levels)
     hier.check_weight(w, waive_admissibility)
-    volume = integrate_weighted(hier.meshes[-1], form, w)
+    volume, R = hier.matched_radius(w)
     omega_side = integrate_weighted(hier.meshes[-1], form, w, fn)
-    R = match_radius(form, w, volume)
     ball_side = ball_weighted_volume(form, w, R, fn)
 
     if kind == "non_decreasing":
@@ -400,7 +389,7 @@ def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
     scale = max(abs(omega_side), abs(ball_side), 1e-300)
     slack = DEFAULT_CONFIG.slack_floor * scale
     return RearrangementReport(
-        domain=dom.label, weight=w.label, kind=kind,
+        domain=hier.domain.label, weight=w.label, kind=kind,
         omega_integral=omega_side, ball_integral=ball_side, R=R,
         margin=margin, slack=slack, passed=(margin >= -slack))
 
@@ -447,9 +436,6 @@ class ChainReport:
     @property
     def passed(self) -> bool:
         return all(self.links_passed.values())
-
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def domain_is_reflection_symmetric(dom: Domain2D) -> bool:
@@ -504,19 +490,15 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
     n = form.dim
 
     hier = _hierarchy(dom, form, rings, sectors, levels)
-    t_max = hier.check_weight(w, waive_admissibility)
-    eigs = [s.eigenvalues for s in hier.spectra(w, n)]
-    mesh = hier.meshes[-1]
-
-    volume = integrate_weighted(mesh, form, w)
-    R = match_radius(form, w, volume)
-
-    extraps = [richardson([e[i] for e in eigs]) for i in range(1, n)]
+    hier.check_weight(w, waive_admissibility)
+    extraps = hier.extrapolate(w, n)[1][:n - 1]
     sigma = [ex.value for ex in extraps]
     sigma_err = sum(ex.error / ex.value ** 2 for ex in extraps)
+    mesh = hier.meshes[-1]
+    volume, R = hier.matched_radius(w)
 
     # one mode-1 solve past R: its shooting value at R is the ball's sigma_1
-    t_end = max(R, t_max) * (1.0 + 1e-9)
+    t_end = max(R, hier.t_max) * (1.0 + 1e-9)
     sol = solve_mode(form, w, 1, R, t_end=t_end,
                      waive_admissibility=waive_admissibility)
 

@@ -10,6 +10,10 @@ to its boundary Schur complement and solves that small pencil with a
 dense symmetric-definite ``eigh``; it checks the package's sparse
 shift-invert solve on the same matrices by a different method.
 
+The per-integrand radial quadrature evaluates the radial solution afresh
+for each integral; it is the reference for the package's one-pass ball
+integrals, which must equal it bit for bit.
+
 The dict-based 4-way split is the reference for the package's array-based
 ``mesh2d.subdivide``: it numbers midpoints one triangle edge at a time.
 
@@ -22,7 +26,7 @@ import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 
@@ -117,6 +121,21 @@ def dense_spectrum(sys, k):
 # (doubling them moves sigma_1 and the area by less than 1e-13).
 
 _N_THETA, _N_R, _N_BOUNDARY = 256, 48, 256
+
+
+def radial_integral(sol, values_fn, head):
+    """omega_{n-1} (int_{t0}^R values_fn(t, T, T') S^{n-1} e^{-phi} dt + head)
+    for one integrand: Simpson on 4097 points, T and T' evaluated for this
+    integral alone; ``head`` is the contribution of [0, t0]."""
+    form, w = sol.form, sol.weight
+    n = form.dim
+    ts = np.linspace(sol.t0, sol.R, 4097)
+    T = sol.T_at(ts)
+    dT = sol.Tprime_at(ts)
+    s = {0: ts.copy(), -1: np.sinh(ts), 1: np.sin(ts)}[form.kappa]
+    integrand = values_fn(ts, T, dT) * s ** (n - 1) * np.exp(-w.phi(ts))
+    body = simpson(integrand, x=ts)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * (body + head)
 
 
 def subdivide(vertices, triangles, boundary_edges, curved_edges, shape):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -433,7 +434,7 @@ def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
         report = question_a_report if dim == 2 else brock_report
     want = [report(dom, cfg.space, w, rings=4, sectors=16, levels=2)
             for dom in cfg.domains for w in cfg.weights]
-    assert got == [json.loads(json.dumps(_sanitize(r.to_json_dict())))
+    assert got == [json.loads(json.dumps(_sanitize(dataclasses.asdict(r))))
                    for r in want]
 
 
@@ -533,6 +534,29 @@ def test_converge_command(tmp_path):
     assert run(cfg) == 0
     study = json.loads((tmp_path / "out" / "converge.json").read_text())["study"]
     assert abs(study["extrapolated"][0] - 1.0) < 1e-3
+
+
+def test_converge_needs_three_levels(tmp_path, capsys):
+    """converge runs the levels its config states: 2 is an error, not a
+    silent third level."""
+    cfg = parse_config(cfg_text(f"""
+        command = converge
+
+        [domain]
+        kind = disk
+        radius = 1
+
+        [mesh]
+        rings = 4
+        sectors = 16
+        levels = 2
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 1
+    assert "convergence study needs at least 3 levels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_command_planar(tmp_path):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume, c_kappa, conformal_factor,
                                poincare_distance, s_kappa, unit_sphere_area,
                                validate_property_i)
+from steklovw.mesh2d import Domain2D
+from steklovw.radial import sigma1_ball, solve_mode
+from steklovw.verify import match_radius
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -172,6 +176,40 @@ def test_ball_volume_domain_errors():
         ball_weighted_volume(E2, RadialWeight.constant(), -1.0)
     with pytest.raises(DomainError):
         ball_weighted_volume(S2, RadialWeight.constant(), 3.5)
+
+
+LIN = RadialWeight.linear(0.5)
+TAB = RadialWeight.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -2.0, -3.0])
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ball_weighted_volume(E2, LIN, NAN),
+    lambda: ball_weighted_volume(E2, LIN, INF),
+    lambda: ball_boundary_weighted_measure(E2, LIN, NAN),
+    lambda: sigma1_ball(E2, RadialWeight.constant(NAN), 1.0),
+    lambda: RadialWeight.quadratic(0.5, INF),
+    lambda: Domain2D.disk(NAN),
+    lambda: Domain2D.ellipse(INF, 1.0),
+    lambda: Domain2D.disk(1.0, center=(NAN, 0.0)),
+    lambda: Domain2D.perturbed_disk(1.0, NAN, 2),
+    lambda: MeridianDomain.spheroid(NAN, 1.0),
+    lambda: solve_mode(E2, LIN, 1, NAN),
+    lambda: solve_mode(E2, LIN, 1, INF),
+    lambda: solve_mode(E2, LIN, 1, 1.0, t_end=NAN),
+    lambda: validate_property_i(LIN, NAN),
+    lambda: TAB.phi(NAN),
+    lambda: match_radius(E2, LIN, NAN),
+], ids=["ball-volume-nan", "ball-volume-inf", "ball-boundary-nan",
+        "constant-weight-nan", "quadratic-weight-inf", "disk-nan",
+        "ellipse-inf", "disk-center-nan", "perturbed-disk-eps-nan",
+        "spheroid-nan", "solve-mode-nan", "solve-mode-inf", "solve-mode-t-end-nan",
+        "property-check-nan", "tabulated-phi-nan", "match-radius-nan"])
+def test_non_finite_arguments_raise_domain_error(call):
+    """A non-finite number is rejected where it enters the library, never
+    turned into a silent value or a later solver failure."""
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------

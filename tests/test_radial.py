@@ -4,18 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_beta_rich, linear_weight_beta1_euclid_n2
+from oracles import (fd_beta_rich, linear_weight_beta1_euclid_n2,
+                     radial_integral)
 from steklovw.config import DEFAULT_CONFIG
-from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.radial import (AdmissibilityError, ball_gh_integrals,
-                             ball_spectrum, check_gh_monotonicity, compute_gh,
-                             harmonic_multiplicity, sigma1_ball, solve_mode)
+from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
+                               ball_boundary_weighted_measure, s_kappa)
+from steklovw.radial import (AdmissibilityError, RadialSolution,
+                             ball_gh_integrals, ball_spectrum,
+                             check_gh_monotonicity, compute_gh, g_values,
+                             h_values, harmonic_multiplicity, sigma1_ball,
+                             solve_mode)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 E5 = SpaceForm(Curvature.EUCLIDEAN, 5)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
 H3 = SpaceForm(Curvature.HYPERBOLIC, 3)
+S2 = SpaceForm(Curvature.SPHERICAL_CAP, 2)
 W0 = RadialWeight.constant()
 
 
@@ -126,6 +131,39 @@ def test_constant_boundary_eigenvalue_reading_differs():
     res = sigma1_ball(E2, W0, 1.0)
     assert res.constant_boundary_eigenvalue_reading == pytest.approx(0.75, rel=1e-6)
     assert abs(res.constant_boundary_eigenvalue_reading - res.beta) > 0.2
+
+
+@pytest.mark.parametrize("form, w", [(E2, RadialWeight.linear(0.5)),
+                                     (H3, RadialWeight.quadratic(0.5, 0.25)),
+                                     (S2, RadialWeight.constant(0.3))])
+def test_ball_integrals_take_one_pass(monkeypatch, form, w):
+    """sigma1_ball evaluates T and T' once each on the quadrature grid (and
+    T at R), and every ball integral equals one oracle quadrature per
+    integrand bit for bit."""
+    R = 0.9
+    calls = []
+    for name in ("T_at", "Tprime_at"):
+        def spy(self, t, _orig=getattr(RadialSolution, name), _name=name):
+            calls.append((_name, np.size(t)))
+            return _orig(self, t)
+        monkeypatch.setattr(RadialSolution, name, spy)
+    res = sigma1_ball(form, w, R)
+    monkeypatch.undo()
+    assert sorted(calls) == [("T_at", 1), ("T_at", 4097), ("Tprime_at", 4097)]
+
+    sol, n = res.solution, form.dim
+    w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
+    g = radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT),
+                        w0 * sol.t0 ** (n + 1))
+    h = radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT),
+                        w0 * sol.t0 ** n)
+    v1 = (n - 1) / s_kappa(form, R) ** 2
+    alt = radial_integral(sol, lambda t, T, dT: dT * dT + v1 * T * T,
+                          w0 * sol.t0 ** n / n)
+    denom = sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R)
+    assert ball_gh_integrals(sol) == (g, h)
+    assert res.integral_value == h / denom
+    assert res.constant_boundary_eigenvalue_reading == alt / denom
 
 
 def test_ball_gh_integrals_disk():

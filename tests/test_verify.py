@@ -183,6 +183,39 @@ def test_convergence_study_disk():
         assert all(study.monotone)
 
 
+def test_every_report_takes_the_matched_radius(monkeypatch):
+    """brock_report, proof_chain_check and rearrangement_check all match the
+    volume through MeshHierarchy.matched_radius: shifting its volume shifts
+    every reported R."""
+    matched = MeshHierarchy.matched_radius
+
+    def shifted(self, w):
+        volume = 1.001 * matched(self, w)[0]
+        return volume, match_radius(self.form, w, volume)
+
+    monkeypatch.setattr(MeshHierarchy, "matched_radius", shifted)
+    w = RadialWeight.linear(0.5)
+    hier = MeshHierarchy(ELLIPSE, E2, rings=4, sectors=16, levels=2)
+    want = match_radius(E2, w, 1.001 * integrate_weighted(hier.meshes[-1], E2, w))
+    reports = [brock_report(hier, E2, w), proof_chain_check(hier, E2, w),
+               rearrangement_check(hier, E2, w, lambda t: t, "non_decreasing")]
+    assert [rep.R for rep in reports] == [want] * 3
+
+
+def test_convergence_and_rearrangement_take_a_hierarchy():
+    w = RadialWeight.linear(0.5)
+    mesh = {"rings": 4, "sectors": 16, "levels": 3}
+    hier = MeshHierarchy(ELLIPSE, E2, **mesh)
+    assert repr(convergence_study(hier, E2, w, 2)) == \
+        repr(convergence_study(ELLIPSE, E2, w, 2, **mesh))
+    assert repr(rearrangement_check(hier, E2, w, np.exp, "non_decreasing")) == \
+        repr(rearrangement_check(ELLIPSE, E2, w, np.exp, "non_decreasing", **mesh))
+    with pytest.raises(DomainError, match="built for"):
+        convergence_study(hier, H2, w, 2)
+    with pytest.raises(DomainError, match="built for"):
+        rearrangement_check(hier, H2, w, np.exp, "non_decreasing")
+
+
 def test_convergence_study_hyperbolic_disk():
     dom = Domain2D.disk(math.tanh(0.5))
     study = convergence_study(dom, H2, W0, 1, levels=3)
@@ -304,7 +337,7 @@ def test_chain_integrals_match_one_call_per_integrand(dom, form):
     hier = MeshHierarchy(dom, form, levels=2)
     rep = proof_chain_check(hier, form, w)
     mesh, R = hier.meshes[-1], rep.R
-    t_end = max(R, hier.check_weight(w, False)) * (1.0 + 1e-9)
+    t_end = max(R, hier.t_max) * (1.0 + 1e-9)
     sol = solve_mode(form, w, 1, R, t_end=t_end)
 
     def along(values, cap):
