@@ -65,8 +65,8 @@ class MeridianDomain:
         """Polar boundary radius R (1 + eps cos(k theta_colat))."""
         if R <= 0:
             raise DomainError("radius must be positive")
-        if k < 1:
-            raise DomainError("perturbation frequency k must be >= 1")
+        if not 1 <= k < math.inf:
+            raise DomainError("perturbation frequency k must be >= 1 and finite")
         if abs(eps) * k >= 1.0:
             raise DomainError("|eps|*k >= 1 breaks star-shapedness")
         return MeridianDomain(kind="perturbed_ball", R=float(R),

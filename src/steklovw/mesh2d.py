@@ -68,8 +68,8 @@ class Domain2D:
                        center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
         if radius <= 0:
             raise DomainError("radius must be positive")
-        if k < 1:
-            raise DomainError("perturbation frequency k must be >= 1")
+        if not 1 <= k < math.inf:
+            raise DomainError("perturbation frequency k must be >= 1 and finite")
         if abs(eps) * k >= 1.0:
             raise DomainError(
                 f"|eps|*k = {abs(eps) * k:g} >= 1 breaks star-shapedness")

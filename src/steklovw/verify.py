@@ -48,7 +48,7 @@ def match_radius(form: SpaceForm, w: RadialWeight,
     """Radius R with |B_R|_phi equal to the target weighted volume.
 
     Bisection-type root find on the strictly increasing volume map with a
-    geometrically grown bracket.
+    geometrically grown bracket, which stops at the end of a weight table.
     """
     if not 0 < target_volume < math.inf:
         raise DomainError("target volume must be positive and finite")
@@ -57,11 +57,12 @@ def match_radius(form: SpaceForm, w: RadialWeight,
         return ball_weighted_volume(form, w, R) - target_volume
 
     radius_max = DEFAULT_CONFIG.radius_max
-    hi = 1.0
-    if form.curvature is Curvature.SPHERICAL_CAP:
-        hi = 1.5
+    t_end = w.grid_t[-1] if w.kind == "tabulated" else math.inf
+    hi = min(1.5 if form.curvature is Curvature.SPHERICAL_CAP else 1.0, t_end)
     while vol(hi) < 0:
-        hi *= 2.0
+        if hi == t_end:
+            raise DomainError(f"target volume beyond the grid [{w.grid_t[0]}, {t_end}]")
+        hi = min(2.0 * hi, t_end)
         if hi > radius_max:
             raise BracketError(
                 f"no radius <= {radius_max:g} reaches the target volume")

@@ -14,6 +14,11 @@ The per-integrand radial quadrature evaluates the radial solution afresh
 for each integral; it is the reference for the package's one-pass ball
 integrals, which must equal it bit for bit.
 
+The ball-volume quadrature sums scipy's 40-point Gauss-Legendre rule
+over every interval of a weight table (or over uniform panels for a
+closed-form weight), each evaluated once, with no error control shared
+with the package's adaptive 8/16-point panel rule.
+
 The dict-based 4-way split is the reference for the package's array-based
 ``mesh2d.subdivide``: it numbers midpoints one triangle edge at a time.
 
@@ -26,9 +31,10 @@ import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad, simpson
+from scipy.integrate import cumulative_trapezoid, quad, simpson
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 
 def fd_beta(n, kappa, phi_prime, R, m, mode=1):
@@ -136,6 +142,30 @@ def radial_integral(sol, values_fn, head):
     integrand = values_fn(ts, T, dT) * s ** (n - 1) * np.exp(-w.phi(ts))
     body = simpson(integrand, x=ts)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * (body + head)
+
+
+def concave_table(nodes=641, t_end=1.25, base=0.3, knot=0.4, slope=1.2):
+    """A criterion-4-style tabulated profile: phi = -int g, with the
+    non-decreasing slope g = base + slope * max(t - knot, 0) >= 0."""
+    ts = np.linspace(0.0, t_end, nodes)
+    g = base + slope * np.maximum(ts - knot, 0.0)
+    return ts, -cumulative_trapezoid(g, ts, initial=0.0)
+
+
+def ball_volume(n, kappa, phi, R, breaks=(), points=40, panels=16):
+    """omega_{n-1} int_0^R S_kappa(t)^{n-1} exp(-phi(t)) dt by ``points``-point
+    Gauss-Legendre on each interval between the ``breaks`` inside (0, R)
+    (the nodes of a weight table), or on ``panels`` uniform panels when
+    there are none; ``phi`` maps distance arrays to values."""
+    cuts = [float(c) for c in breaks if 0.0 < c < R]
+    edges = (np.array([0.0, *cuts, R]) if cuts
+             else np.linspace(0.0, R, panels + 1))
+    x, wx = roots_legendre(points)
+    a, b = edges[:-1, None], edges[1:, None]
+    t = 0.5 * (a + b) + 0.5 * (b - a) * x
+    s = {0: t, -1: np.sinh(t), 1: np.sin(t)}[kappa]
+    terms = 0.5 * (b - a) * wx * s ** (n - 1) * np.exp(-phi(t))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * math.fsum(terms.ravel())
 
 
 def subdivide(vertices, triangles, boundary_edges, curved_edges, shape):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import steklovw
 import steklovw.mesh2d
 import steklovw.verify
@@ -270,6 +271,32 @@ def test_verify_disk_exits_zero(tmp_path):
     assert report["report"]["status"] == "pass"
     assert abs(report["report"]["gap"]) < 1e-3
     assert report["config"]["tolerances"]["integrator_rtol"] == 1e-10
+
+
+def test_verify_tabulated_weight_exits_zero(tmp_path):
+    """A criterion-4-style table (641 nodes) matches its ball radius."""
+    table = tmp_path / "w.csv"
+    np.savetxt(table, np.column_stack(oracles.concave_table()), delimiter=",",
+               fmt="%.17g")
+    cfg = parse_config(cfg_text(f"""
+        command = verify
+
+        [weight]
+        kind = tabulated
+        csv = {table}
+
+        [domain]
+        kind = disk
+        radius = 1
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())["report"]
+    assert report["weight"] == "tabulated[641]"
+    assert report["status"] == "pass" and report["near_equality"]
+    assert report["R"] == pytest.approx(1.0, rel=1e-4)
 
 
 def test_sweep_inadmissible_weight_exits_one(tmp_path, capsys):

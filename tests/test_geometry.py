@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from steklovw.axisym3d import MeridianDomain
-from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
+from steklovw.geometry import (Curvature, DomainError, QuadratureError,
+                               RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume, c_kappa, conformal_factor,
                                poincare_distance, s_kappa, unit_sphere_area,
@@ -16,6 +18,7 @@ from steklovw.verify import match_radius
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
+H3 = SpaceForm(Curvature.HYPERBOLIC, 3)
 S2 = SpaceForm(Curvature.SPHERICAL_CAP, 2)
 
 SINH1 = 1.1752011936438014   # high-precision sinh(1), cross-checked by series
@@ -171,6 +174,55 @@ def test_boundary_measure_examples():
         pytest.approx(expected, rel=1e-12)
 
 
+TABLE_T, TABLE_PHI = oracles.concave_table()
+ORACLE_WEIGHTS = {
+    "constant": (RadialWeight.constant(0.3), lambda t: 0.3 + 0.0 * t, (),
+                 (0.05, 1.0, 2.5)),
+    "quadratic": (RadialWeight.quadratic(1.5, 0.7),
+                  lambda t: -1.5 * t - 0.7 * t * t, (), (0.05, 1.0, 2.5)),
+    "tabulated": (RadialWeight.tabulated(TABLE_T, TABLE_PHI),
+                  lambda t: np.interp(t, TABLE_T, TABLE_PHI), TABLE_T,
+                  (0.003, 0.77, 1.25)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_WEIGHTS))
+@pytest.mark.parametrize("form", [E2, E3, H2, H3, S2], ids=lambda f: f.label)
+def test_ball_volume_matches_gauss_oracle(form, kind):
+    """The adaptive panel rule against fixed 40-point Gauss-Legendre on
+    every table interval (uniform panels for closed-form weights)."""
+    w, phi, breaks, radii = ORACLE_WEIGHTS[kind]
+    for R in radii:
+        want = oracles.ball_volume(form.dim, form.kappa, phi, R, breaks)
+        assert ball_weighted_volume(form, w, R) == pytest.approx(want, rel=1e-13)
+
+
+def test_divergent_ball_integrand_raises_quadrature_error():
+    """int_0^1 t^-3 * t dt diverges: a typed error, never a number."""
+    w = RadialWeight.constant()
+    for fn in (lambda t: t ** -3, lambda t: 1.0 / t ** 2):
+        with pytest.raises(QuadratureError):
+            ball_weighted_volume(E2, w, 1.0, fn=fn)
+    with pytest.raises(QuadratureError):
+        ball_weighted_volume(E2, w, 1.0, fn=lambda t: np.full_like(t, np.nan))
+
+
+def test_ball_volume_evaluates_fn_on_node_arrays():
+    calls = []
+
+    def fn(t):
+        calls.append(t.size)
+        return t * t
+
+    # int_0^1 t^2 * 2 pi t dt = pi / 2
+    assert ball_weighted_volume(E2, RadialWeight.constant(), 1.0, fn=fn) == \
+        pytest.approx(math.pi / 2, rel=1e-14)
+    assert 1 <= len(calls) <= 2 and min(calls) > 1
+    calls.clear()
+    ball_weighted_volume(E2, ORACLE_WEIGHTS["tabulated"][0], 1.0, fn=fn)
+    assert len(calls) <= 2 and min(calls) > 500
+
+
 def test_ball_volume_domain_errors():
     with pytest.raises(DomainError):
         ball_weighted_volume(E2, RadialWeight.constant(), -1.0)
@@ -193,6 +245,10 @@ NAN, INF = math.nan, math.inf
     lambda: Domain2D.ellipse(INF, 1.0),
     lambda: Domain2D.disk(1.0, center=(NAN, 0.0)),
     lambda: Domain2D.perturbed_disk(1.0, NAN, 2),
+    lambda: Domain2D.perturbed_disk(1.0, 0.1, NAN),
+    lambda: Domain2D.perturbed_disk(1.0, 0.0, INF),
+    lambda: MeridianDomain.perturbed_ball(1.0, 0.1, NAN),
+    lambda: MeridianDomain.perturbed_ball(1.0, 0.0, INF),
     lambda: MeridianDomain.spheroid(NAN, 1.0),
     lambda: solve_mode(E2, LIN, 1, NAN),
     lambda: solve_mode(E2, LIN, 1, INF),
@@ -203,6 +259,8 @@ NAN, INF = math.nan, math.inf
 ], ids=["ball-volume-nan", "ball-volume-inf", "ball-boundary-nan",
         "constant-weight-nan", "quadratic-weight-inf", "disk-nan",
         "ellipse-inf", "disk-center-nan", "perturbed-disk-eps-nan",
+        "perturbed-disk-k-nan", "perturbed-disk-k-inf", "perturbed-ball-k-nan",
+        "perturbed-ball-k-inf",
         "spheroid-nan", "solve-mode-nan", "solve-mode-inf", "solve-mode-t-end-nan",
         "property-check-nan", "tabulated-phi-nan", "match-radius-nan"])
 def test_non_finite_arguments_raise_domain_error(call):

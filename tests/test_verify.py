@@ -21,7 +21,10 @@ from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
+H3 = SpaceForm(Curvature.HYPERBOLIC, 3)
 W0 = RadialWeight.constant()
+# criterion-4-style concave table: 641 nodes on [0, 1.25]
+TABLE = RadialWeight.tabulated(*oracles.concave_table())
 
 ELLIPSE = Domain2D.ellipse(math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
@@ -44,6 +47,30 @@ def test_match_radius_roundtrip():
     for R in (0.3, 1.7):
         vol = ball_weighted_volume(H2, w, R)
         assert match_radius(H2, w, vol) == pytest.approx(R, rel=1e-9)
+
+
+@pytest.mark.parametrize("form", [E2, E3, H2, H3], ids=lambda f: f.label)
+def test_match_radius_roundtrip_tabulated(form):
+    from steklovw.geometry import ball_weighted_volume
+    for R in (0.05, 0.61, 1.2, 1.25):   # up to the end of the table
+        vol = ball_weighted_volume(form, TABLE, R)
+        assert match_radius(form, TABLE, vol) == pytest.approx(R, rel=1e-9)
+
+
+def test_match_radius_beyond_table_raises_domain_error():
+    """A target the table cannot reach is an error naming the grid, never a
+    radius extrapolated past the last sample."""
+    with pytest.raises(DomainError, match=r"grid \[0\.0, 1\.25\]"):
+        match_radius(E2, TABLE, 100.0)
+
+
+def test_tabulated_weight_report():
+    rep = brock_report(Domain2D.disk(1.0), E2, TABLE)
+    assert rep.near_equality and rep.passed
+    assert rep.R == pytest.approx(1.0, rel=1e-4)   # inscribed-mesh volume
+    from steklovw.geometry import ball_weighted_volume
+    assert ball_weighted_volume(E2, TABLE, rep.R) == pytest.approx(rep.volume,
+                                                                   rel=1e-9)
 
 
 def test_richardson_second_order_sequence():
