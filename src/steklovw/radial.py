@@ -14,6 +14,11 @@ monotone comparison profiles
     H = (T')^2 + (n-1) T^2 / S^2,
 
 whose weighted ball integrals satisfy sigma_1(B_R) = int H dmu / int G dmu.
+
+A closed-form weight (constant, linear, quadratic) is solved by Chebyshev
+collocation (Trefethen, Spectral Methods in MATLAB, ch. 6-7), with DOP853
+as the fallback when degrees 24 and 32 disagree on beta.  A tabulated
+weight stays on DOP853 at rtol 1e-10: its phi' has kinks at the nodes.
 """
 from __future__ import annotations
 
@@ -65,6 +70,95 @@ def harmonic_multiplicity(n: int, i: int) -> int:
 _METRIC = {Curvature.EUCLIDEAN: (float, lambda t: 1.0),
            Curvature.HYPERBOLIC: (np.sinh, np.cosh),
            Curvature.SPHERICAL_CAP: (np.sin, np.cos)}
+
+
+def _chebyshev_basis(N: int):
+    """Chebyshev-Lobatto nodes cos(j pi / N), +1 down to -1, and the values
+    there of T_0..T_N and of their first two derivatives."""
+    x, cheb = np.cos(np.pi * np.arange(N + 1) / N), np.polynomial.chebyshev
+    return x, [cheb.chebvander(x, N - m) @ cheb.chebder(np.eye(N + 1), m)
+               for m in range(3)]
+
+
+# the coarse and the fine degree; past about 32, roundoff in the derivative
+# rows outgrows the truncation error
+_CHEBYSHEV = {N: _chebyshev_basis(N) for N in (24, 32)}
+
+
+def _collocate(form, w, i, lo, hi, N, u_lo, du_lo=None):
+    """u = T / t^i on [lo, hi] as a degree-N Chebyshev series.  T = t^i u
+    turns the mode equation, times S^2, into
+
+        S^2 u'' + (2i S^2/t + P) u' + (i(i-1) S^2/t^2 + i P/t - lam) u = 0,
+        P = (n-1) S C - S^2 phi',
+
+    bounded at t = 0, where u(0) is the lead coefficient; so T keeps its
+    relative accuracy near 0.  It is collocated at every node but lo, whose
+    row holds u(lo) = u_lo; given ``du_lo``, the row of hi holds u'(lo)."""
+    x, (V0, V1, V2) = _CHEBYSHEV[N]
+    t, k = lo + 0.5 * (hi - lo) * (1.0 + x[:-1]), 2.0 / (hi - lo)
+    s, c = s_kappa(form, t), c_kappa(form, t)
+    p = (form.dim - 1) * s * c - s * s * w.phi_prime(t)
+    lam = angular_eigenvalue(form.dim, i)
+    A = np.vstack([(s * s * k * k)[:, None] * V2[:-1]
+                   + ((2 * i * s * s / t + p) * k)[:, None] * V1[:-1]
+                   + (i * (i - 1) * (s / t) ** 2 + i * p / t - lam)[:, None] * V0[:-1],
+                   V0[-1]])
+    b = np.zeros(N + 1)
+    b[-1] = u_lo
+    if du_lo is not None:
+        A[0], b[0] = k * V1[-1], du_lo
+    return np.polynomial.Chebyshev(np.linalg.solve(A, b), domain=[lo, hi])
+
+
+def _chebyshev_solve(form, w, i, R, t_end, lead):
+    """(dense (T, T') evaluator, beta) from collocation on [0, R], continued
+    on [R, t_end] with u and u' continuous; (None, None) unless the coarse
+    and the fine degree agree on beta to the integrator tolerance."""
+    fits = []
+    for N in _CHEBYSHEV:
+        u = _collocate(form, w, i, 0.0, R, N, lead)
+        tail = (_collocate(form, w, i, R, t_end, N, u(R), u.deriv()(R))
+                if t_end > R else u)
+        fits.append(([u, tail], i / R + u.deriv()(R) / u(R)))
+    (_, coarse), (pieces, beta) = fits
+    if abs(coarse - beta) > DEFAULT_CONFIG.integrator_rtol * abs(beta):
+        return None, None
+    derivs = [p.deriv() for p in pieces]
+
+    def dense(t):
+        u, du = (np.piecewise(t, [t <= R], f) for f in (pieces, derivs))
+        return t ** i * u, t ** (i - 1) * (i * u + t * du)
+    return dense, float(beta)
+
+
+def _shoot(form, w, lam, R, t0, t_end, y0):
+    """(dense (T, T') evaluator, beta) from DOP853 started at t0 with y0."""
+    n = form.dim
+    s_fn, c_fn = _METRIC[form.curvature]
+    dphi = w.phi_prime
+    if w.kind == "tabulated":
+        # one range check for [t0, t_end], then bare interpolation per call
+        w.phi_prime(np.array([t0, t_end]))
+        dphi = partial(np.interp, xp=w.grid_t, fp=w.grid_dphi)
+
+    def rhs(t, y):
+        T, dT = y
+        s, c = float(s_fn(t)), float(c_fn(t))
+        return (dT,
+                -((n - 1) * c / s - dphi(t)) * dT + lam / (s * s) * T)
+
+    cfg = DEFAULT_CONFIG
+    atol = cfg.integrator_rtol * max(abs(y0[0]), 1e-290)
+    sol = solve_ivp(rhs, (t0, t_end), y0, method=cfg.integrator_method,
+                    rtol=cfg.integrator_rtol, atol=atol, dense_output=True)
+    if not sol.success:
+        raise IntegrationError(f"radial integration failed: {sol.message}")
+    if t_end == R:
+        TR, dTR = sol.y[0, -1], sol.y[1, -1]
+    else:
+        TR, dTR = sol.sol(R)
+    return sol.sol, float(dTR / TR)
 
 
 def _series(t, i: int, lead: float, c1: float, c2: float):
@@ -126,6 +220,8 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
         raise DomainError("mode degree must be >= 1")
     if not 0 < R < math.inf:
         raise DomainError("R must be positive and finite")
+    if not 0 < lead_coeff < math.inf:
+        raise DomainError("lead_coeff must be positive and finite")
     if t_end is None:
         t_end = R
     if not R <= t_end < math.inf:
@@ -151,40 +247,23 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
     cfg = DEFAULT_CONFIG
     t0 = cfg.series_start_factor * R
 
-    y0 = np.array(_series(t0, i, lead_coeff, c1, c2))
-
-    s_fn, c_fn = _METRIC[form.curvature]
-
-    def rhs(t, y):
-        T, dT = y
-        s, c = float(s_fn(t)), float(c_fn(t))
-        return (dT,
-                -((n - 1) * c / s - w.phi_prime(t)) * dT + lam / (s * s) * T)
-
-    atol = cfg.integrator_rtol * max(abs(y0[0]), 1e-290)
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=cfg.integrator_method,
-                    rtol=cfg.integrator_rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"radial integration failed: {sol.message}")
-
+    dense = None
+    if w.kind != "tabulated":
+        dense, beta = _chebyshev_solve(form, w, i, R, t_end, lead_coeff)
+    if dense is None:
+        dense, beta = _shoot(form, w, lam, R, t0, t_end,
+                             np.array(_series(t0, i, lead_coeff, c1, c2)))
     grid = np.linspace(t0, t_end, cfg.report_points)
-    vals = sol.sol(grid)
-    T_vals, dT_vals = vals[0], vals[1]
+    T_vals, dT_vals = dense(grid)
     if np.any(T_vals <= 0.0):
         raise NonPositiveSolutionError(
             "radial solution T became non-positive inside (0, R)")
-
-    if t_end == R:
-        TR, dTR = sol.y[0, -1], sol.y[1, -1]
-    else:
-        TR, dTR = sol.sol(R)
-    beta = float(dTR / TR)
 
     return RadialSolution(
         form=form, weight=w, mode_degree=i, angular_eigenvalue=lam, R=float(R),
         grid=grid, T_values=T_vals, Tprime_values=dT_vals, beta=beta,
         t0=t0, lead_coeff=lead_coeff, series_c1=c1, series_c2=c2,
-        _dense=sol.sol)
+        _dense=dense)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ directly (3-point scheme plus one-sided endpoint derivative) and never
 touches the package's Runge-Kutta shooting path, so agreement between the
 two is a genuine cross-check.
 
+The restarted shooting value integrates the same equation with scipy's
+DOP853 at rtol 1e-13 from its own two-term series, restarting at every
+node of a weight table so that no step straddles a kink of phi'; it
+shares no code with the package's collocation or shooting paths.
+
 The dense Dirichlet-to-Neumann reduction reduces an assembled P1 pencil
 to its boundary Schur complement and solves that small pencil with a
 dense symmetric-definite ``eigh``; it checks the package's sparse
@@ -31,7 +36,7 @@ import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid, quad, simpson
+from scipy.integrate import cumulative_trapezoid, quad, simpson, solve_ivp
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
@@ -69,6 +74,34 @@ def fd_beta_rich(n, kappa, phi_prime, R, m=4000, mode=1):
     b1 = fd_beta(n, kappa, phi_prime, R, m, mode)
     b2 = fd_beta(n, kappa, phi_prime, R, 2 * m, mode)
     return b2 + (b2 - b1) / 3.0
+
+
+def shoot_beta(n, kappa, phi_prime, R, mode=1, breaks=()):
+    """Shooting value T'(R)/T(R) by DOP853 at rtol 1e-13, restarted at every
+    break inside (0, R) (the nodes of a weight table).
+
+    The solve starts at t0 = 1e-4 R from T = t^i (1 + c1 t); the series
+    error there is O(t0^2), and what of it excites the singular solution
+    t^{-(i+n-2)} has shrunk by (t0/R)^{2i+n-2} <= 1e-8 at R.
+    """
+    lam = mode * (mode + n - 2)
+    S, C = {0: (lambda t: t, lambda t: 1.0), -1: (math.sinh, math.cosh),
+            1: (math.sin, math.cos)}[kappa]
+    t0 = 1e-4 * R
+    c1 = mode * phi_prime(0.0) / (2 * mode + n - 1)
+    y = [t0 ** mode * (1 + c1 * t0),
+         t0 ** (mode - 1) * (mode + (mode + 1) * c1 * t0)]
+
+    def rhs(t, y):
+        s = S(t)
+        return [y[1], -((n - 1) * C(t) / s - phi_prime(t)) * y[1]
+                + lam / (s * s) * y[0]]
+
+    edges = [t0, *sorted(float(b) for b in breaks if t0 < b < R), R]
+    for a, b in zip(edges[:-1], edges[1:]):
+        y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13,
+                      atol=1e-300).y[:, -1]
+    return y[1] / y[0]
 
 
 def linear_weight_beta1_euclid_n2(a, R):

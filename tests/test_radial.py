@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (fd_beta_rich, linear_weight_beta1_euclid_n2,
-                     radial_integral)
+from oracles import (concave_table, fd_beta_rich,
+                     linear_weight_beta1_euclid_n2, radial_integral,
+                     shoot_beta)
+from steklovw import radial
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure, s_kappa)
@@ -109,6 +111,85 @@ FROZEN = [
 @pytest.mark.parametrize("form,w,expected", FROZEN)
 def test_frozen_weighted_values(form, w, expected):
     assert sigma1_ball(form, w, 1.0).value == pytest.approx(expected, rel=1e-8)
+
+
+# closed-form weights with their phi' written out for the oracle
+POLYNOMIAL = [(RadialWeight.constant(0.4), lambda t: 0.0),
+              (RadialWeight.linear(0.75), lambda t: -0.75),
+              (RadialWeight.quadratic(0.5, 0.4), lambda t: -0.5 - 0.8 * t)]
+
+
+@pytest.mark.parametrize("w, dphi", POLYNOMIAL, ids=["constant", "linear", "quadratic"])
+@pytest.mark.parametrize("form", [E2, E3, H2, H3, S2], ids=lambda f: f.label)
+def test_collocation_matches_restarted_shooting(form, w, dphi):
+    for R in (0.5, 1.0, 1.5):
+        for i in (1, 2, 3):
+            want = shoot_beta(form.dim, form.kappa, dphi, R, i)
+            beta = solve_mode(form, w, i, R).beta
+            assert beta == pytest.approx(want, rel=1e-10)
+            # continued past R: beta unchanged, T'/T at t_end as if solved to it
+            t_end = R + 0.4
+            ext = solve_mode(form, w, i, R, t_end=t_end)
+            assert ext.beta == beta
+            assert ext.Tprime_at(t_end)[0] / ext.T_at(t_end)[0] == pytest.approx(
+                solve_mode(form, w, i, t_end).beta, rel=1e-10)
+
+
+def test_unconverged_collocation_falls_back_to_shooting(monkeypatch):
+    """Degrees 24 and 32 disagree on a steep weight over a large hyperbolic
+    ball, so that solve goes to DOP853; a moderate one never reaches it."""
+    calls = []
+    orig = radial.solve_ivp
+    monkeypatch.setattr(radial, "solve_ivp",
+                        lambda *a, **k: calls.append(1) or orig(*a, **k))
+    solve_mode(H3, RadialWeight.quadratic(0.5, 0.4), 1, 1.5, t_end=2.0)
+    assert calls == []
+    beta = solve_mode(H2, RadialWeight.quadratic(2.0, 1.0), 1, 8.0).beta
+    assert calls == [1]
+    assert beta == pytest.approx(
+        shoot_beta(2, -1, lambda t: -2.0 - 2.0 * t, 8.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 1.4])
+def test_closed_forms_to_roundoff(R):
+    for form in (E2, E3):
+        for i in (1, 2, 3):
+            assert solve_mode(form, W0, i, R).beta == pytest.approx(i / R, rel=1e-12)
+    assert solve_mode(H2, W0, 1, R).beta == pytest.approx(1 / math.sinh(R), rel=1e-12)
+    assert solve_mode(S2, W0, 1, R).beta == pytest.approx(1 / math.sin(R), rel=1e-12)
+    for a in (0.25, 1.0):
+        assert solve_mode(E2, RadialWeight.linear(a), 1, R).beta == \
+            pytest.approx(linear_weight_beta1_euclid_n2(a, R), rel=1e-12)
+
+
+@pytest.mark.parametrize("form", [E2, E3, H2, H3], ids=lambda f: f.label)
+def test_identity_holds_tightly_on_polynomial_weights(form):
+    for w, _ in POLYNOMIAL:
+        assert sigma1_ball(form, w, 1.2).rel_discrepancy < 1e-10
+
+
+@pytest.mark.parametrize("form, expected", [
+    (E2, [0.7850488239239318, 1.697672548013283, 2.649745692657387]),
+    (H3, [0.62872732289455, 1.3602482089830075, 2.13637932093031])])
+def test_tabulated_beta_frozen(form, expected):
+    # tabulated weights stay on DOP853: these are the shooting values as
+    # recorded, and mode 1 meets the node-restarted oracle to 1e-9
+    w = RadialWeight.tabulated(*concave_table())
+    got = [solve_mode(form, w, i, 1.0).beta for i in (1, 2, 3)]
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+    dphi = lambda t: float(np.interp(t, w.grid_t, w.grid_dphi))
+    assert got[0] == pytest.approx(
+        shoot_beta(form.dim, form.kappa, dphi, 1.0, breaks=w.grid_t), rel=1e-9)
+
+
+def test_tabulated_weight_rejects_queries_past_its_grid():
+    w = RadialWeight.tabulated(*concave_table())    # grid ends at 1.25
+    with pytest.raises(DomainError):
+        solve_mode(E2, w, 1, 1.3)
+    with pytest.raises(DomainError):
+        solve_mode(H3, w, 1, 1.0, t_end=1.3)
+    with pytest.raises(DomainError):
+        sigma1_ball(E2, w, 1.3)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +301,15 @@ def test_solve_mode_preconditions():
         solve_mode(E2, W0, 1, 1.0, t_end=0.5)
     with pytest.raises(DomainError):
         solve_mode(SpaceForm(Curvature.SPHERICAL_CAP, 2), W0, 1, 3.3)
+
+
+@pytest.mark.parametrize("lead", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_lead_coeff_raises_domain_error(lead):
+    with pytest.raises(DomainError):
+        solve_mode(E2, RadialWeight.linear(0.5), 1, 1.0, lead_coeff=lead)
+    with pytest.raises(DomainError):
+        solve_mode(E2, RadialWeight.tabulated(*concave_table()), 1, 1.0,
+                   lead_coeff=lead)
 
 
 def test_admissibility_gate():
