@@ -10,7 +10,8 @@ into a family of 2-D pencils
     M_b^(m)(U, V) = int_outer e^{-phi(t)} U V r ds,      t = sqrt(r^2 + z^2),
 
 with essential axis conditions for m >= 1.  These are the shared P1
-pencils under the ``MERIDIAN`` measure.  Mode eigenvalues enter the global
+pencils under the ``MERIDIAN`` measure; they differ only in m^2 times the
+e^{-phi}/r block, assembled once.  Mode eigenvalues enter the global
 spectrum once for m = 0 and twice for m >= 1.
 """
 from __future__ import annotations
@@ -129,33 +130,43 @@ def outer_edges(mesh: TriMesh) -> np.ndarray:
 # mode assembly and spectra
 # ---------------------------------------------------------------------------
 
+def _mode(sys: AssembledSystem, m: int, axis: np.ndarray) -> AssembledSystem:
+    """Mode m >= 1 of the mode-0 system ``sys``: m^2 azimuthal blocks added
+    and the ``axis`` nodes (u = 0 there) removed."""
+    keep = np.setdiff1d(np.arange(sys.stiffness.shape[0]), axis)
+    sub = lambda A: A[np.ix_(keep, keep)].tocsr()
+    return AssembledSystem(
+        sub(sys.stiffness + (m * m) * sys.azimuthal), sub(sys.boundary_mass),
+        np.searchsorted(keep, np.setdiff1d(sys.boundary_index, axis)),
+        sys.extent)
+
+
 def assemble_mode(mesh: TriMesh, w: RadialWeight, m: int) -> AssembledSystem:
     """Mode-m stiffness and outer-boundary mass of a meridian mesh, axis dofs
     removed for m >= 1."""
     if m < 0:
         raise DomainError("azimuthal mode must be >= 0")
-    return assemble_p1(mesh, MERIDIAN, w, outer_edges(mesh), m,
-                       axis_nodes(mesh) if m else None)
+    sys = assemble_p1(mesh, MERIDIAN, w, outer_edges(mesh), azimuthal=True)
+    return _mode(sys, m, axis_nodes(mesh)) if m else sys
 
 
 def solve_axisym_spectrum(mesh: TriMesh, w: RadialWeight,
-                          k_per_mode: int = 6) -> SteklovSpectrum:
-    """Merged spectrum across the azimuthal ``MODES``, multiplicity 2 for
-    m >= 1."""
+                          k: int) -> SteklovSpectrum:
+    """sigma_0..sigma_k across the azimuthal ``MODES``, multiplicity 2 for
+    m >= 1.  Mode 0 is asked for k+1 eigenvalues and each m >= 1 for
+    ceil((k+1)/2), all it can place among the first k+1.  The mode-0
+    assembly serves every mode."""
+    base, axis = assemble_mode(mesh, w, 0), axis_nodes(mesh)
     entries: list[tuple[float, int, int]] = []
     for m in MODES:
-        sys = assemble_mode(mesh, w, m)
-        spec = solve_spectrum(
-            sys, min(k_per_mode, len(sys.boundary_index) - 2))
-        mult = 1 if m == 0 else 2
-        for val in spec.eigenvalues:
+        sys, mult = (base, 1) if m == 0 else (_mode(base, m, axis), 2)
+        for val in solve_spectrum(sys, k // mult).eigenvalues:
             for copy in range(mult):
                 entries.append((float(val), m, copy))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    eigenvalues = np.array([e[0] for e in entries])
-    mode_tags = [e[1] for e in entries]
+    entries = sorted(entries)[:k + 1]
     return SteklovSpectrum(
-        eigenvalues=eigenvalues, modes=mode_tags,
+        eigenvalues=np.array([e[0] for e in entries]),
+        modes=[e[1] for e in entries],
         metadata={"h": mesh.h, "curvature": "euclidean", "n": 3,
                   "weight": w.label, "domain": mesh.domain.label,
                   "modes_solved": list(MODES)})

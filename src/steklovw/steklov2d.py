@@ -5,9 +5,9 @@ boundary mass.  One assembler serves every model: the plane, the
 Poincare disk and the azimuthal modes of an axisymmetric solid differ only
 in the ``Measure`` densities (see ``mesh2d.measure``), plus an m^2/r^2
 term and an axis condition for the modes m >= 1.  The sparse pencil
-K u = sigma M_b u is solved as it stands by shift-invert Lanczos; its
-finite eigenvalues are those of the Dirichlet-to-Neumann map, since M_b
-vanishes off the boundary.
+K u = sigma M_b u is solved by shift-invert Lanczos on boundary vectors;
+its finite eigenvalues are those of the Dirichlet-to-Neumann map, since
+M_b vanishes off the boundary.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from .spectrum import SteklovSpectrum
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 2 / 3, 1 / 6],
                    [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
+# row g: the 3x3 outer product of _BARY3[g], flattened like a local block
+_BARY3_OUTER = np.einsum("gi,gj->gij", _BARY3, _BARY3).reshape(3, 9)
 
 
 class FactorizationError(RuntimeError):
@@ -35,24 +37,24 @@ class FactorizationError(RuntimeError):
 @dataclass
 class AssembledSystem:
     """Stiffness over all nodes, boundary mass, boundary index list and the
-    mesh extent (largest coordinate range), which sets the solver shift."""
+    mesh extent (largest coordinate range), which sets the solver shift;
+    a solid's mode m adds m^2 times its ``azimuthal`` block to K."""
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
     boundary_index: np.ndarray
     extent: float
+    azimuthal: sp.csr_matrix | None = None
 
 
 def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
-                edges: np.ndarray, mode: int = 0,
-                fixed: np.ndarray | None = None) -> AssembledSystem:
+                edges: np.ndarray, azimuthal: bool = False) -> AssembledSystem:
     """Weighted stiffness K and boundary mass M_b of one P1 pencil.
 
     K: e^{-phi} grad u . grad v times the stiffness density, weight at the
-    centroid; a ``mode`` m >= 1 of a solid adds e^{-phi} m^2 u v / r on
-    three interior points.  M_b: e^{-phi} u v times the length density on
-    the Steklov ``edges``, 2-point Gauss.  ``fixed`` nodes (the axis for
-    m >= 1) carry u = 0 and are removed.
+    centroid; with ``azimuthal`` the block e^{-phi} u v / r of a solid's
+    modes comes along, on three interior points.  M_b: e^{-phi} u v times
+    the length density on the Steklov ``edges``, 2-point Gauss.
     """
     nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
@@ -74,18 +76,19 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
     # local 3x3 blocks: wq * area * density * grads grads^T
     local = np.einsum("t,tia,tja->tij", wq * areas * meas.stiffness(cent),
                       grads, grads)
-    if mode:
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    csr = lambda data: sp.coo_matrix((data.ravel(), (rows, cols)),
+                                     shape=(nv, nv)).tocsr()
+    K, R = csr(local), None
+    if azimuthal:
         qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
         r_q = qpts[:, :, 0]
         if np.any(r_q <= 0.0):
             raise DomainError("interior quadrature point fell on the axis")
-        f_q = np.exp(-w.phi(meas.dist(qpts))) * (mode * mode) / r_q
-        local = local + np.einsum("t,tg,gi,gj->tij", areas / 3.0, f_q,
-                                  _BARY3, _BARY3)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+        f_q = np.exp(-w.phi(meas.dist(qpts))) / r_q
+        R = csr(((areas / 3.0)[:, None] * f_q) @ _BARY3_OUTER)
 
     pts, wts = boundary_gauss_points(mesh, edges)  # (B,2,2), (B,2)
     f = np.exp(-w.phi(meas.dist(pts))) * meas.length(pts)
@@ -97,16 +100,10 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
     cols = np.tile(edges, (1, 2)).ravel()
     Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
-    boundary = np.unique(edges)
-    if fixed is not None:
-        keep = np.setdiff1d(np.arange(nv), fixed)
-        renum = -np.ones(nv, dtype=np.int64)
-        renum[keep] = np.arange(len(keep))
-        K, Mb = K[np.ix_(keep, keep)].tocsr(), Mb[np.ix_(keep, keep)].tocsr()
-        boundary = np.sort(renum[np.setdiff1d(boundary, fixed)])
     return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                           boundary_index=boundary,
-                           extent=float(np.ptp(mesh.vertices, axis=0).max()))
+                           boundary_index=np.unique(edges),
+                           extent=float(np.ptp(mesh.vertices, axis=0).max()),
+                           azimuthal=R)
 
 
 def assemble(mesh: TriMesh, form: SpaceForm,
@@ -133,10 +130,14 @@ def solve_spectrum(sys: AssembledSystem, k: int,
     m >= 1 with the axis removed), so it is factored once with a symmetric
     fill-reducing order (minimum degree on A^T + A) and diagonal pivots,
     and the eigenvalues nearest s are the smallest.  s = -1/extent scales
-    with the domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).  The
-    start vector is fixed, so repeated solves agree bit for bit, and the
-    Lanczos basis is capped at the boundary size, the rank of M_b.
-    Returns the boundary traces, which are M_b-orthonormal.
+    with the domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).
+    M_b vanishes off the boundary, so the Lanczos vectors hold boundary
+    entries only: the operator scatters them into a zero vector, solves
+    and gathers the boundary rows, with M_bb as inner product.  Ritz
+    residuals stop at ``eigen_rtol``, late enough for rounding to bring in
+    the second copy of a repeated eigenvalue.  The start vector is fixed, so
+    repeated solves agree bit for bit, and the basis is capped at the
+    boundary size.  Returns the M_bb-orthonormal boundary traces.
     """
     b = sys.boundary_index
     nb = len(b)
@@ -144,21 +145,30 @@ def solve_spectrum(sys: AssembledSystem, k: int,
         raise DomainError(
             f"requested {k + 1} eigenvalues from a {nb}-node boundary")
     K, Mb, shift = sys.stiffness, sys.boundary_mass, -1.0 / sys.extent
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    Mbb = Mb[np.ix_(b, b)].tocsr()
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])[b]
+    full = np.zeros(K.shape[0])
+
+    def op_inv(y):
+        full[b] = y.ravel()
+        return lu.solve(full)[b]
+
     try:
         lu = spla.splu((K - shift * Mb).tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        op_inv = spla.LinearOperator(K.shape, lu.solve, dtype=K.dtype)
-        vals, vecs = spla.eigsh(K, k + 1, M=Mb, sigma=shift, which="LM",
-                                v0=v0, ncv=min(nb, max(2 * k + 3, 20)),
-                                OPinv=op_inv)
+        # shift-invert mode applies only OPinv and M, never A: Mbb stands
+        # in for A's shape and type
+        vals, vecs = spla.eigsh(
+            Mbb, k + 1, M=Mbb, sigma=shift, which="LM", v0=v0,
+            ncv=min(nb, max(2 * k + 3, 20)), tol=DEFAULT_CONFIG.eigen_rtol,
+            OPinv=spla.LinearOperator((nb, nb), op_inv, dtype=K.dtype))
     except RuntimeError as exc:
         raise FactorizationError(f"shift-invert eigensolve failed: {exc}") \
             from exc
     order = np.argsort(vals)
     return SteklovSpectrum(eigenvalues=vals[order],
-                           boundary_eigenvectors=vecs[b][:, order],
+                           boundary_eigenvectors=vecs[:, order],
                            metadata=dict(metadata or {}))
 
 

@@ -148,9 +148,7 @@ class MeshHierarchy:
         mesh = self.meshes[level]
         if self.form.dim == 2:
             return domain_spectrum(mesh, self.form, w, k)
-        spec = solve_axisym_spectrum(mesh, w, k_per_mode=max(4, k))
-        spec.eigenvalues, spec.modes = spec.eigenvalues[:k + 1], spec.modes[:k + 1]
-        return spec
+        return solve_axisym_spectrum(mesh, w, k)
 
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
         return [self.spectrum(i, w, k) for i in range(len(self.meshes))]

@@ -13,7 +13,9 @@ shares no code with the package's collocation or shooting paths.
 The dense Dirichlet-to-Neumann reduction reduces an assembled P1 pencil
 to its boundary Schur complement and solves that small pencil with a
 dense symmetric-definite ``eigh``; it checks the package's sparse
-shift-invert solve on the same matrices by a different method.
+shift-invert solve on the same matrices by a different method, and for a
+solid every eigenvalue of every mode, merged, checks which of them the
+package asks each mode for.
 
 The per-integrand radial quadrature evaluates the radial solution afresh
 for each integral; it is the reference for the package's one-pass ball
@@ -143,6 +145,17 @@ def dtn_reduce(sys):
 def dense_spectrum(sys, k):
     """sigma_0..sigma_k of the reduced pencil by a dense eigh."""
     return eigh(*dtn_reduce(sys), eigvals_only=True)[:k + 1]
+
+
+def dense_axisym_spectrum(mode_systems, k):
+    """sigma_0..sigma_k of a solid and their mode tags from its assembled
+    modes m = 0, 1, ...: every eigenvalue of each mode's reduced pencil,
+    once for m = 0 and twice for m >= 1."""
+    entries = sorted((float(v), m, copy)
+                     for m, sys in enumerate(mode_systems)
+                     for v in eigh(*dtn_reduce(sys), eigvals_only=True)
+                     for copy in range(1 if m == 0 else 2))[:k + 1]
+    return np.array([e[0] for e in entries]), [e[1] for e in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,7 @@ def test_verify_disk_exits_zero(tmp_path):
     assert report["report"]["status"] == "pass"
     assert abs(report["report"]["gap"]) < 1e-3
     assert report["config"]["tolerances"]["integrator_rtol"] == 1e-10
+    assert report["config"]["tolerances"]["eigen_rtol"] == 1e-14
 
 
 def test_verify_tabulated_weight_exits_zero(tmp_path):
