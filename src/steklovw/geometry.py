@@ -203,20 +203,16 @@ class WeightAdmissibility:
     samples: int
 
 
-def validate_property_i(w: RadialWeight, t_max: float,
-                        samples: int = DEFAULT_CONFIG.property_samples
-                        ) -> WeightAdmissibility:
+def validate_property_i(w: RadialWeight, t_max: float) -> WeightAdmissibility:
     """Check that phi is non-increasing and concave on [0, t_max].
 
     Inadmissibility is a report outcome, never an exception.  The check is
-    numerical on a sample grid; closed-form kinds use their exact
-    derivatives on that grid.
+    numerical on ``property_samples`` points; closed-form kinds use their
+    exact derivatives there.
     """
     if not 0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
-    if samples < 16:
-        raise DomainError("need at least 16 samples")
-    ts = np.linspace(0.0, t_max, samples)
+    ts = np.linspace(0.0, t_max, DEFAULT_CONFIG.property_samples)
     tol = DEFAULT_CONFIG.property_tol
     if w.kind == "tabulated":
         # stay on the tabulated range, and widen the tolerance to the
@@ -254,47 +250,58 @@ _SPLIT_LIMIT = 200
 
 
 def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
-                         fn=None) -> float:
+                         fn=None) -> float | list[float]:
     """int_{B_R} fn(t) dmu over the geodesic ball of radius R about the
     origin; ``fn`` maps distance arrays to values (default 1, the weighted
-    volume).
+    volume), or to a stack of k integrands, shape (k, m), for a list of k
+    integrals.
 
     [0, R] is cut at every node of a tabulated weight, so the integrand is
     smooth on each panel, and every panel gets the 16-point Gauss rule with
     its distance from the 8-point rule as error estimate.  Panels are
-    bisected until those estimates sum to at most max(abstol, 1e-12 |value|).
+    bisected until, for every integrand, those estimates sum to at most
+    max(abstol, 1e-12 |value|); a panel is split when any integrand needs it.
     """
     if not 0 < R < math.inf:
         raise DomainError("ball radius must be positive and finite")
     _check_radial_arg(form, R)
     cuts = w.grid_t[(w.grid_t > 0) & (w.grid_t < R)] if w.kind == "tabulated" else []
     edges = np.concatenate([[0.0], cuts, [R]])
+    stacked = False
 
     def panels(a, b):
+        nonlocal stacked
         half = 0.5 * (b - a)
         t = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
         f = s_kappa(form, t) ** (form.dim - 1) * np.exp(-w.phi(t))
         if fn is not None:
-            f = fn(t.ravel()).reshape(t.shape) * f
+            vals = np.asarray(fn(t.ravel()))
+            stacked = vals.ndim == 2
+            f = vals.reshape(-1, *t.shape) * f
+        else:
+            f = f[None]
         if not np.all(np.isfinite(f)):
             raise QuadratureError("ball integrand is not finite")
-        fine = half * (f[:, 8:] @ _G16[1])
-        return fine, np.abs(fine - half * (f[:, :8] @ _G8[1]))
+        fine = half * (f[..., 8:] @ _G16[1])
+        return fine, np.abs(fine - half * (f[..., :8] @ _G8[1]))
 
     a, b = edges[:-1], edges[1:]
     val, err = panels(a, b)
     while a.size < edges.size + _SPLIT_LIMIT:
-        tol = max(DEFAULT_CONFIG.quadrature_abstol, 1e-12 * abs(val.sum()))
-        if err.sum() <= tol:
-            return unit_sphere_area(form.dim) * float(val.sum())
-        split = err > tol / err.size
+        tol = np.maximum(DEFAULT_CONFIG.quadrature_abstol,
+                         1e-12 * np.abs(val.sum(axis=1)))
+        if np.all(err.sum(axis=1) <= tol):
+            out = unit_sphere_area(form.dim) * val.sum(axis=1)
+            return out.tolist() if stacked else float(out[0])
+        split = np.any(err > (tol / a.size)[:, None], axis=0)
         mid = 0.5 * (a[split] + b[split])
         lo, hi = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
         v, e = panels(lo, hi)
         a, b = np.concatenate([a[~split], lo]), np.concatenate([b[~split], hi])
-        val, err = np.concatenate([val[~split], v]), np.concatenate([err[~split], e])
-    raise QuadratureError(f"quadrature error estimate {err.sum():.3e} exceeds "
-                          f"tolerance after {_SPLIT_LIMIT} bisections")
+        val = np.concatenate([val[:, ~split], v], axis=1)
+        err = np.concatenate([err[:, ~split], e], axis=1)
+    raise QuadratureError(f"quadrature error estimate {err.sum(axis=1).max():.3e} "
+                          f"exceeds tolerance after {_SPLIT_LIMIT} bisections")
 
 
 def ball_boundary_weighted_measure(form: SpaceForm, w: RadialWeight,

@@ -326,6 +326,8 @@ def refine(mesh: TriMesh) -> TriMesh:
 def mesh_levels(shape, rings: int, sectors: int,
                 levels: int) -> list[TriMesh]:
     """``levels`` meshes of a planar domain or a solid, coarse to fine."""
+    if levels < 1:
+        raise DomainError(f"need at least one mesh level, got {levels}")
     meshes = [generate_mesh(shape, rings, sectors)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))

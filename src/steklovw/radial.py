@@ -19,6 +19,10 @@ A closed-form weight (constant, linear, quadratic) is solved by Chebyshev
 collocation (Trefethen, Spectral Methods in MATLAB, ch. 6-7), with DOP853
 as the fallback when degrees 24 and 32 disagree on beta.  A tabulated
 weight stays on DOP853 at rtol 1e-10: its phi' has kinks at the nodes.
+DOP853 starts at t0 = series_start_factor * R from the three-term series
+of T, which also serves below t0; either route hands back one evaluator of
+(T, T') on [0, t_end].  Every ball integral, G and H included, goes
+through ``geometry.ball_weighted_volume``.
 """
 from __future__ import annotations
 
@@ -28,12 +32,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
-                       ball_boundary_weighted_measure, c_kappa, s_kappa,
-                       unit_sphere_area, validate_property_i)
+                       ball_boundary_weighted_measure, ball_weighted_volume,
+                       c_kappa, s_kappa, validate_property_i)
 from .spectrum import SteklovSpectrum
 
 
@@ -132,9 +136,25 @@ def _chebyshev_solve(form, w, i, R, t_end, lead):
     return dense, float(beta)
 
 
-def _shoot(form, w, lam, R, t0, t_end, y0):
-    """(dense (T, T') evaluator, beta) from DOP853 started at t0 with y0."""
+def _shoot(form, w, i, R, t_end, lead):
+    """(dense (T, T') evaluator on [0, t_end], beta) from DOP853 started at
+    t0 = series_start_factor * R on the series lead t^i (1 + c1 t + c2 t^2)
+    of T, which the evaluator also uses below t0."""
     n = form.dim
+    lam = angular_eigenvalue(n, i)
+    dp0, d2p0 = float(w.phi_prime(0.0)), float(w.phi_second(0.0))
+    c1 = i * dp0 / (2 * i + n - 1)
+    c2 = (form.kappa * (lam + (n - 1) * i) / 3.0 + dp0 * c1 * (i + 1)
+          + i * d2p0) / (4 * i + 2 * n)
+    cfg = DEFAULT_CONFIG
+    t0 = cfg.series_start_factor * R
+
+    def series(t):
+        base = t ** i
+        return (lead * base * (1.0 + c1 * t + c2 * t * t),
+                lead * (i * t ** (i - 1) + c1 * (i + 1) * base
+                        + c2 * (i + 2) * base * t))
+
     s_fn, c_fn = _METRIC[form.curvature]
     dphi = w.phi_prime
     if w.kind == "tabulated":
@@ -148,7 +168,7 @@ def _shoot(form, w, lam, R, t0, t_end, y0):
         return (dT,
                 -((n - 1) * c / s - dphi(t)) * dT + lam / (s * s) * T)
 
-    cfg = DEFAULT_CONFIG
+    y0 = np.array(series(t0))
     atol = cfg.integrator_rtol * max(abs(y0[0]), 1e-290)
     sol = solve_ivp(rhs, (t0, t_end), y0, method=cfg.integrator_method,
                     rtol=cfg.integrator_rtol, atol=atol, dense_output=True)
@@ -158,20 +178,17 @@ def _shoot(form, w, lam, R, t0, t_end, y0):
         TR, dTR = sol.y[0, -1], sol.y[1, -1]
     else:
         TR, dTR = sol.sol(R)
-    return sol.sol, float(dTR / TR)
 
-
-def _series(t, i: int, lead: float, c1: float, c2: float):
-    """T and T' of the series lead * t^i (1 + c1 t + c2 t^2)."""
-    base = t ** i
-    return (lead * base * (1.0 + c1 * t + c2 * t * t),
-            lead * (i * t ** (i - 1) + c1 * (i + 1) * base
-                    + c2 * (i + 2) * base * t))
+    def dense(t):
+        above = sol.sol(np.maximum(t, t0).ravel()).reshape((2,) + t.shape)
+        return np.where(t < t0, series(np.minimum(t, t0)), above)
+    return dense, float(dTR / TR)
 
 
 @dataclass
 class RadialSolution:
-    """Sampled trajectory of one radial mode plus its shooting eigenvalue."""
+    """Sampled trajectory of one radial mode plus its shooting eigenvalue;
+    ``_dense`` maps distance arrays in [0, t_end] to the rows (T, T')."""
 
     form: SpaceForm
     weight: RadialWeight
@@ -182,29 +199,13 @@ class RadialSolution:
     T_values: np.ndarray
     Tprime_values: np.ndarray
     beta: float
-    t0: float
-    lead_coeff: float = 1.0
-    series_c1: float = 0.0
-    series_c2: float = 0.0
     _dense: object = field(default=None, repr=False)
 
-    def _eval(self, t, row: int) -> np.ndarray:
-        """Row 0 (T) or 1 (T') at t: the series below t0, dense output above."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        low = t < self.t0
-        if np.any(low):
-            out[low] = _series(t[low], self.mode_degree, self.lead_coeff,
-                               self.series_c1, self.series_c2)[row]
-        if np.any(~low):
-            out[~low] = self._dense(t[~low])[row]
-        return out
-
     def T_at(self, t) -> np.ndarray:
-        return self._eval(t, 0)
+        return self._dense(np.atleast_1d(np.asarray(t, dtype=float)))[0]
 
     def Tprime_at(self, t) -> np.ndarray:
-        return self._eval(t, 1)
+        return self._dense(np.atleast_1d(np.asarray(t, dtype=float)))[1]
 
 
 def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
@@ -237,56 +238,28 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
                 f"max phi' = {adm.max_phi_prime:.3e}, max phi'' = {adm.max_phi_second:.3e}; "
                 "pass waive_admissibility=True to integrate anyway")
 
-    n = form.dim
-    lam = angular_eigenvalue(n, i)
-    # coefficients of T = t^i (1 + c1 t + c2 t^2 + ...) near t = 0
-    dp0, d2p0 = float(w.phi_prime(0.0)), float(w.phi_second(0.0))
-    c1 = i * dp0 / (2 * i + n - 1)
-    c2 = (form.kappa * (lam + (n - 1) * i) / 3.0 + dp0 * c1 * (i + 1)
-          + i * d2p0) / (4 * i + 2 * n)
-    cfg = DEFAULT_CONFIG
-    t0 = cfg.series_start_factor * R
-
     dense = None
     if w.kind != "tabulated":
         dense, beta = _chebyshev_solve(form, w, i, R, t_end, lead_coeff)
     if dense is None:
-        dense, beta = _shoot(form, w, lam, R, t0, t_end,
-                             np.array(_series(t0, i, lead_coeff, c1, c2)))
-    grid = np.linspace(t0, t_end, cfg.report_points)
+        dense, beta = _shoot(form, w, i, R, t_end, lead_coeff)
+    grid = np.linspace(DEFAULT_CONFIG.series_start_factor * R, t_end,
+                       DEFAULT_CONFIG.report_points)
     T_vals, dT_vals = dense(grid)
     if np.any(T_vals <= 0.0):
         raise NonPositiveSolutionError(
             "radial solution T became non-positive inside (0, R)")
 
     return RadialSolution(
-        form=form, weight=w, mode_degree=i, angular_eigenvalue=lam, R=float(R),
+        form=form, weight=w, mode_degree=i,
+        angular_eigenvalue=angular_eigenvalue(form.dim, i), R=float(R),
         grid=grid, T_values=T_vals, Tprime_values=dT_vals, beta=beta,
-        t0=t0, lead_coeff=lead_coeff, series_c1=c1, series_c2=c2,
         _dense=dense)
 
 
 # ---------------------------------------------------------------------------
 # weighted radial integrals
 # ---------------------------------------------------------------------------
-
-def _radial_integrals(sol: RadialSolution, fns, heads) -> list[float]:
-    """omega_{n-1} * int_0^R f(t, T, T') S^{n-1} e^{-phi} dt for each f.
-
-    One pass: T, T', S^{n-1} and e^{-phi} are evaluated once on 4097 points
-    over [t0, R]; each integrand, formed as (f * S^{n-1}) * e^{-phi} to keep
-    the bits of one quadrature per integrand, is Simpson-integrated there.
-    ``heads`` are the (analytic leading-order) contributions of [0, t0].
-    """
-    form, w = sol.form, sol.weight
-    ts = np.linspace(sol.t0, sol.R, 4097)
-    T, dT = sol.T_at(ts), sol.Tprime_at(ts)
-    radial = s_kappa(form, ts) ** (form.dim - 1)
-    density = np.exp(-w.phi(ts))
-    omega = unit_sphere_area(form.dim)
-    return [omega * (simpson(f(ts, T, dT) * radial * density, x=ts) + head)
-            for f, head in zip(fns, heads)]
-
 
 def h_values(form: SpaceForm, w: RadialWeight, t, T, dT):
     s = s_kappa(form, t)
@@ -304,13 +277,11 @@ def ball_gh_integrals(sol: RadialSolution) -> tuple[float, float]:
     if sol.mode_degree != 1:
         raise DomainError("G/H integrals are defined for the mode-1 solution")
     form, w = sol.form, sol.weight
-    n = form.dim
-    w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
-    head_g = w0 * sol.t0 ** (n + 1)        # G ~ (n+1) t, S^{n-1} ~ t^{n-1}
-    head_h = w0 * sol.t0 ** n              # H ~ n
-    ig, ih = _radial_integrals(
-        sol, [partial(g_values, form, w), partial(h_values, form, w)],
-        [head_g, head_h])
+
+    def gh(t):
+        T, dT = sol._dense(t)
+        return np.stack([g_values(form, w, t, T, dT), h_values(form, w, t, T, dT)])
+    ig, ih = ball_weighted_volume(form, w, sol.R, gh)
     return ig, ih
 
 
@@ -333,14 +304,14 @@ class BallSigma1:
         eigenvalue at its t = R value, kept so that its discrepancy from
         ``beta`` stays visible in data."""
         sol = self.solution
-        form, w, R, n = sol.form, sol.weight, sol.R, sol.form.dim
-        v1_at_R = (n - 1) / s_kappa(form, R) ** 2
-        w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
-        head = w0 * sol.t0 ** n / n   # (T')^2 ~ 1 dominates the head
-        (alt,) = _radial_integrals(
-            sol, [lambda t, T, dT: dT * dT + v1_at_R * T * T], [head])
-        return alt / (sol.T_at(R)[0] ** 2
-                      * ball_boundary_weighted_measure(form, w, R))
+        form, w, R = sol.form, sol.weight, sol.R
+        v1_at_R = (form.dim - 1) / s_kappa(form, R) ** 2
+
+        def frozen_h(t):
+            T, dT = sol._dense(t)
+            return dT * dT + v1_at_R * T * T
+        return ball_weighted_volume(form, w, R, frozen_h) / (
+            sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R))
 
 
 def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,

@@ -327,6 +327,8 @@ def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
 
     ``dom`` is a domain or its prebuilt ``MeshHierarchy``.
     """
+    if k < 1:
+        raise DomainError(f"need at least one eigenvalue, got k = {k}")
     hier = _hierarchy(dom, form, rings, sectors, levels)
     if len(hier.meshes) < 3:
         raise DomainError("convergence study needs at least 3 levels")

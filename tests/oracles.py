@@ -17,9 +17,11 @@ shift-invert solve on the same matrices by a different method, and for a
 solid every eigenvalue of every mode, merged, checks which of them the
 package asks each mode for.
 
-The per-integrand radial quadrature evaluates the radial solution afresh
-for each integral; it is the reference for the package's one-pass ball
-integrals, which must equal it bit for bit.
+The per-integrand radial quadrature sums a fixed 40-point Gauss-Legendre
+rule over uniform panels of [0, R], evaluating the radial solution afresh
+for each integral through its public ``T_at``/``Tprime_at``; it checks the
+package's ball integrals of G, H and the frozen-boundary profile, which
+run on the adaptive panel rule of ``geometry.ball_weighted_volume``.
 
 The ball-volume quadrature sums scipy's 40-point Gauss-Legendre rule
 over every interval of a weight table (or over uniform panels for a
@@ -38,7 +40,7 @@ import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid, quad, simpson, solve_ivp
+from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
@@ -175,19 +177,22 @@ def dense_axisym_spectrum(mode_systems, k):
 _N_THETA, _N_R, _N_BOUNDARY = 256, 48, 256
 
 
-def radial_integral(sol, values_fn, head):
-    """omega_{n-1} (int_{t0}^R values_fn(t, T, T') S^{n-1} e^{-phi} dt + head)
-    for one integrand: Simpson on 4097 points, T and T' evaluated for this
-    integral alone; ``head`` is the contribution of [0, t0]."""
+def radial_integral(sol, values_fn):
+    """omega_{n-1} int_0^R values_fn(t, T, T') S^{n-1} e^{-phi} dt for one
+    integrand: 40-point Gauss-Legendre on 32 uniform panels, with T and T'
+    evaluated for this integral alone.  No node sits at t = 0, where G has
+    the removable singularity T^2 C/S."""
     form, w = sol.form, sol.weight
     n = form.dim
-    ts = np.linspace(sol.t0, sol.R, 4097)
-    T = sol.T_at(ts)
-    dT = sol.Tprime_at(ts)
+    x, wts = roots_legendre(40)
+    edges = np.linspace(0.0, sol.R, 33)
+    half = 0.5 * np.diff(edges)
+    ts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    T, dT = sol.T_at(ts), sol.Tprime_at(ts)
     s = {0: ts.copy(), -1: np.sinh(ts), 1: np.sin(ts)}[form.kappa]
     integrand = values_fn(ts, T, dT) * s ** (n - 1) * np.exp(-w.phi(ts))
-    body = simpson(integrand, x=ts)
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * (body + head)
+    body = float(np.sum(half * (integrand @ wts)))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * body
 
 
 def concave_table(nodes=641, t_end=1.25, base=0.3, knot=0.4, slope=1.2):

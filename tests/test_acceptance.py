@@ -333,11 +333,15 @@ def test_criterion_08_hyperbolic_sweep():
     worst_gap = min(r.gap + r.slack for r in reports)
     violations = [r for r in reports if not r.passed]
     ball_runs = [r for r in reports if r.near_equality]
-    ok = not violations and len(ball_runs) >= 2
+    # a centred disk's sigma_1 is the repeated mode-1 pair: both copies found
+    pair_split = max(abs(r.sigma_omega[1] / r.sigma_omega[0] - 1.0)
+                     for r in ball_runs)
+    ok = not violations and len(ball_runs) >= 2 and pair_split <= 1e-10
     report_line("criterion 8 (hyperbolic sweep, 10 domains x 2 weights)", ok,
                 f"min(gap+slack) {worst_gap:.2e} (>= 0), "
                 f"{len(violations)} violations, "
-                f"{len(ball_runs)} near-equality ball runs")
+                f"{len(ball_runs)} near-equality ball runs, "
+                f"sigma_2/sigma_1 - 1 on them {pair_split:.1e} (tol 1e-10)")
     assert ok
 
 

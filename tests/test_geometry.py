@@ -103,8 +103,6 @@ def test_property_i_rejects_increasing_weight():
 def test_property_i_preconditions():
     with pytest.raises(DomainError):
         validate_property_i(RadialWeight.constant(), -1.0)
-    with pytest.raises(DomainError):
-        validate_property_i(RadialWeight.constant(), 1.0, samples=8)
 
 
 def test_tabulated_weight_validation():
@@ -221,6 +219,21 @@ def test_ball_volume_evaluates_fn_on_node_arrays():
     calls.clear()
     ball_weighted_volume(E2, ORACLE_WEIGHTS["tabulated"][0], 1.0, fn=fn)
     assert len(calls) <= 2 and min(calls) > 500
+
+
+def test_ball_volume_takes_a_stack_of_integrands():
+    """fn returning shape (k, m) gives k integrals, each to its own
+    tolerance; t^-1/2 makes the panels at 0 split, t^2 and cos t ride along."""
+    fns = [lambda t: t * t, lambda t: t ** -0.5, np.cos]
+    got = ball_weighted_volume(E2, RadialWeight.constant(), 1.0,
+                               lambda t: np.stack([f(t) for f in fns]))
+    want = [math.pi / 2, 4 * math.pi / 3,
+            2 * math.pi * (math.cos(1.0) + math.sin(1.0) - 1.0)]
+    assert got == pytest.approx(want, rel=1e-13)
+    w = RadialWeight.quadratic(0.5, 0.4)
+    got = ball_weighted_volume(H3, w, 1.2, lambda t: np.stack([f(t) for f in fns]))
+    assert got == pytest.approx(
+        [ball_weighted_volume(H3, w, 1.2, f) for f in fns], rel=1e-13)
 
 
 def test_ball_volume_domain_errors():

@@ -1,14 +1,21 @@
-"""Invariances of the radial solve checked as properties on random inputs."""
+"""Invariances of the radial solve and of the whole report checked as
+properties on random inputs."""
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from steklovw.geometry import Curvature, RadialWeight, SpaceForm
+from steklovw.mesh2d import Domain2D
 from steklovw.radial import solve_mode
+from steklovw.verify import brock_report
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
+H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -22,3 +29,53 @@ def test_euclidean_scaling_law(form, a, b, R, t, mode):
     scaled = solve_mode(form, RadialWeight.quadratic(a / t, b / t ** 2),
                         mode, t * R).beta
     assert scaled == pytest.approx(beta / t, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# invariances of the whole report on coarse meshes
+# ---------------------------------------------------------------------------
+
+REPORT = settings(max_examples=4, deadline=None, derandomize=True, database=None)
+WEIGHTS = st.builds(RadialWeight.quadratic, st.floats(0.0, 1.0),
+                    st.floats(0.0, 0.5))
+
+
+def _same_report(a, b):
+    """Per-level eigenvalues, matched radius and gap agree to 1e-12."""
+    np.testing.assert_allclose(a.sigma_levels, b.sigma_levels,
+                               rtol=1e-12, atol=1e-12)
+    assert a.R == pytest.approx(b.R, rel=1e-12, abs=0.0)
+    assert a.gap == pytest.approx(b.gap, rel=1e-12, abs=1e-12)
+
+
+def _report(dom, form, w, levels):
+    return brock_report(dom, form, w, rings=4, sectors=64, levels=levels)
+
+
+@REPORT
+@given(form=st.sampled_from([E2, H2]), a=st.floats(0.3, 0.6),
+       b=st.floats(0.3, 0.6), w=WEIGHTS, levels=st.integers(1, 2))
+def test_rotation_equivariance(form, a, b, w, levels):
+    """ellipse(b, a) is ellipse(a, b) turned a quarter, which maps the
+    64-ray fan onto itself; a radial weight does not see the turn."""
+    _same_report(_report(Domain2D.ellipse(a, b), form, w, levels),
+                 _report(Domain2D.ellipse(b, a), form, w, levels))
+
+
+@REPORT
+@given(cx=st.floats(-0.5, 0.5), cy=st.floats(-0.5, 0.5),
+       c=st.floats(-1.0, 1.0), levels=st.integers(1, 2))
+def test_constant_weight_translation_invariance(cx, cy, c, levels):
+    w = RadialWeight.constant(c)
+    _same_report(_report(Domain2D.disk(1.0), E2, w, levels),
+                 _report(Domain2D.disk(1.0, center=(cx, cy)), E2, w, levels))
+
+
+@REPORT
+@given(form=st.sampled_from([E2, H2]), w=WEIGHTS, c=st.floats(-2.0, 2.0),
+       levels=st.integers(1, 2))
+def test_constant_shift_invariance(form, w, c, levels):
+    """phi + c scales both sides of every pencil and both volumes by e^-c."""
+    dom = Domain2D.ellipse(0.5, 0.4)
+    _same_report(_report(dom, form, w, levels),
+                 _report(dom, form, replace(w, c=c), levels))

@@ -11,11 +11,10 @@ from steklovw import radial
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure, s_kappa)
-from steklovw.radial import (AdmissibilityError, RadialSolution,
-                             ball_gh_integrals, ball_spectrum,
-                             check_gh_monotonicity, compute_gh, g_values,
-                             h_values, harmonic_multiplicity, sigma1_ball,
-                             solve_mode)
+from steklovw.radial import (AdmissibilityError, ball_gh_integrals,
+                             ball_spectrum, check_gh_monotonicity, compute_gh,
+                             g_values, h_values, harmonic_multiplicity,
+                             sigma1_ball, solve_mode)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -202,8 +201,8 @@ def test_integral_identity_small_discrepancy():
                     (E3, RadialWeight.linear(0.25)),
                     (H3, RadialWeight.constant())]:
         res = sigma1_ball(form, w, 1.5)
-        assert res.rel_discrepancy < 1e-8
-        assert res.integral_value == pytest.approx(res.beta, rel=1e-8)
+        assert res.rel_discrepancy < 1e-12
+        assert res.integral_value == pytest.approx(res.beta, rel=1e-12)
 
 
 def test_constant_boundary_eigenvalue_reading_differs():
@@ -214,47 +213,34 @@ def test_constant_boundary_eigenvalue_reading_differs():
     assert abs(res.constant_boundary_eigenvalue_reading - res.beta) > 0.2
 
 
-@pytest.mark.parametrize("form, w", [(E2, RadialWeight.linear(0.5)),
-                                     (H3, RadialWeight.quadratic(0.5, 0.25)),
-                                     (S2, RadialWeight.constant(0.3))])
-def test_ball_integrals_take_one_pass(monkeypatch, form, w):
-    """sigma1_ball evaluates T and T' once each on the quadrature grid (and
-    T at R), and every ball integral equals one oracle quadrature per
-    integrand bit for bit."""
-    R = 0.9
-    calls = []
-    for name in ("T_at", "Tprime_at"):
-        def spy(self, t, _orig=getattr(RadialSolution, name), _name=name):
-            calls.append((_name, np.size(t)))
-            return _orig(self, t)
-        monkeypatch.setattr(RadialSolution, name, spy)
-    res = sigma1_ball(form, w, R)
-    monkeypatch.undo()
-    assert sorted(calls) == [("T_at", 1), ("T_at", 4097), ("Tprime_at", 4097)]
-
-    sol, n = res.solution, form.dim
-    w0 = math.exp(-w.phi(0.0)) * sol.lead_coeff ** 2
-    g = radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT),
-                        w0 * sol.t0 ** (n + 1))
-    h = radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT),
-                        w0 * sol.t0 ** n)
-    v1 = (n - 1) / s_kappa(form, R) ** 2
-    alt = radial_integral(sol, lambda t, T, dT: dT * dT + v1 * T * T,
-                          w0 * sol.t0 ** n / n)
-    denom = sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R)
-    assert ball_gh_integrals(sol) == (g, h)
-    assert res.integral_value == h / denom
-    assert res.constant_boundary_eigenvalue_reading == alt / denom
+@pytest.mark.parametrize("w", [w for w, _ in POLYNOMIAL],
+                         ids=["constant", "linear", "quadratic"])
+@pytest.mark.parametrize("form", [E2, H3, S2], ids=lambda f: f.label)
+def test_ball_integrals_match_gauss_oracle(form, w):
+    """int_B G, int_B H and the frozen-boundary reading, each on the
+    adaptive ball-volume panels, against fixed Gauss-Legendre per integrand."""
+    for R in (0.5, 0.9, 1.4):
+        res = sigma1_ball(form, w, R)
+        sol, n = res.solution, form.dim
+        g = radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT))
+        h = radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT))
+        v1 = (n - 1) / s_kappa(form, R) ** 2
+        alt = radial_integral(sol, lambda t, T, dT: dT * dT + v1 * T * T)
+        denom = sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R)
+        assert ball_gh_integrals(sol) == pytest.approx((g, h), rel=1e-12, abs=0.0)
+        assert res.integral_value == pytest.approx(h / denom, rel=1e-12, abs=0.0)
+        assert res.constant_boundary_eigenvalue_reading == pytest.approx(
+            alt / denom, rel=1e-12, abs=0.0)
 
 
 def test_ball_gh_integrals_disk():
     # G = 3t, H = 2 for the unit disk: int G dmu = 2 pi, int H dmu = 2 pi
     sol = solve_mode(E2, W0, 1, 1.0)
     ig, ih = ball_gh_integrals(sol)
-    assert ig == pytest.approx(2 * math.pi, rel=1e-9)
-    assert ih == pytest.approx(2 * math.pi, rel=1e-9)
+    assert ig == pytest.approx(2 * math.pi, rel=1e-13)
+    assert ih == pytest.approx(2 * math.pi, rel=1e-13)
     # sigma1(B_R) = int H / int G
-    assert ih / ig == pytest.approx(sol.beta, rel=1e-9)
+    assert ih / ig == pytest.approx(sol.beta, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,14 @@ def test_verify_rejects_spherical_cap():
         brock_report(Domain2D.disk(1.0), S2, W0, levels=2)
 
 
+@pytest.mark.parametrize("levels", [0, -3])
+def test_fewer_than_one_mesh_level_raises_domain_error(levels):
+    """No report runs one level and calls it ``levels``: a typed error."""
+    with pytest.raises(DomainError, match="mesh level"):
+        brock_report(Domain2D.disk(1.0), E2, RadialWeight.linear(0.5),
+                     levels=levels)
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
@@ -208,6 +216,12 @@ def test_convergence_study_disk():
         assert study.extrapolated[n] == pytest.approx(2.0, abs=2e-3)
         assert 1.7 <= study.orders[0] <= 2.3
         assert all(study.monotone)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_convergence_study_needs_an_eigenvalue(k):
+    with pytest.raises(DomainError, match="at least one eigenvalue"):
+        convergence_study(Domain2D.disk(1.0), E2, W0, k, rings=4, sectors=16)
 
 
 def test_every_report_takes_the_matched_radius(monkeypatch):
