@@ -135,10 +135,11 @@ def _mode(sys: AssembledSystem, m: int, axis: np.ndarray) -> AssembledSystem:
     and the ``axis`` nodes (u = 0 there) removed."""
     keep = np.setdiff1d(np.arange(sys.stiffness.shape[0]), axis)
     sub = lambda A: A[np.ix_(keep, keep)].tocsr()
+    off_axis = ~np.isin(sys.boundary_index, axis)
     return AssembledSystem(
         sub(sys.stiffness + (m * m) * sys.azimuthal), sub(sys.boundary_mass),
-        np.searchsorted(keep, np.setdiff1d(sys.boundary_index, axis)),
-        sys.extent)
+        np.searchsorted(keep, sys.boundary_index[off_axis]), sys.extent,
+        sys.boundary_points[off_axis], mode=m)
 
 
 def assemble_mode(mesh: TriMesh, w: RadialWeight, m: int) -> AssembledSystem:

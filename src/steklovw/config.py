@@ -37,7 +37,7 @@ class NumericsConfig:
     # sectors falls below it.
     min_angle_deg: float = 1.0
     hyperbolic_margin: float = 0.02          # domain must satisfy |x| <= 1 - margin
-    eigen_rtol: float = 1e-14     # Lanczos residual; 1e-12 loses repeated copies
+    eigen_rtol: float = 1e-14     # block Krylov residual over mu; sets trace accuracy
 
     # inequality verification
     slack_floor: float = 1e-3     # relative floor for inequality slack

@@ -179,8 +179,26 @@ def _shoot(form, w, i, R, t_end, lead):
     else:
         TR, dTR = sol.sol(R)
 
+    # every step's dense-output piece, gathered once: scipy's evaluation
+    # (OdeSolution segment choice, Dop853DenseOutput Horner sequence) run
+    # elementwise on all points at once, bit for bit
+    ts, pieces = sol.sol.ts, sol.sol.interpolants
+    t_old = np.array([p.t_old for p in pieces])
+    h = np.array([p.h for p in pieces])
+    F = np.stack([p.F for p in pieces])          # (steps, power, 2)
+    y_old = np.stack([p.y_old for p in pieces])
+
     def dense(t):
-        above = sol.sol(np.maximum(t, t0).ravel()).reshape((2,) + t.shape)
+        flat = np.maximum(t, t0).ravel()
+        seg = np.clip(np.searchsorted(ts, flat, "left") - 1, 0, len(pieces) - 1)
+        x = ((flat - t_old[seg]) / h[seg])[:, None]
+        x1, Fs = 1 - x, F[seg]
+        y = np.zeros((len(flat), 2))
+        for i in range(F.shape[1]):
+            y += Fs[:, -1 - i]
+            y *= x if i % 2 == 0 else x1
+        y += y_old[seg]
+        above = y.T.reshape((2,) + t.shape)
         return np.where(t < t0, series(np.minimum(t, t0)), above)
     return dense, float(dTR / TR)
 

@@ -5,12 +5,13 @@ boundary mass.  One assembler serves every model: the plane, the
 Poincare disk and the azimuthal modes of an axisymmetric solid differ only
 in the ``Measure`` densities (see ``mesh2d.measure``), plus an m^2/r^2
 term and an axis condition for the modes m >= 1.  The sparse pencil
-K u = sigma M_b u is solved by shift-invert Lanczos on boundary vectors;
-its finite eigenvalues are those of the Dirichlet-to-Neumann map, since
-M_b vanishes off the boundary.
+K u = sigma M_b u is solved by block shift-invert Krylov on boundary
+vectors; its finite eigenvalues are those of the Dirichlet-to-Neumann map,
+since M_b vanishes off the boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +32,24 @@ _BARY3_OUTER = np.einsum("gi,gj->gij", _BARY3, _BARY3).reshape(3, 9)
 
 
 class FactorizationError(RuntimeError):
-    """The sparse shift-invert factorization or its Lanczos iteration failed."""
+    """The sparse shift-invert factorization or its Krylov iteration failed."""
 
 
 @dataclass
 class AssembledSystem:
     """Stiffness over all nodes, boundary mass, boundary index list and the
     mesh extent (largest coordinate range), which sets the solver shift;
-    a solid's mode m adds m^2 times its ``azimuthal`` block to K."""
+    the coordinates of the boundary nodes and the azimuthal ``mode`` (0 in
+    the plane) choose the solver's start block.  A solid's mode m adds m^2
+    times its ``azimuthal`` block to K."""
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
     boundary_index: np.ndarray
     extent: float
+    boundary_points: np.ndarray
     azimuthal: sp.csr_matrix | None = None
+    mode: int = 0
 
 
 def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
@@ -100,10 +105,10 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
     cols = np.tile(edges, (1, 2)).ravel()
     Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
-    return AssembledSystem(stiffness=K, boundary_mass=Mb,
-                           boundary_index=np.unique(edges),
+    b = np.unique(edges)
+    return AssembledSystem(stiffness=K, boundary_mass=Mb, boundary_index=b,
                            extent=float(np.ptp(mesh.vertices, axis=0).max()),
-                           azimuthal=R)
+                           boundary_points=mesh.vertices[b], azimuthal=R)
 
 
 def assemble(mesh: TriMesh, form: SpaceForm,
@@ -121,9 +126,64 @@ def assemble(mesh: TriMesh, form: SpaceForm,
     return assemble_p1(mesh, measure(form), w, mesh.boundary_edges)
 
 
+def _start_block(sys: AssembledSystem, k: int) -> np.ndarray:
+    """k+2 boundary columns: k+1 smooth traces, then one seeded random
+    vector, so that no eigenvector is M_bb-orthogonal to the whole block.
+
+    A solid's mode m >= 1 starts from r^m z^j, j = 0..k, the traces of the
+    ball's mode-m eigenfunctions; a planar or mode-0 pencil from 1, cos j
+    theta, sin j theta of the angle about the boundary centroid.
+    """
+    p = sys.boundary_points / sys.extent
+    if sys.mode:
+        cols = [p[:, 0] ** sys.mode * p[:, 1] ** j for j in range(k + 1)]
+    else:
+        d = p - p.mean(axis=0)
+        theta = np.arctan2(d[:, 1], d[:, 0])
+        cols = [np.ones(len(p))]
+        for j in range(1, (k + 1) // 2 + 1):
+            cols += [np.cos(j * theta), np.sin(j * theta)]
+        cols = cols[:k + 1]
+    cols.append(np.random.default_rng(0).standard_normal(len(p)))
+    return np.column_stack(cols)
+
+
+def _orthonormalize(W, V, MV, Mbb):
+    """(Q, M_bb Q): an M_bb-orthonormal basis of W's columns with the span
+    of the M_bb-orthonormal V (MV = M_bb V) projected out.
+
+    Two sweeps of one block projection against V and Gram-Schmidt among
+    the columns, which resolves each remainder down to rounding relative
+    to its own column (normalising by the Gram matrix would lose all below
+    sqrt(eps)).  The first sweep drops a column whose remainder is at most
+    ``eigen_rtol`` of its norm, a direction V already holds; the second
+    one that loses half its norm, rounding left over from the first.
+    """
+    rows = len(W)
+    floors = DEFAULT_CONFIG.eigen_rtol * np.sqrt(
+        np.einsum("ij,ij->j", W, Mbb @ W))
+    for _ in range(2):
+        MW = Mbb @ W
+        C = MV.T @ W
+        W, MW = W - V @ C, MW - MV @ C
+        Q, MQ = [], []
+        for w, mw, floor in zip(W.T, MW.T, floors):
+            for q, mq in zip(Q, MQ):
+                c = mq @ w
+                w, mw = w - c * q, mw - c * mq
+            norm = math.sqrt(max(w @ mw, 0.0))
+            if norm > floor:
+                Q.append(w / norm)
+                MQ.append(mw / norm)
+        W, MW = (np.array(A).reshape(-1, rows).T for A in (Q, MQ))
+        floors = np.full(len(Q), 0.5)
+    return W, MW
+
+
 def solve_spectrum(sys: AssembledSystem, k: int,
                    metadata: dict | None = None) -> SteklovSpectrum:
-    """k+1 smallest eigenpairs of K u = sigma M_b u by shift-invert Lanczos.
+    """k+1 smallest eigenpairs of K u = sigma M_b u by block shift-invert
+    Krylov.
 
     For a shift s < 0, K - s M_b is positive definite (K is semidefinite
     and M_b is positive on its kernel; K alone is definite for the modes
@@ -131,13 +191,19 @@ def solve_spectrum(sys: AssembledSystem, k: int,
     fill-reducing order (minimum degree on A^T + A) and diagonal pivots,
     and the eigenvalues nearest s are the smallest.  s = -1/extent scales
     with the domain as the spectrum does (sigma(t Omega) = sigma(Omega)/t).
-    M_b vanishes off the boundary, so the Lanczos vectors hold boundary
-    entries only: the operator scatters them into a zero vector, solves
-    and gathers the boundary rows, with M_bb as inner product.  Ritz
-    residuals stop at ``eigen_rtol``, late enough for rounding to bring in
-    the second copy of a repeated eigenvalue.  The start vector is fixed, so
-    repeated solves agree bit for bit, and the basis is capped at the
-    boundary size.  Returns the M_bb-orthonormal boundary traces.
+    M_b vanishes off the boundary, so the operator (K - s M_b)^{-1} M_b
+    sees boundary entries only: a block of boundary vectors is scattered
+    into zero columns, back-solved in one multi-right-hand-side solve and
+    gathered, with M_bb as inner product.  The basis grows from
+    ``_start_block`` by the images of its newest block, projected and
+    M_bb-orthonormalised (``_orthonormalize``), and Rayleigh-Ritz over the
+    whole basis stops once the seeded start column has been multiplied and
+    every wanted shift-invert residual is at most ``eigen_rtol`` times its
+    Ritz value mu = 1/(sigma - s).  A block holds every copy of a repeated
+    eigenvalue from the start.  A basis that reaches the boundary size or
+    stops growing before that raises ``FactorizationError``.  The start is
+    fixed, so repeated solves agree bit for bit.  Returns the
+    M_bb-orthonormal boundary traces.
     """
     b = sys.boundary_index
     nb = len(b)
@@ -146,29 +212,42 @@ def solve_spectrum(sys: AssembledSystem, k: int,
             f"requested {k + 1} eigenvalues from a {nb}-node boundary")
     K, Mb, shift = sys.stiffness, sys.boundary_mass, -1.0 / sys.extent
     Mbb = Mb[np.ix_(b, b)].tocsr()
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])[b]
-    full = np.zeros(K.shape[0])
-
-    def op_inv(y):
-        full[b] = y.ravel()
-        return lu.solve(full)[b]
-
     try:
         lu = spla.splu((K - shift * Mb).tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        # shift-invert mode applies only OPinv and M, never A: Mbb stands
-        # in for A's shape and type
-        vals, vecs = spla.eigsh(
-            Mbb, k + 1, M=Mbb, sigma=shift, which="LM", v0=v0,
-            ncv=min(nb, max(2 * k + 3, 20)), tol=DEFAULT_CONFIG.eigen_rtol,
-            OPinv=spla.LinearOperator((nb, nb), op_inv, dtype=K.dtype))
     except RuntimeError as exc:
-        raise FactorizationError(f"shift-invert eigensolve failed: {exc}") \
+        raise FactorizationError(f"shift-invert factorization failed: {exc}") \
             from exc
-    order = np.argsort(vals)
-    return SteklovSpectrum(eigenvalues=vals[order],
-                           boundary_eigenvectors=vecs[:, order],
+    rtol = DEFAULT_CONFIG.eigen_rtol
+    V = MV = AV = np.empty((nb, 0))
+    new, Mnew = _orthonormalize(_start_block(sys, k), V, MV, Mbb)
+    start = new.shape[1]
+    while True:
+        full = np.zeros((K.shape[0], new.shape[1]))
+        full[b] = Mnew
+        V, MV = np.hstack([V, new]), np.hstack([MV, Mnew])
+        AV = np.hstack([AV, lu.solve(full)[b]])
+        H = MV.T @ AV
+        mu, Y = np.linalg.eigh(0.5 * (H + H.T))
+        mu, Y = mu[-k - 1:], Y[:, -k - 1:]
+        X = V @ Y
+        R = AV @ Y - X * mu
+        res = np.sqrt(np.einsum("ij,ij->j", R, Mbb @ R))
+        # the seeded column is multiplied at least once (unless the start
+        # spans every boundary vector): smooth columns that are exact
+        # eigenvectors converge at once, before anything else could show
+        grown = V.shape[1] > start or V.shape[1] == nb
+        if grown and np.all(res <= rtol * mu):
+            break
+        new, Mnew = _orthonormalize(AV[:, -new.shape[1]:], V, MV, Mbb)
+        new, Mnew = new[:, :nb - V.shape[1]], Mnew[:, :nb - V.shape[1]]
+        if not new.shape[1]:
+            raise FactorizationError(
+                f"block Krylov basis stalled at {V.shape[1]} of {nb} "
+                f"columns with residual {np.max(res / mu):.1e}")
+    return SteklovSpectrum(eigenvalues=(shift + 1.0 / mu)[::-1],
+                           boundary_eigenvectors=X[:, ::-1],
                            metadata=dict(metadata or {}))
 
 

@@ -10,12 +10,14 @@ DOP853 at rtol 1e-13 from its own two-term series, restarting at every
 node of a weight table so that no step straddles a kink of phi'; it
 shares no code with the package's collocation or shooting paths.
 
-The dense Dirichlet-to-Neumann reduction reduces an assembled P1 pencil
-to its boundary Schur complement and solves that small pencil with a
-dense symmetric-definite ``eigh``; it checks the package's sparse
-shift-invert solve on the same matrices by a different method, and for a
-solid every eigenvalue of every mode, merged, checks which of them the
-package asks each mode for.
+The dense reductions of an assembled P1 pencil to its boundary solve it
+with a dense symmetric-definite ``eigh``: the eigenvalues come from the
+boundary block of the shifted inverse, the traces are checked against
+the boundary Schur complement.  They check the package's block Krylov
+solve on the same matrices by a different method, and for a solid every
+eigenvalue of every mode, merged, checks which of them the package asks
+each mode for.  ARPACK's single-vector shift-invert Lanczos, the
+package's solver before the block method, checks it per level.
 
 The per-integrand radial quadrature sums a fixed 40-point Gauss-Legendre
 rule over uniform panels of [0, R], evaluating the radial solution afresh
@@ -144,9 +146,64 @@ def dtn_reduce(sys):
     return S, 0.5 * (Mb + Mb.T)
 
 
+def _dense_eigenvalues(sys):
+    """Every eigenvalue sigma of the reduced pencil, ascending, from the
+    dense inverse side: with T the boundary block of (K - s M_b)^{-1} at
+    s = -1/extent, M_bb T M_bb x = mu M_bb x has mu = 1/(sigma - s).
+
+    The Schur complement S cancels O(1/h) entries down to O(1) and leaves
+    up to 4e-13 sigma_1 of rounding in the small eigenvalues; T has no
+    such cancellation.  T is solved with the package's factor order
+    (minimum degree on A^T + A, diagonal pivots): another order rounds the
+    pencil differently and moves its small eigenvalues by up to 1.3e-13
+    sigma_1 on the standard disks, so the factor is shared input and the
+    check is of the eigensolve."""
+    b = sys.boundary_index
+    n, nb = sys.stiffness.shape[0], len(b)
+    shift = -1.0 / sys.extent
+    lu = spla.splu((sys.stiffness - shift * sys.boundary_mass).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    unit = np.zeros((n, nb))
+    unit[b, np.arange(nb)] = 1.0
+    T = lu.solve(unit)[b]
+    Mbb = sys.boundary_mass[np.ix_(b, b)].toarray()
+    Mbb = 0.5 * (Mbb + Mbb.T)
+    A = Mbb @ (0.5 * (T + T.T)) @ Mbb
+    mu = eigh(0.5 * (A + A.T), Mbb, eigvals_only=True)
+    return np.sort(shift + 1.0 / mu)
+
+
 def dense_spectrum(sys, k):
     """sigma_0..sigma_k of the reduced pencil by a dense eigh."""
-    return eigh(*dtn_reduce(sys), eigvals_only=True)[:k + 1]
+    return _dense_eigenvalues(sys)[:k + 1]
+
+
+def lanczos_spectrum(sys, k):
+    """sigma_0..sigma_k of an assembled P1 pencil by ARPACK's single-vector
+    shift-invert Lanczos (``eigsh``) at residual 1e-14, on boundary vectors
+    with M_bb as inner product and the same shift -1/extent and factor
+    order as the package's block solve."""
+    b = sys.boundary_index
+    nb, n = len(b), sys.stiffness.shape[0]
+    K, Mb, shift = sys.stiffness, sys.boundary_mass, -1.0 / sys.extent
+    Mbb = Mb[np.ix_(b, b)].tocsr()
+    lu = spla.splu((K - shift * Mb).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    full = np.zeros(n)
+
+    def op_inv(y):
+        full[b] = y.ravel()
+        return lu.solve(full)[b]
+
+    # shift-invert mode applies only OPinv and M, never A: Mbb stands in
+    # for A's shape and type
+    vals = spla.eigsh(
+        Mbb, k + 1, M=Mbb, sigma=shift, which="LM",
+        v0=np.random.default_rng(0).standard_normal(n)[b],
+        ncv=min(nb, max(2 * k + 3, 20)), tol=1e-14, return_eigenvectors=False,
+        OPinv=spla.LinearOperator((nb, nb), op_inv, dtype=K.dtype))
+    return np.sort(vals)
 
 
 def dense_axisym_spectrum(mode_systems, k):
@@ -155,7 +212,7 @@ def dense_axisym_spectrum(mode_systems, k):
     once for m = 0 and twice for m >= 1."""
     entries = sorted((float(v), m, copy)
                      for m, sys in enumerate(mode_systems)
-                     for v in eigh(*dtn_reduce(sys), eigvals_only=True)
+                     for v in _dense_eigenvalues(sys)
                      for copy in range(1 if m == 0 else 2))[:k + 1]
     return np.array([e[0] for e in entries]), [e[1] for e in entries]
 

@@ -181,6 +181,30 @@ def test_tabulated_beta_frozen(form, expected):
         shoot_beta(form.dim, form.kappa, dphi, 1.0, breaks=w.grid_t), rel=1e-9)
 
 
+@pytest.mark.parametrize("form, t_end", [(E2, 1.0), (H3, 1.2)],
+                         ids=["E2", "H3-extended"])
+def test_dense_evaluator_is_scipys_bit_for_bit(monkeypatch, form, t_end):
+    """The DOP853 evaluator gathers every step's dense-output piece once and
+    runs scipy's segment choice and Horner sequence on all points together;
+    it returns exactly ``OdeSolution``'s values on the report grid and on
+    the Gauss nodes of the G/H integrals.  Tabulated beta is rounding-chaotic
+    at 1e-9, so reordering even one sum would move recorded values."""
+    runs = []
+    orig = radial.solve_ivp
+    monkeypatch.setattr(radial, "solve_ivp",
+                        lambda *a, **k: runs.append(orig(*a, **k)) or runs[-1])
+    sol = solve_mode(form, RadialWeight.tabulated(*concave_table()), 1, 1.0,
+                     t_end=t_end)
+    ode, dense, nodes = runs[-1].sol, sol._dense, []
+    sol._dense = lambda t: nodes.append(t) or dense(t)
+    ball_gh_integrals(sol)
+    nodes = np.concatenate(nodes)
+    nodes = nodes[nodes >= sol.grid[0]]
+    assert len(nodes) > 500
+    for t in (sol.grid, nodes):
+        assert np.array_equal(dense(t), ode(t))
+
+
 def test_tabulated_weight_rejects_queries_past_its_grid():
     w = RadialWeight.tabulated(*concave_table())    # grid ends at 1.25
     with pytest.raises(DomainError):
