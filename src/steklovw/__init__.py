@@ -11,8 +11,8 @@ from .geometry import (Curvature, DomainError, QuadratureError, RadialWeight,
                        ball_weighted_volume, c_kappa, conformal_factor,
                        poincare_distance, s_kappa, unit_sphere_area,
                        validate_property_i)
-from .mesh2d import (Domain2D, MeshQualityError, TriMesh, generate_mesh,
-                     mesh_measures, refine)
+from .mesh2d import (Domain2D, MeridianDomain, MeshQualityError, TriMesh,
+                     generate_mesh, mesh_measures, refine)
 from .radial import (AdmissibilityError, BallSigma1, GHProfile,
                      IntegrationError, NonPositiveSolutionError,
                      RadialSolution, ball_gh_integrals, ball_spectrum,
@@ -20,8 +20,7 @@ from .radial import (AdmissibilityError, BallSigma1, GHProfile,
                      sigma1_ball, solve_mode)
 from .spectrum import SteklovSpectrum
 from .steklov2d import (AssembledSystem, FactorizationError, assemble,
-                        domain_spectrum, solve_spectrum)
-from .axisym3d import MeridianDomain, assemble_mode, solve_axisym_spectrum
+                        assemble_mode, domain_spectrum, solve_spectrum)
 from .verify import (BracketError, ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
                      match_radius, proof_chain_check, question_a_report,

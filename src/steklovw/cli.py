@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .axisym3d import MeridianDomain
 from .config import DEFAULT_CONFIG
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from .mesh2d import Domain2D
+from .mesh2d import Domain2D, MeridianDomain
 from .radial import sigma1_ball
 from .verify import (MeshHierarchy, brock_report, convergence_study,
                      proof_chain_check, question_a_report)

@@ -2,10 +2,12 @@
 
 Meshes come from a mapped polar grid: rings at radius fractions j/M along
 N rays, scaled by the boundary radius function of the domain, with a
-triangle fan at the center (a closed fan for planar domains, an open one
-for the meridian of a solid).  Refinement is a uniform 4-way split with new
-boundary midpoints re-projected onto the exact boundary curve.  The FEM
-models differ only in the ``Measure`` that ``measure`` picks for a form.
+triangle fan at the center: a closed fan for a planar ``Domain2D``, an
+open one for the ``MeridianDomain`` half-section of a solid of revolution,
+whose flat side is the symmetry axis.  Refinement is a uniform 4-way split
+with new boundary midpoints re-projected onto the exact boundary curve.
+The FEM models differ only in the ``Measure`` that ``measure`` picks for a
+form.
 """
 from __future__ import annotations
 
@@ -22,6 +24,18 @@ from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
 
 class MeshQualityError(ValueError):
     """Triangle quality below the fixed floor (increase M, N)."""
+
+
+def _check_star(radius: float, eps: float = 0.0, k: int = 1) -> None:
+    """A perturbed disk or ball radius (1 + eps cos(k angle)) stays a
+    positive, star-shaped radial function."""
+    if radius <= 0:
+        raise DomainError("radius must be positive")
+    if not 1 <= k < math.inf:
+        raise DomainError("perturbation frequency k must be >= 1 and finite")
+    if abs(eps) * k >= 1.0:
+        raise DomainError(
+            f"|eps|*k = {abs(eps) * k:g} >= 1 breaks star-shapedness")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +64,7 @@ class Domain2D:
     # -- constructors -------------------------------------------------
     @staticmethod
     def disk(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
-        if radius <= 0:
-            raise DomainError("disk radius must be positive")
+        _check_star(radius)
         return Domain2D(kind="disk", radius=float(radius),
                         center_offset=(float(center[0]), float(center[1])))
 
@@ -66,13 +79,7 @@ class Domain2D:
     @staticmethod
     def perturbed_disk(radius: float, eps: float, k: int,
                        center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
-        if radius <= 0:
-            raise DomainError("radius must be positive")
-        if not 1 <= k < math.inf:
-            raise DomainError("perturbation frequency k must be >= 1 and finite")
-        if abs(eps) * k >= 1.0:
-            raise DomainError(
-                f"|eps|*k = {abs(eps) * k:g} >= 1 breaks star-shapedness")
+        _check_star(radius, eps, k)
         return Domain2D(kind="perturbed_disk", radius=float(radius),
                         eps=float(eps), k=int(k),
                         center_offset=(float(center[0]), float(center[1])))
@@ -163,6 +170,98 @@ class Domain2D:
         if self.kind == "perturbed_disk":
             return self.eps == 0.0
         return False
+
+
+@dataclass(frozen=True, eq=False)
+class MeridianDomain:
+    """Axisymmetric solid, given by the shape of its meridian half-section
+    in the (r, z) half-plane."""
+
+    kind: str                 # ball | spheroid | perturbed_ball
+    R: float = 1.0
+    a: float = 1.0
+    c: float = 1.0
+    eps: float = 0.0
+    k: int = 0
+
+    center = (0.0, 0.0)       # rays of the meridian fan start at the origin
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.R, self.a, self.c, self.eps])):
+            raise DomainError(f"{self.kind} parameters must be finite")
+
+    # -- constructors ---------------------------------------------------
+    @staticmethod
+    def ball(R: float) -> "MeridianDomain":
+        _check_star(R)
+        return MeridianDomain(kind="ball", R=float(R))
+
+    @staticmethod
+    def spheroid(a: float, c: float) -> "MeridianDomain":
+        """Boundary (r/a)^2 + (z/c)^2 = 1."""
+        if a <= 0 or c <= 0:
+            raise DomainError("spheroid semi-axes must be positive")
+        return MeridianDomain(kind="spheroid", a=float(a), c=float(c))
+
+    @staticmethod
+    def perturbed_ball(R: float, eps: float, k: int) -> "MeridianDomain":
+        """Polar boundary radius R (1 + eps cos(k theta_colat))."""
+        _check_star(R, eps, k)
+        return MeridianDomain(kind="perturbed_ball", R=float(R),
+                              eps=float(eps), k=int(k))
+
+    # -- geometry ---------------------------------------------------------
+    def fan(self, sectors: int) -> tuple[np.ndarray, bool]:
+        """The open meridian fan: sectors + 1 rays over [-pi/2, pi/2]."""
+        N = int(sectors)
+        if N < 4:
+            raise DomainError("meridian mesh needs sectors >= 4")
+        return -math.pi / 2.0 + math.pi * np.arange(N + 1) / N, False
+
+    def curved_edges(self, mesh: TriMesh) -> np.ndarray:
+        return outer_edges(mesh)
+
+    def boundary_radius(self, alpha) -> np.ndarray:
+        """Boundary distance along the ray at angle alpha from the +r axis."""
+        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        if self.kind == "ball":
+            return np.full_like(alpha, self.R)
+        if self.kind == "spheroid":
+            if self.a == self.c:
+                return np.full_like(alpha, self.a)
+            return 1.0 / np.sqrt((np.cos(alpha) / self.a) ** 2
+                                 + (np.sin(alpha) / self.c) ** 2)
+        colat = math.pi / 2.0 - alpha
+        return self.R * (1.0 + self.eps * np.cos(self.k * colat))
+
+    @property
+    def label(self) -> str:
+        if self.kind == "ball":
+            return f"ball(R={self.R:g})"
+        if self.kind == "spheroid":
+            return f"spheroid(a={self.a:g},c={self.c:g})"
+        return f"pball(R={self.R:g},eps={self.eps:g},k={self.k})"
+
+    def is_centered_ball(self) -> bool:
+        if self.kind == "ball":
+            return True
+        if self.kind == "spheroid":
+            return self.a == self.c
+        return self.eps == 0.0
+
+
+def axis_nodes(mesh: TriMesh) -> np.ndarray:
+    """Vertices of a meridian mesh on the symmetry axis (r = 0 exactly)."""
+    return np.nonzero(mesh.vertices[:, 0] == 0.0)[0]
+
+
+def outer_edges(mesh: TriMesh) -> np.ndarray:
+    """Boundary edges of a meridian mesh off the axis (an endpoint at r > 0):
+    the Steklov boundary of a solid."""
+    v = mesh.vertices
+    be = mesh.boundary_edges
+    on_axis = (v[be[:, 0], 0] == 0.0) & (v[be[:, 1], 0] == 0.0)
+    return be[~on_axis]
 
 
 @dataclass(eq=False)

@@ -206,7 +206,7 @@ def _shoot(form, w, i, R, t_end, lead):
 @dataclass
 class RadialSolution:
     """Sampled trajectory of one radial mode plus its shooting eigenvalue;
-    ``_dense`` maps distance arrays in [0, t_end] to the rows (T, T')."""
+    ``sol(t)`` evaluates the rows (T, T') at distances t in [0, t_end]."""
 
     form: SpaceForm
     weight: RadialWeight
@@ -219,11 +219,8 @@ class RadialSolution:
     beta: float
     _dense: object = field(default=None, repr=False)
 
-    def T_at(self, t) -> np.ndarray:
-        return self._dense(np.atleast_1d(np.asarray(t, dtype=float)))[0]
-
-    def Tprime_at(self, t) -> np.ndarray:
-        return self._dense(np.atleast_1d(np.asarray(t, dtype=float)))[1]
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self._dense(np.atleast_1d(np.asarray(t, dtype=float))))
 
 
 def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
@@ -297,7 +294,7 @@ def ball_gh_integrals(sol: RadialSolution) -> tuple[float, float]:
     form, w = sol.form, sol.weight
 
     def gh(t):
-        T, dT = sol._dense(t)
+        T, dT = sol(t)
         return np.stack([g_values(form, w, t, T, dT), h_values(form, w, t, T, dT)])
     ig, ih = ball_weighted_volume(form, w, sol.R, gh)
     return ig, ih
@@ -326,10 +323,10 @@ class BallSigma1:
         v1_at_R = (form.dim - 1) / s_kappa(form, R) ** 2
 
         def frozen_h(t):
-            T, dT = sol._dense(t)
+            T, dT = sol(t)
             return dT * dT + v1_at_R * T * T
         return ball_weighted_volume(form, w, R, frozen_h) / (
-            sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R))
+            sol(R)[0][0] ** 2 * ball_boundary_weighted_measure(form, w, R))
 
 
 def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
@@ -340,7 +337,7 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
     """
     sol = solve_mode(form, w, 1, R, waive_admissibility=waive_admissibility)
     _, ih = ball_gh_integrals(sol)
-    integral_value = ih / (sol.T_at(R)[0] ** 2
+    integral_value = ih / (sol(R)[0][0] ** 2
                            * ball_boundary_weighted_measure(form, w, R))
     rel = abs(sol.beta - integral_value) / abs(sol.beta)
     warn_tol = DEFAULT_CONFIG.identity_warn_tol

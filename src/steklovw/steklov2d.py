@@ -2,12 +2,15 @@
 
 The weak form pairs the weighted Dirichlet energy against the weighted
 boundary mass.  One assembler serves every model: the plane, the
-Poincare disk and the azimuthal modes of an axisymmetric solid differ only
-in the ``Measure`` densities (see ``mesh2d.measure``), plus an m^2/r^2
-term and an axis condition for the modes m >= 1.  The sparse pencil
-K u = sigma M_b u is solved by block shift-invert Krylov on boundary
-vectors; its finite eigenvalues are those of the Dirichlet-to-Neumann map,
-since M_b vanishes off the boundary.
+Poincare disk and the meridian of an axisymmetric solid differ only in
+the ``Measure`` densities (see ``mesh2d.measure``).  A solid separates
+into azimuthal Fourier modes u = U(r, z) e^{i m theta}; its mode-0 system
+carries the e^{-phi}/r block that m^2 times adds to the stiffness of mode
+m, whose axis nodes are removed (u = 0 there for m >= 1).  Mode
+eigenvalues enter a solid's spectrum once for m = 0 and twice for m >= 1.
+The sparse pencil K u = sigma M_b u is solved by block shift-invert Krylov
+on boundary vectors; its finite eigenvalues are those of the
+Dirichlet-to-Neumann map, since M_b vanishes off the boundary.
 """
 from __future__ import annotations
 
@@ -20,9 +23,13 @@ import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_CONFIG
 from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from .mesh2d import (_GAUSS2, Measure, TriMesh, boundary_gauss_points,
-                     measure)
+from .mesh2d import (_GAUSS2, MERIDIAN, TriMesh, axis_nodes,
+                     boundary_gauss_points, measure, outer_edges)
 from .spectrum import SteklovSpectrum
+
+# Azimuthal modes solved for a solid's merged spectrum.
+MODES = (0, 1, 2)
+_SOLID = SpaceForm(Curvature.EUCLIDEAN, 3)
 
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 2 / 3, 1 / 6],
@@ -52,15 +59,26 @@ class AssembledSystem:
     mode: int = 0
 
 
-def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
-                edges: np.ndarray, azimuthal: bool = False) -> AssembledSystem:
-    """Weighted stiffness K and boundary mass M_b of one P1 pencil.
+def assemble(mesh: TriMesh, form: SpaceForm,
+             w: RadialWeight) -> AssembledSystem:
+    """Weighted stiffness K and boundary mass M_b of the P1 pencil of the
+    model ``measure(form)`` on a 2-D mesh.
 
     K: e^{-phi} grad u . grad v times the stiffness density, weight at the
-    centroid; with ``azimuthal`` the block e^{-phi} u v / r of a solid's
-    modes comes along, on three interior points.  M_b: e^{-phi} u v times
-    the length density on the Steklov ``edges``, 2-point Gauss.
+    centroid.  M_b: e^{-phi} u v times the length density on the Steklov
+    edges, 2-point Gauss: the boundary loop in the plane, the
+    ``outer_edges`` of a meridian.  A meridian's system also carries the
+    azimuthal block e^{-phi} u v / r of its modes, on three interior points.
     """
+    meas = measure(form)
+    solid = meas is MERIDIAN
+    if form.curvature is Curvature.HYPERBOLIC:
+        rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
+        margin = DEFAULT_CONFIG.hyperbolic_margin
+        if rmax > 1.0 - margin:
+            raise DomainError(
+                f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
+                f"1 - {margin:g}")
     nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
     d1 = p[:, 1] - p[:, 0]
@@ -87,7 +105,7 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
     csr = lambda data: sp.coo_matrix((data.ravel(), (rows, cols)),
                                      shape=(nv, nv)).tocsr()
     K, R = csr(local), None
-    if azimuthal:
+    if solid:
         qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
         r_q = qpts[:, :, 0]
         if np.any(r_q <= 0.0):
@@ -95,6 +113,7 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
         f_q = np.exp(-w.phi(meas.dist(qpts))) / r_q
         R = csr(((areas / 3.0)[:, None] * f_q) @ _BARY3_OUTER)
 
+    edges = outer_edges(mesh) if solid else mesh.boundary_edges
     pts, wts = boundary_gauss_points(mesh, edges)  # (B,2,2), (B,2)
     f = np.exp(-w.phi(meas.dist(pts))) * meas.length(pts)
     shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0],
@@ -111,19 +130,25 @@ def assemble_p1(mesh: TriMesh, meas: Measure, w: RadialWeight,
                            boundary_points=mesh.vertices[b], azimuthal=R)
 
 
-def assemble(mesh: TriMesh, form: SpaceForm,
-             w: RadialWeight) -> AssembledSystem:
-    """Assemble weighted stiffness K and boundary mass M_b on a 2-D mesh."""
-    if form.dim != 2:
-        raise DomainError("steklov2d assembles 2-D problems only")
-    if form.curvature is Curvature.HYPERBOLIC:
-        rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
-        margin = DEFAULT_CONFIG.hyperbolic_margin
-        if rmax > 1.0 - margin:
-            raise DomainError(
-                f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
-                f"1 - {margin:g}")
-    return assemble_p1(mesh, measure(form), w, mesh.boundary_edges)
+def _mode(sys: AssembledSystem, m: int, axis: np.ndarray) -> AssembledSystem:
+    """Mode m >= 1 of the mode-0 system ``sys``: m^2 azimuthal blocks added
+    and the ``axis`` nodes (u = 0 there) removed."""
+    keep = np.setdiff1d(np.arange(sys.stiffness.shape[0]), axis)
+    sub = lambda A: A[np.ix_(keep, keep)].tocsr()
+    off_axis = ~np.isin(sys.boundary_index, axis)
+    return AssembledSystem(
+        sub(sys.stiffness + (m * m) * sys.azimuthal), sub(sys.boundary_mass),
+        np.searchsorted(keep, sys.boundary_index[off_axis]), sys.extent,
+        sys.boundary_points[off_axis], mode=m)
+
+
+def assemble_mode(mesh: TriMesh, w: RadialWeight, m: int) -> AssembledSystem:
+    """Mode-m stiffness and outer-boundary mass of a meridian mesh, axis dofs
+    removed for m >= 1."""
+    if m < 0:
+        raise DomainError("azimuthal mode must be >= 0")
+    sys = assemble(mesh, _SOLID, w)
+    return _mode(sys, m, axis_nodes(mesh)) if m else sys
 
 
 def _start_block(sys: AssembledSystem, k: int) -> np.ndarray:
@@ -253,16 +278,27 @@ def solve_spectrum(sys: AssembledSystem, k: int,
 
 def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
                     k: int) -> SteklovSpectrum:
-    """Assemble and solve one mesh; attaches mesh/weight metadata."""
+    """sigma_0..sigma_k of one mesh, assembled once, with mesh/weight
+    metadata.
+
+    A planar or Poincare-disk pencil is solved as it stands, traces
+    included.  A solid merges its azimuthal ``MODES``, each m >= 1 counted
+    twice: mode 0 is asked for k+1 eigenvalues and each m >= 1 for
+    ceil((k+1)/2), all it can place among the first k+1.
+    """
     sys = assemble(mesh, form, w)
-    meta = {
-        "h": mesh.h,
-        "curvature": form.curvature.label,
-        "n": form.dim,
-        "weight": w.label,
-        "vertices": len(mesh.vertices),
-        "boundary_nodes": len(sys.boundary_index),
-    }
+    meta = {"h": mesh.h, "curvature": form.curvature.label, "n": form.dim,
+            "weight": w.label, "vertices": len(mesh.vertices),
+            "boundary_nodes": len(sys.boundary_index)}
     if mesh.domain is not None:
         meta["domain"] = mesh.domain.label
-    return solve_spectrum(sys, k, metadata=meta)
+    if sys.azimuthal is None:
+        return solve_spectrum(sys, k, metadata=meta)
+    axis, entries = axis_nodes(mesh), []
+    for m in MODES:
+        mode, mult = (sys, 1) if m == 0 else (_mode(sys, m, axis), 2)
+        for val in solve_spectrum(mode, k // mult).eigenvalues:
+            entries += [(float(val), m, copy) for copy in range(mult)]
+    entries = sorted(entries)[:k + 1]
+    return SteklovSpectrum(eigenvalues=np.array([e[0] for e in entries]),
+                           modes=[e[1] for e in entries], metadata=meta)

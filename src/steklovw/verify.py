@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .axisym3d import MeridianDomain, solve_axisym_spectrum
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        ball_weighted_volume, validate_property_i)
-from .mesh2d import (Domain2D, integrate_boundary_weighted,
-                     integrate_weighted, measure, mesh_levels)
+from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain,
+                     integrate_boundary_weighted, integrate_weighted, measure,
+                     mesh_levels)
 from .radial import (AdmissibilityError, ball_gh_integrals, g_values,
                      h_values, sigma1_ball, solve_mode)
 from .spectrum import SteklovSpectrum
@@ -112,8 +112,9 @@ def richardson(values) -> Extrapolation:
 class MeshHierarchy:
     """Refinement levels of a planar domain or a solid, coarse to fine.
 
-    The one place that picks the mesh: both domain kinds are meshed here
-    by ``mesh_levels`` from their shape at ``rings`` x ``sectors``
+    The one place that picks the mesh: the space form's model
+    (``measure``) takes a ``Domain2D`` in E2 and H2 and a ``MeridianDomain``
+    in E3, meshed here by ``mesh_levels`` at ``rings`` x ``sectors``
     (``None`` means 64 rays for a planar fan, 32 for a meridian half-fan),
     each on the fan its shape states.  Quadrature runs on ``meshes``;
     ``extrapolate`` walks the levels and ``matched_radius`` picks the
@@ -124,31 +125,22 @@ class MeshHierarchy:
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
                  sectors: int | None = None, levels: int = 3):
-        if form.curvature is Curvature.SPHERICAL_CAP:
-            raise DomainError(
-                "inequality verification covers curvature 0 and -1 only")
+        meas = measure(form)         # no mesh model for S^n, H^3 or n >= 4
+        shape = MeridianDomain if meas is MERIDIAN else Domain2D
+        if not isinstance(dom, shape):
+            raise DomainError(f"the {form.label} model meshes a "
+                              f"{shape.__name__}, not a {type(dom).__name__}")
         self.domain = dom
         self.form = form
         if sectors is None:
-            sectors = 64 if form.dim == 2 else 32
-        if isinstance(dom, Domain2D):
-            if form.dim != 2:
-                raise DomainError("planar domains require a 2-D space form")
-        elif isinstance(dom, MeridianDomain):
-            if form.dim != 3 or form.curvature is not Curvature.EUCLIDEAN:
-                raise DomainError("axisymmetric domains require Euclidean n = 3")
-        else:
-            raise DomainError(f"unsupported domain type {type(dom).__name__}")
+            sectors = 32 if shape is MeridianDomain else 64
         self.meshes = mesh_levels(dom, rings, sectors, levels)
-        dist = measure(form).dist(self.meshes[-1].vertices)
+        dist = meas.dist(self.meshes[-1].vertices)
         self.t_max = max(float(np.max(dist)), 1e-6)
 
     def spectrum(self, level: int, w: RadialWeight, k: int) -> SteklovSpectrum:
         """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
-        mesh = self.meshes[level]
-        if self.form.dim == 2:
-            return domain_spectrum(mesh, self.form, w, k)
-        return solve_axisym_spectrum(mesh, w, k)
+        return domain_spectrum(self.meshes[level], self.form, w, k)
 
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
         return [self.spectrum(i, w, k) for i in range(len(self.meshes))]
@@ -504,17 +496,17 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
                      waive_admissibility=waive_admissibility)
 
     # The capped profile keeps T frozen at T(R) and T' = 0 beyond R.
-    TR = sol.T_at(R)[0]
+    TR = sol(R)[0][0]
 
     def squares(t):
         """T^2, then the capped T^2, at distances t."""
-        T = sol.T_at(t)
+        T = sol(t)[0]
         return np.stack([T, np.where(t <= R, T, TR)]) ** 2
 
     def profiles(t):
         """G and H along the mode-1 solution at distances t, then both
         along the capped profile."""
-        T, dT = sol.T_at(t), sol.Tprime_at(t)
+        T, dT = sol(t)
         Tc, dTc = np.where(t <= R, T, TR), np.where(t <= R, dT, 0.0)
         return np.stack([g_values(form, w, t, T, dT),
                          h_values(form, w, t, T, dT),

@@ -21,7 +21,7 @@ package's solver before the block method, checks it per level.
 
 The per-integrand radial quadrature sums a fixed 40-point Gauss-Legendre
 rule over uniform panels of [0, R], evaluating the radial solution afresh
-for each integral through its public ``T_at``/``Tprime_at``; it checks the
+for each integral through its public evaluator ``sol(t)``; it checks the
 package's ball integrals of G, H and the frozen-boundary profile, which
 run on the adaptive panel rule of ``geometry.ball_weighted_volume``.
 
@@ -245,7 +245,7 @@ def radial_integral(sol, values_fn):
     edges = np.linspace(0.0, sol.R, 33)
     half = 0.5 * np.diff(edges)
     ts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
-    T, dT = sol.T_at(ts), sol.Tprime_at(ts)
+    T, dT = sol(ts)
     s = {0: ts.copy(), -1: np.sinh(ts), 1: np.sin(ts)}[form.kappa]
     integrand = values_fn(ts, T, dT) * s ** (n - 1) * np.exp(-w.phi(ts))
     body = float(np.sum(half * (integrand @ wts)))

@@ -12,10 +12,9 @@ from scipy.integrate import cumulative_trapezoid
 
 import oracles
 
-from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import (Curvature, RadialWeight, SpaceForm,
                                validate_property_i)
-from steklovw.mesh2d import Domain2D
+from steklovw.mesh2d import Domain2D, MeridianDomain
 from steklovw.radial import (check_gh_monotonicity, compute_gh, sigma1_ball,
                              solve_mode)
 from steklovw.verify import (MeshHierarchy, brock_report, convergence_study,

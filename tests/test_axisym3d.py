@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import dense_axisym_spectrum
-from steklovw.axisym3d import (MODES, MeridianDomain, assemble_mode,
-                               axis_nodes, outer_edges, solve_axisym_spectrum)
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume)
-from steklovw.mesh2d import (TriMesh, boundary_gauss_points, generate_mesh,
+from steklovw.mesh2d import (MeridianDomain, TriMesh, axis_nodes,
+                             boundary_gauss_points, generate_mesh,
                              integrate_weighted, mesh_levels, mesh_measures,
-                             refine)
+                             outer_edges, refine)
 from steklovw.radial import sigma1_ball
+from steklovw.steklov2d import MODES, assemble_mode, domain_spectrum
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 W0 = RadialWeight.constant()
@@ -93,7 +93,7 @@ def test_mode1_drops_axis_dofs():
 
 
 def test_unit_ball_triple_eigenvalue(ball_fine):
-    spec = solve_axisym_spectrum(ball_fine, W0, 6)
+    spec = domain_spectrum(ball_fine, E3, W0, 6)
     vals = spec.eigenvalues
     assert abs(vals[0]) < 1e-10
     assert np.allclose(vals[1:4], 1.0, rtol=1.5e-2)
@@ -102,14 +102,14 @@ def test_unit_ball_triple_eigenvalue(ball_fine):
 
 
 def test_m1_lowest_appears_twice(ball_fine):
-    spec = solve_axisym_spectrum(ball_fine, RadialWeight.linear(0.5), 6)
+    spec = domain_spectrum(ball_fine, E3, RadialWeight.linear(0.5), 6)
     m1_vals = [v for v, m in zip(spec.eigenvalues, spec.modes) if m == 1]
     assert m1_vals[0] == m1_vals[1]
 
 
 def test_weighted_ball_matches_radial(ball_fine):
     w = RadialWeight.linear(0.5)
-    spec = solve_axisym_spectrum(ball_fine, w, 3)
+    spec = domain_spectrum(ball_fine, E3, w, 3)
     target = sigma1_ball(E3, w, 1.0).value
     assert np.allclose(spec.eigenvalues[1:4], target, rtol=1.5e-2)
 
@@ -125,7 +125,7 @@ def test_each_mode_asked_for_its_share(dom):
     want, tags = dense_axisym_spectrum(
         [assemble_mode(mesh, w, m) for m in MODES], 6)
     for k in range(1, 7):
-        spec = solve_axisym_spectrum(mesh, w, k)
+        spec = domain_spectrum(mesh, E3, w, k)
         assert len(spec.eigenvalues) == k + 1
         assert np.max(np.abs(spec.eigenvalues - want[:k + 1])) \
             <= 1e-12 * want[1]
@@ -138,13 +138,13 @@ def test_short_mode_boundary_raises():
     mesh = generate_mesh(MeridianDomain.ball(1.0), 2, 4)
     want, tags = dense_axisym_spectrum(
         [assemble_mode(mesh, W0, m) for m in MODES], 3)
-    spec = solve_axisym_spectrum(mesh, W0, 3)
+    spec = domain_spectrum(mesh, E3, W0, 3)
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * want[1]
     assert spec.modes == tags
     for k in (4, 6):
         with pytest.raises(DomainError, match=f"requested {k + 1} eigenvalues "
                            "from a 5-node boundary"):
-            solve_axisym_spectrum(mesh, W0, k)
+            domain_spectrum(mesh, E3, W0, k)
 
 
 def test_degenerate_spheroid_is_ball():
@@ -156,13 +156,13 @@ def test_degenerate_spheroid_is_ball():
 
 def test_z_reflection_symmetry():
     mesh = generate_mesh(MeridianDomain.spheroid(1.1, 0.9), 6, 24)
-    spec = solve_axisym_spectrum(mesh, RadialWeight.linear(0.5), 6)
+    spec = domain_spectrum(mesh, E3, RadialWeight.linear(0.5), 6)
     flipped = TriMesh(
         vertices=mesh.vertices * np.array([1.0, -1.0]),
         triangles=mesh.triangles[:, ::-1].copy(),   # restore orientation
         boundary_edges=mesh.boundary_edges[:, ::-1].copy(),
         h=mesh.h, domain=mesh.domain)   # the spheroid is z-symmetric
-    spec_f = solve_axisym_spectrum(flipped, RadialWeight.linear(0.5), 6)
+    spec_f = domain_spectrum(flipped, E3, RadialWeight.linear(0.5), 6)
     assert np.allclose(spec.eigenvalues, spec_f.eigenvalues, atol=1e-10)
 
 

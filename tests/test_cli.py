@@ -659,6 +659,16 @@ def test_main_reports_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written, so renamed API cannot
+    leave it stale; its last three lines are the hierarchy's statuses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Library use", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-3:] == ["pass"] * 3
+
+
 def test_readme_example_config_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

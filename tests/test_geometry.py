@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import (Curvature, DomainError, QuadratureError,
                                RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume, c_kappa, conformal_factor,
                                poincare_distance, s_kappa, unit_sphere_area,
                                validate_property_i)
-from steklovw.mesh2d import Domain2D
+from steklovw.mesh2d import Domain2D, MeridianDomain
 from steklovw.radial import sigma1_ball, solve_mode
 from steklovw.verify import match_radius
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from steklovw.axisym3d import MeridianDomain, axis_nodes, outer_edges
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import (Domain2D, MeshQualityError, TriMesh, _max_edge,
-                             generate_mesh, mesh_levels, mesh_measures, refine)
+from steklovw.mesh2d import (Domain2D, MeridianDomain, MeshQualityError,
+                             TriMesh, _max_edge, axis_nodes, generate_mesh,
+                             mesh_levels, mesh_measures, outer_edges, refine)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)

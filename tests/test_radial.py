@@ -130,7 +130,8 @@ def test_collocation_matches_restarted_shooting(form, w, dphi):
             t_end = R + 0.4
             ext = solve_mode(form, w, i, R, t_end=t_end)
             assert ext.beta == beta
-            assert ext.Tprime_at(t_end)[0] / ext.T_at(t_end)[0] == pytest.approx(
+            T, dT = ext(t_end)
+            assert dT[0] / T[0] == pytest.approx(
                 solve_mode(form, w, i, t_end).beta, rel=1e-10)
 
 
@@ -250,7 +251,7 @@ def test_ball_integrals_match_gauss_oracle(form, w):
         h = radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT))
         v1 = (n - 1) / s_kappa(form, R) ** 2
         alt = radial_integral(sol, lambda t, T, dT: dT * dT + v1 * T * T)
-        denom = sol.T_at(R)[0] ** 2 * ball_boundary_weighted_measure(form, w, R)
+        denom = sol(R)[0][0] ** 2 * ball_boundary_weighted_measure(form, w, R)
         assert ball_gh_integrals(sol) == pytest.approx((g, h), rel=1e-12, abs=0.0)
         assert res.integral_value == pytest.approx(h / denom, rel=1e-12, abs=0.0)
         assert res.constant_boundary_eigenvalue_reading == pytest.approx(
@@ -334,8 +335,9 @@ def test_extended_solution_evaluators():
     sol = solve_mode(E2, W0, 1, 1.0, t_end=2.0)
     assert sol.beta == pytest.approx(1.0, rel=1e-9)   # beta taken at R, not t_end
     ts = np.array([5e-5, 0.5, 1.0, 1.7])
-    assert np.allclose(sol.T_at(ts), ts, rtol=1e-8)
-    assert np.allclose(sol.Tprime_at(ts), 1.0, rtol=1e-8)
+    T, dT = sol(ts)
+    assert np.allclose(T, ts, rtol=1e-8)
+    assert np.allclose(dT, 1.0, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------

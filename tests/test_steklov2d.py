@@ -8,12 +8,13 @@ import scipy.sparse.linalg as spla
 from oracles import (dense_axisym_spectrum, dense_spectrum, dtn_reduce,
                      lanczos_spectrum)
 from steklovw import steklov2d
-from steklovw.axisym3d import MODES, MeridianDomain, assemble_mode
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import Domain2D, TriMesh, generate_mesh, mesh_measures
+from steklovw.mesh2d import (Domain2D, MeridianDomain, TriMesh, generate_mesh,
+                             mesh_measures)
 from steklovw.radial import sigma1_ball
-from steklovw.steklov2d import (AssembledSystem, FactorizationError, assemble,
-                                domain_spectrum, solve_spectrum)
+from steklovw.steklov2d import (MODES, AssembledSystem, FactorizationError,
+                                assemble, assemble_mode, domain_spectrum,
+                                solve_spectrum)
 from steklovw.verify import (MeshHierarchy, standard_spheroids,
                              standard_sweep_euclidean,
                              standard_sweep_hyperbolic,
@@ -371,3 +372,15 @@ def test_hyperbolic_mesh_margin_enforced():
     mesh = generate_mesh(dom, 4, 16)
     with pytest.raises(DomainError):
         assemble(mesh, H2, W0)
+
+
+@pytest.mark.parametrize("form", [SpaceForm(Curvature.SPHERICAL_CAP, 2),
+                                  SpaceForm(Curvature.HYPERBOLIC, 3),
+                                  SpaceForm(Curvature.EUCLIDEAN, 4)],
+                         ids=lambda f: f.label)
+def test_domain_spectrum_needs_a_mesh_model(form):
+    """Only E2, H2 and E3 have an FEM model; any other form is a typed
+    error before anything is assembled."""
+    for dom in (Domain2D.disk(0.5), MeridianDomain.ball(0.5)):
+        with pytest.raises(DomainError, match="no mesh model"):
+            domain_spectrum(generate_mesh(dom, 2, 8), form, W0, 2)

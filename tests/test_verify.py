@@ -5,10 +5,9 @@ import pytest
 
 import oracles
 
-from steklovw.axisym3d import MeridianDomain
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import (Domain2D, integrate_boundary_weighted,
-                             integrate_weighted)
+from steklovw.mesh2d import (Domain2D, MeridianDomain,
+                             integrate_boundary_weighted, integrate_weighted)
 from steklovw.radial import AdmissibilityError, g_values, h_values, solve_mode
 from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
                              convergence_study,
@@ -257,6 +256,17 @@ def test_convergence_and_rearrangement_take_a_hierarchy():
         rearrangement_check(hier, H2, w, np.exp, "non_decreasing")
 
 
+@pytest.mark.parametrize("dom, form", [(Domain2D.disk(1.0), E3),
+                                       (MeridianDomain.ball(1.0), E2),
+                                       (MeridianDomain.ball(0.5), H3)],
+                         ids=["disk-E3", "ball-E2", "ball-H3"])
+def test_hierarchy_needs_the_model_of_its_shape(dom, form):
+    """A planar shape meshes under E2 or H2 and a meridian under E3; any
+    other pairing is a typed error before a mesh is built."""
+    with pytest.raises(DomainError, match="model"):
+        MeshHierarchy(dom, form, rings=2, sectors=8, levels=1)
+
+
 def test_convergence_study_hyperbolic_disk():
     dom = Domain2D.disk(math.tanh(0.5))
     study = convergence_study(dom, H2, W0, 1, levels=3)
@@ -383,13 +393,12 @@ def test_chain_integrals_match_one_call_per_integrand(dom, form):
 
     def along(values, cap):
         def fn(t):
-            tc = np.minimum(t, cap)
-            dT = np.where(t <= cap, sol.Tprime_at(tc), 0.0)
-            return values(form, w, t, sol.T_at(tc), dT)
+            T, dT = sol(np.minimum(t, cap))
+            return values(form, w, t, T, np.where(t <= cap, dT, 0.0))
         return fn
 
     def squared(cap):
-        return lambda t: sol.T_at(np.minimum(t, cap)) ** 2
+        return lambda t: sol(np.minimum(t, cap))[0] ** 2
 
     for cap, A, B, C in ((math.inf, rep.boundary_T2, rep.omega_G, rep.omega_H),
                          (R, rep.capped_boundary_f2, rep.capped_omega_G,
