@@ -12,7 +12,7 @@ from .geometry import (Curvature, DomainError, QuadratureError, RadialWeight,
                        poincare_distance, s_kappa, unit_sphere_area,
                        validate_property_i)
 from .mesh2d import (Domain2D, MeridianDomain, MeshQualityError, TriMesh,
-                     generate_mesh, mesh_measures, refine)
+                     generate_mesh, refine)
 from .radial import (AdmissibilityError, BallSigma1, GHProfile,
                      IntegrationError, NonPositiveSolutionError,
                      RadialSolution, ball_gh_integrals, ball_spectrum,
@@ -23,7 +23,7 @@ from .steklov2d import (AssembledSystem, FactorizationError, assemble,
                         assemble_mode, domain_spectrum, solve_spectrum)
 from .verify import (BracketError, ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
-                     match_radius, proof_chain_check, question_a_report,
-                     rearrangement_check, richardson)
+                     match_radius, proof_chain_check, rearrangement_check,
+                     richardson)
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Configuration-driven command-line front end.
 
-Reads a flat-section ``key = value`` config file (repeatable ``[domain]``
-and ``[weight]`` blocks), runs one of the batch commands and emits CSV
-and/or JSON reports.  An identical config yields byte-identical output
-files; every report embeds the fully resolved configuration.
+Reads a flat-section ``key = value`` config file (``[domain]`` and
+``[weight]`` blocks repeat for ``ball``, ``sweep`` and ``chain``), runs one
+of the batch commands and emits CSV and/or JSON reports.  An identical
+config yields byte-identical output files; every report embeds the fully
+resolved configuration, with ``RunConfig``'s defaults for what it omits.
 
 Exit status: 0 all checks passed, 2 flagged inequality violations,
 1 configuration or solver errors.
@@ -25,7 +26,7 @@ from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from .mesh2d import Domain2D, MeridianDomain
 from .radial import sigma1_ball
 from .verify import (MeshHierarchy, brock_report, convergence_study,
-                     proof_chain_check, question_a_report)
+                     proof_chain_check)
 
 SCHEMA_VERSION = "steklovw-v1"
 
@@ -258,10 +259,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r} "
                           f"(expected one of {', '.join(_RUNNERS)})", cline)
 
+    if command in ("spectrum", "verify", "converge"):    # one run each
+        for kind in ("domain", "weight"):
+            starts = [start for name, start, _ in sections if name == kind]
+            if len(starts) > 1:
+                raise ConfigError(f"the {command!r} command takes one "
+                                  f"[{kind}], not several", starts[1])
+
     curvature = Curvature.EUCLIDEAN
     dim = 2
-    rings, sectors, levels = 8, None, 3
-    out_dir, out_format = "out", "both"
+    opts = {}     # RunConfig's optional fields that the file states
     weights: list[RadialWeight] = []
     weight_sources: list[dict] = []
     domains: list[Domain2D | MeridianDomain] = []
@@ -288,22 +295,17 @@ def parse_config(text: str) -> RunConfig:
             pass   # needs dim; handled in a second pass below
         elif name == "mesh":
             _check_keys(name, body, _MESH_KEYS)
-            if "rings" in body:
-                rings = _parse_int(body["rings"][0], body["rings"][1])
-            if "sectors" in body:
-                sectors = _parse_int(body["sectors"][0], body["sectors"][1])
-            if "levels" in body:
-                levels = _parse_int(body["levels"][0], body["levels"][1])
-                if levels < 1:
-                    raise ConfigError("levels must be >= 1", body["levels"][1])
+            opts.update({key: _parse_int(*val) for key, val in body.items()})
+            if opts.get("levels", 1) < 1:
+                raise ConfigError("levels must be >= 1", body["levels"][1])
         elif name == "output":
             _check_keys(name, body, _OUTPUT_KEYS)
             if "dir" in body:
-                out_dir = body["dir"][0]
+                opts["out_dir"] = body["dir"][0]
             if "format" in body:
-                out_format = body["format"][0].lower()
-                if out_format not in ("csv", "json", "both"):
-                    raise ConfigError(f"unknown format {out_format!r}",
+                opts["out_format"] = body["format"][0].lower()
+                if opts["out_format"] not in ("csv", "json", "both"):
+                    raise ConfigError(f"unknown format {opts['out_format']!r}",
                                       body["format"][1])
         else:
             raise ConfigError(f"unknown section [{name}]", start)
@@ -321,18 +323,18 @@ def parse_config(text: str) -> RunConfig:
         weights = [RadialWeight.constant(0.0)]
         weight_sources = [{"kind": "constant", "c": 0.0}]
 
-    radii = []
     if "radii" in top:
-        radii = _parse_floats(top["radii"][0], top["radii"][1])
-        if any(r <= 0 for r in radii):
+        opts["radii"] = _parse_floats(*top["radii"])
+        if any(r <= 0 for r in opts["radii"]):
             raise ConfigError("radii must be positive", top["radii"][1])
-    count = _parse_int(*top["count"]) if "count" in top else 5
-    if count < 1:
-        raise ConfigError("count must be >= 1", top["count"][1])
-    waive = _parse_bool(*top["waive_admissibility"]) \
-        if "waive_admissibility" in top else False
+    if "count" in top:
+        opts["count"] = _parse_int(*top["count"])
+        if opts["count"] < 1:
+            raise ConfigError("count must be >= 1", top["count"][1])
+    if "waive_admissibility" in top:
+        opts["waive_admissibility"] = _parse_bool(*top["waive_admissibility"])
 
-    if command == "ball" and not radii:
+    if command == "ball" and not opts.get("radii"):
         raise ConfigError("the 'ball' command needs a top-level 'radii' list")
     if command in ("spectrum", "verify", "converge", "chain", "sweep") \
             and not domains:
@@ -340,10 +342,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         command=command, space=space, weights=weights, domains=domains,
-        radii=radii, count=count, rings=rings, sectors=sectors, levels=levels,
-        out_dir=out_dir, out_format=out_format,
-        waive_admissibility=waive, weight_sources=weight_sources,
-        domain_sources=domain_sources)
+        weight_sources=weight_sources, domain_sources=domain_sources, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +430,10 @@ def _run_spectrum(cfg: RunConfig) -> int:
 
 
 def _verify_one(cfg: RunConfig, hier: MeshHierarchy, w: RadialWeight):
-    """The verify report of one meshed domain under one weight."""
-    fn = question_a_report if cfg.space.dim == 2 else brock_report
-    return fn(hier, cfg.space, w, waive_admissibility=cfg.waive_admissibility)
+    """The verify report of one meshed domain under one weight, with the
+    sum-of-n block in 2-D."""
+    return brock_report(hier, cfg.space, w, question_a=cfg.space.dim == 2,
+                        waive_admissibility=cfg.waive_admissibility)
 
 
 def _each_run(cfg: RunConfig, report) -> list:

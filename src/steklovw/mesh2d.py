@@ -543,10 +543,3 @@ def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
         vals = vals * fn(t)
     vals = vals * meas.length(pts)
     return (meas.revolution * np.sum(wts * vals, axis=(-2, -1))).tolist()
-
-
-def mesh_measures(mesh: TriMesh, form: SpaceForm,
-                  w: RadialWeight) -> tuple[float, float]:
-    """(weighted area, weighted boundary length) of the meshed domain."""
-    return (integrate_weighted(mesh, form, w),
-            integrate_boundary_weighted(mesh, form, w))

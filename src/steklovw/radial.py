@@ -96,7 +96,7 @@ def _collocate(form, w, i, lo, hi, N, u_lo, du_lo=None):
         S^2 u'' + (2i S^2/t + P) u' + (i(i-1) S^2/t^2 + i P/t - lam) u = 0,
         P = (n-1) S C - S^2 phi',
 
-    bounded at t = 0, where u(0) is the lead coefficient; so T keeps its
+    bounded at t = 0, where u(0) = 1 is the lead coefficient; so T keeps its
     relative accuracy near 0.  It is collocated at every node but lo, whose
     row holds u(lo) = u_lo; given ``du_lo``, the row of hi holds u'(lo)."""
     x, (V0, V1, V2) = _CHEBYSHEV[N]
@@ -115,13 +115,13 @@ def _collocate(form, w, i, lo, hi, N, u_lo, du_lo=None):
     return np.polynomial.Chebyshev(np.linalg.solve(A, b), domain=[lo, hi])
 
 
-def _chebyshev_solve(form, w, i, R, t_end, lead):
+def _chebyshev_solve(form, w, i, R, t_end):
     """(dense (T, T') evaluator, beta) from collocation on [0, R], continued
     on [R, t_end] with u and u' continuous; (None, None) unless the coarse
     and the fine degree agree on beta to the integrator tolerance."""
     fits = []
     for N in _CHEBYSHEV:
-        u = _collocate(form, w, i, 0.0, R, N, lead)
+        u = _collocate(form, w, i, 0.0, R, N, 1.0)
         tail = (_collocate(form, w, i, R, t_end, N, u(R), u.deriv()(R))
                 if t_end > R else u)
         fits.append(([u, tail], i / R + u.deriv()(R) / u(R)))
@@ -136,7 +136,7 @@ def _chebyshev_solve(form, w, i, R, t_end, lead):
     return dense, float(beta)
 
 
-def _shoot(form, w, i, R, t_end, lead):
+def _shoot(form, w, i, R, t_end):
     """(dense (T, T') evaluator on [0, t_end], beta) from DOP853 started at
     t0 = series_start_factor * R on the series lead t^i (1 + c1 t + c2 t^2)
     of T, which the evaluator also uses below t0."""
@@ -151,9 +151,9 @@ def _shoot(form, w, i, R, t_end, lead):
 
     def series(t):
         base = t ** i
-        return (lead * base * (1.0 + c1 * t + c2 * t * t),
-                lead * (i * t ** (i - 1) + c1 * (i + 1) * base
-                        + c2 * (i + 2) * base * t))
+        return (base * (1.0 + c1 * t + c2 * t * t),
+                i * t ** (i - 1) + c1 * (i + 1) * base
+                + c2 * (i + 2) * base * t)
 
     s_fn, c_fn = _METRIC[form.curvature]
     dphi = w.phi_prime
@@ -211,7 +211,6 @@ class RadialSolution:
     form: SpaceForm
     weight: RadialWeight
     mode_degree: int
-    angular_eigenvalue: float
     R: float
     grid: np.ndarray
     T_values: np.ndarray
@@ -224,7 +223,7 @@ class RadialSolution:
 
 
 def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
-               lead_coeff: float = 1.0, t_end: float | None = None,
+               t_end: float | None = None,
                waive_admissibility: bool = False) -> RadialSolution:
     """Integrate one radial mode and return the sampled solution with beta_i.
 
@@ -236,8 +235,6 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
         raise DomainError("mode degree must be >= 1")
     if not 0 < R < math.inf:
         raise DomainError("R must be positive and finite")
-    if not 0 < lead_coeff < math.inf:
-        raise DomainError("lead_coeff must be positive and finite")
     if t_end is None:
         t_end = R
     if not R <= t_end < math.inf:
@@ -255,9 +252,9 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
 
     dense = None
     if w.kind != "tabulated":
-        dense, beta = _chebyshev_solve(form, w, i, R, t_end, lead_coeff)
+        dense, beta = _chebyshev_solve(form, w, i, R, t_end)
     if dense is None:
-        dense, beta = _shoot(form, w, i, R, t_end, lead_coeff)
+        dense, beta = _shoot(form, w, i, R, t_end)
     grid = np.linspace(DEFAULT_CONFIG.series_start_factor * R, t_end,
                        DEFAULT_CONFIG.report_points)
     T_vals, dT_vals = dense(grid)
@@ -266,10 +263,8 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
             "radial solution T became non-positive inside (0, R)")
 
     return RadialSolution(
-        form=form, weight=w, mode_degree=i,
-        angular_eigenvalue=angular_eigenvalue(form.dim, i), R=float(R),
-        grid=grid, T_values=T_vals, Tprime_values=dT_vals, beta=beta,
-        _dense=dense)
+        form=form, weight=w, mode_degree=i, R=float(R), grid=grid,
+        T_values=T_vals, Tprime_values=dT_vals, beta=beta, _dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +300,9 @@ class BallSigma1:
     """First nonzero ball eigenvalue with the integral-identity cross check."""
 
     value: float
-    beta: float
     integral_value: float
     rel_discrepancy: float
     solution: RadialSolution
-
-    def __float__(self) -> float:
-        return self.value
-
-    @property
-    def constant_boundary_eigenvalue_reading(self) -> float:
-        """The (inconsistent) reading that freezes the boundary-sphere
-        eigenvalue at its t = R value, kept so that its discrepancy from
-        ``beta`` stays visible in data."""
-        sol = self.solution
-        form, w, R = sol.form, sol.weight, sol.R
-        v1_at_R = (form.dim - 1) / s_kappa(form, R) ** 2
-
-        def frozen_h(t):
-            T, dT = sol(t)
-            return dT * dT + v1_at_R * T * T
-        return ball_weighted_volume(form, w, R, frozen_h) / (
-            sol(R)[0][0] ** 2 * ball_boundary_weighted_measure(form, w, R))
 
 
 def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
@@ -345,7 +321,7 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
         warnings.warn(
             f"shooting/integral identity discrepancy {rel:.3e} exceeds "
             f"{warn_tol:.1e}", RuntimeWarning, stacklevel=2)
-    return BallSigma1(value=sol.beta, beta=sol.beta, integral_value=integral_value,
+    return BallSigma1(value=sol.beta, integral_value=integral_value,
                       rel_discrepancy=rel, solution=sol)
 
 

@@ -81,12 +81,9 @@ def assemble(mesh: TriMesh, form: SpaceForm,
                 f"1 - {margin:g}")
     nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(det <= 0):
+    areas = mesh.signed_areas()
+    if np.any(areas <= 0):
         raise DomainError("degenerate or misoriented triangle in mesh")
-    areas = 0.5 * det
     # gradient of hat i is perp(opposite edge) / (2 area)
     grads = np.empty((len(areas), 3, 2))
     for i in range(3):

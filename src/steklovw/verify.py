@@ -7,8 +7,10 @@ Richardson extrapolation; all ball-side quantities come from the 1-D
 radial solver so the error budget stays on the FEM side.
 
 Also provided: the open sum-of-n-reciprocals variant (data generation
-only), the trial-function proof-chain audit, the monotone-rearrangement
-comparison, and the mesh-convergence study that calibrates slacks.
+only, ``brock_report(..., question_a=True)``), the trial-function
+proof-chain audit, the monotone-rearrangement comparison, and the
+mesh-convergence study that calibrates slacks.  Every report takes a
+domain plus ``MeshHierarchy`` keywords, or a prebuilt ``MeshHierarchy``.
 """
 from __future__ import annotations
 
@@ -112,11 +114,12 @@ def richardson(values) -> Extrapolation:
 class MeshHierarchy:
     """Refinement levels of a planar domain or a solid, coarse to fine.
 
-    The one place that picks the mesh: the space form's model
-    (``measure``) takes a ``Domain2D`` in E2 and H2 and a ``MeridianDomain``
-    in E3, meshed here by ``mesh_levels`` at ``rings`` x ``sectors``
-    (``None`` means 64 rays for a planar fan, 32 for a meridian half-fan),
-    each on the fan its shape states.  Quadrature runs on ``meshes``;
+    The one place that picks the mesh and states its defaults: the space
+    form's model (``measure``) takes a ``Domain2D`` in E2 and H2 and a
+    ``MeridianDomain`` in E3, meshed here by ``mesh_levels`` at ``rings`` x
+    ``sectors`` (``None`` means 64 rays for a planar fan, 32 for a meridian
+    half-fan), each on the fan its shape states.  The report functions
+    forward their ``**mesh`` keywords here.  Quadrature runs on ``meshes``;
     ``extrapolate`` walks the levels and ``matched_radius`` picks the
     matched volume.  Nothing here depends on a weight, so one hierarchy
     serves every weight of a domain: the report functions take it in place
@@ -169,12 +172,14 @@ class MeshHierarchy:
         return volume, match_radius(self.form, w, volume)
 
 
-def _hierarchy(dom, form: SpaceForm, rings: int, sectors: int | None,
-               levels: int) -> MeshHierarchy:
-    """``dom`` itself when it is a prebuilt ``MeshHierarchy`` (its meshes
-    stand, and ``rings``/``sectors``/``levels`` go unused), else a new one."""
+def _hierarchy(dom, form: SpaceForm, mesh: dict) -> MeshHierarchy:
+    """``dom`` when it is a prebuilt ``MeshHierarchy``, which takes no mesh
+    settings, else ``MeshHierarchy(dom, form, **mesh)``."""
     if not isinstance(dom, MeshHierarchy):
-        return MeshHierarchy(dom, form, rings, sectors, levels)
+        return MeshHierarchy(dom, form, **mesh)
+    if mesh:
+        raise DomainError(f"mesh settings {sorted(mesh)} passed with a "
+                          "prebuilt mesh hierarchy")
     if dom.form != form:
         raise DomainError(f"the mesh hierarchy was built for {dom.form.label}, "
                           f"not {form.label}")
@@ -232,17 +237,18 @@ class VerificationReport:
 
 
 def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
-                 rings: int = 8, sectors: int | None = None, levels: int = 3,
-                 question_a: bool = False,
-                 waive_admissibility: bool = False) -> VerificationReport:
+                 question_a: bool = False, waive_admissibility: bool = False,
+                 **mesh) -> VerificationReport:
     """Volume-matched ball comparison for the sum of reciprocal eigenvalues.
 
-    ``dom`` is a domain or its prebuilt ``MeshHierarchy``.  status is
-    "pass" when lhs - rhs >= -slack with slack the larger of the relative
-    floor and 3x the Richardson error estimate of the lhs.
+    ``dom`` is a domain, meshed by ``MeshHierarchy(dom, form, **mesh)``, or
+    its prebuilt ``MeshHierarchy``.  status is "pass" when lhs - rhs >=
+    -slack with slack the larger of the relative floor and 3x the
+    Richardson error estimate of the lhs.  ``question_a`` adds the open
+    sum-of-n-reciprocals block, which is reported but never asserted.
     """
     n = form.dim
-    hier = _hierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, mesh)
     dom = hier.domain
     hier.check_weight(w, waive_admissibility)
     sigma_levels, extraps = hier.extrapolate(w, n)
@@ -284,16 +290,6 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
         levels=len(hier.meshes), question_a=qa)
 
 
-def question_a_report(dom, form: SpaceForm, w: RadialWeight, *,
-                      rings: int = 8, sectors: int | None = None,
-                      levels: int = 3,
-                      waive_admissibility: bool = False) -> VerificationReport:
-    """Brock report plus the open sum-of-n-reciprocals block (never asserted)."""
-    return brock_report(dom, form, w, rings=rings, sectors=sectors,
-                        levels=levels, question_a=True,
-                        waive_admissibility=waive_admissibility)
-
-
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
@@ -312,16 +308,16 @@ class ConvergenceStudy:
 
 
 def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
-                      rings: int = 8, sectors: int | None = None,
-                      levels: int = 3,
-                      waive_admissibility: bool = False) -> ConvergenceStudy:
+                      waive_admissibility: bool = False,
+                      **mesh) -> ConvergenceStudy:
     """Per-eigenvalue Richardson table used to calibrate inequality slacks.
 
-    ``dom`` is a domain or its prebuilt ``MeshHierarchy``.
+    ``dom`` is a domain (meshed with ``**mesh``) or its prebuilt
+    ``MeshHierarchy``.
     """
     if k < 1:
         raise DomainError(f"need at least one eigenvalue, got k = {k}")
-    hier = _hierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, mesh)
     if len(hier.meshes) < 3:
         raise DomainError("convergence study needs at least 3 levels")
     hier.check_weight(w, waive_admissibility)
@@ -358,18 +354,17 @@ class RearrangementReport:
 
 
 def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
-                        rings: int = 8, sectors: int | None = None,
-                        levels: int = 3,
-                        waive_admissibility: bool = False) -> RearrangementReport:
+                        waive_admissibility: bool = False,
+                        **mesh) -> RearrangementReport:
     """Compare int_Omega v(t) dmu with the volume-matched ball integral.
 
     ``kind`` is "non_decreasing" (Omega side must dominate) or
-    "non_increasing" (ball side must dominate).  ``dom`` is a domain or its
-    prebuilt ``MeshHierarchy``.
+    "non_increasing" (ball side must dominate).  ``dom`` is a domain
+    (meshed with ``**mesh``) or its prebuilt ``MeshHierarchy``.
     """
     if kind not in ("non_decreasing", "non_increasing"):
         raise DomainError("kind must be non_decreasing or non_increasing")
-    hier = _hierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, mesh)
     hier.check_weight(w, waive_admissibility)
     volume, R = hier.matched_radius(w)
     omega_side = integrate_weighted(hier.meshes[-1], form, w, fn)
@@ -453,10 +448,8 @@ def domain_is_reflection_symmetric(dom: Domain2D) -> bool:
 
 
 def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
-                      w: RadialWeight, *,
-                      rings: int = 8, sectors: int | None = None,
-                      levels: int = 3,
-                      waive_admissibility: bool = False) -> ChainReport:
+                      w: RadialWeight, *, waive_admissibility: bool = False,
+                      **mesh) -> ChainReport:
     """Audit the trial-function inequality chain behind the ball comparison.
 
     The asserted links use the radial profile itself (solved past R where
@@ -471,8 +464,8 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
     also evaluated and reported: its divergence and variational bounds are
     valid and checked, while its ball comparison for the G-side is known
     to fail at first order in the domain perturbation, so that number is
-    recorded for inspection but never asserted.  ``dom`` is a domain or
-    its prebuilt ``MeshHierarchy``.
+    recorded for inspection but never asserted.  ``dom`` is a domain
+    (meshed with ``**mesh``) or its prebuilt ``MeshHierarchy``.
     """
     plane = dom.domain if isinstance(dom, MeshHierarchy) else dom
     if not isinstance(plane, Domain2D):
@@ -482,7 +475,7 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
             f"domain {plane.label} is not symmetric under x->-x, y->-y")
     n = form.dim
 
-    hier = _hierarchy(dom, form, rings, sectors, levels)
+    hier = _hierarchy(dom, form, mesh)
     hier.check_weight(w, waive_admissibility)
     extraps = hier.extrapolate(w, n)[1][:n - 1]
     sigma = [ex.value for ex in extraps]

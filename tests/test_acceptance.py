@@ -18,7 +18,7 @@ from steklovw.mesh2d import Domain2D, MeridianDomain
 from steklovw.radial import (check_gh_monotonicity, compute_gh, sigma1_ball,
                              solve_mode)
 from steklovw.verify import (MeshHierarchy, brock_report, convergence_study,
-                             proof_chain_check, question_a_report,
+                             proof_chain_check,
                              standard_chain_domains, standard_sweep_euclidean,
                              standard_sweep_hyperbolic,
                              standard_weights_euclidean,
@@ -191,7 +191,7 @@ def _euclidean_sweep_runs():
     for dom in standard_sweep_euclidean():
         hier = MeshHierarchy(dom, E2, rings=8, sectors=64, levels=3)
         for w in standard_weights_euclidean():
-            runs.append((dom, w, question_a_report(hier, E2, w)))
+            runs.append((dom, w, brock_report(hier, E2, w, question_a=True)))
     return runs
 
 

@@ -9,8 +9,8 @@ from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_weighted_volume)
 from steklovw.mesh2d import (MeridianDomain, TriMesh, axis_nodes,
                              boundary_gauss_points, generate_mesh,
-                             integrate_weighted, mesh_levels, mesh_measures,
-                             outer_edges, refine)
+                             integrate_boundary_weighted, integrate_weighted,
+                             mesh_levels, outer_edges, refine)
 from steklovw.radial import sigma1_ball
 from steklovw.steklov2d import MODES, assemble_mode, domain_spectrum
 
@@ -52,14 +52,16 @@ def test_meridian_mesh_valid():
 
 
 def test_ball_measures_converge(ball_fine):
-    vol, area = mesh_measures(ball_fine, E3, W0)
+    vol = integrate_weighted(ball_fine, E3, W0)
+    area = integrate_boundary_weighted(ball_fine, E3, W0)
     assert vol == pytest.approx(4 * math.pi / 3, rel=2e-3)
     assert area == pytest.approx(4 * math.pi, rel=2e-3)
 
 
 def test_weighted_measures_match_radial_quadrature(ball_fine):
     w = RadialWeight.linear(0.5)
-    vol, area = mesh_measures(ball_fine, E3, w)
+    vol = integrate_weighted(ball_fine, E3, w)
+    area = integrate_boundary_weighted(ball_fine, E3, w)
     assert vol == pytest.approx(ball_weighted_volume(E3, w, 1.0), rel=5e-3)
     assert area == pytest.approx(ball_boundary_weighted_measure(E3, w, 1.0),
                                  rel=5e-3)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import steklovw
 import steklovw.mesh2d
 import steklovw.verify
 from steklovw.cli import ConfigError, _sanitize, main, parse_config, run
-from steklovw.verify import brock_report, proof_chain_check, question_a_report
+from steklovw.verify import brock_report, proof_chain_check
 
 
 def cfg_text(body: str) -> str:
@@ -95,6 +96,23 @@ def test_parse_rejects_count_below_one():
             with pytest.raises(ConfigError, match="count must be >= 1") as err:
                 parse_config(text)
             assert err.value.line == 3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "converge"])
+@pytest.mark.parametrize("section", ["domain", "weight"])
+def test_single_run_commands_reject_a_second_section(command, section):
+    """spectrum, verify and converge run one domain under one weight; a
+    second [domain] or [weight] is a config error at its own line, while
+    sweep takes both lists."""
+    body = {"domain": "[domain]\nkind = disk\nradius = 1\n",
+            "weight": "[weight]\nkind = linear\na = 0.5\n"}
+    text = (f"command = {command}\n" + body["domain"] + body["weight"]
+            + body[section])
+    with pytest.raises(ConfigError, match=f"one \\[{section}\\]") as err:
+        parse_config(text)
+    assert err.value.line == 8     # the header of the second section
+    cfg = parse_config(text.replace(command, "sweep", 1))
+    assert len(cfg.domains) + len(cfg.weights) == 3
 
 
 def test_module_entrypoint_runs_without_warnings():
@@ -459,7 +477,7 @@ def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
     else:
         got = [json.loads((out / f"sweep_{i:03d}.json").read_text())["report"]
                for i in range(4)]
-        report = question_a_report if dim == 2 else brock_report
+        report = functools.partial(brock_report, question_a=dim == 2)
     want = [report(dom, cfg.space, w, rings=4, sectors=16, levels=2)
             for dom in cfg.domains for w in cfg.weights]
     assert got == [json.loads(json.dumps(_sanitize(dataclasses.asdict(r))))

@@ -7,7 +7,8 @@ import oracles
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeridianDomain, MeshQualityError,
                              TriMesh, _max_edge, axis_nodes, generate_mesh,
-                             mesh_levels, mesh_measures, outer_edges, refine)
+                             integrate_boundary_weighted, integrate_weighted,
+                             mesh_levels, outer_edges, refine)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -107,7 +108,7 @@ def test_measures_converge_at_second_order():
         (Domain2D.disk(math.tanh(0.5)), H2, W0, 2 * math.pi * (math.cosh(1) - 1)),
     ]
     for dom, form, w, exact in cases:
-        errs = [abs(mesh_measures(m, form, w)[0] - exact)
+        errs = [abs(integrate_weighted(m, form, w) - exact)
                 for m in mesh_levels(dom, 8, 64, 3)]
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
@@ -116,14 +117,14 @@ def test_measures_converge_at_second_order():
 
 def test_boundary_length_unit_circle():
     m = mesh_levels(Domain2D.disk(1.0), 8, 64, 3)[-1]
-    _, length = mesh_measures(m, E2, W0)
+    length = integrate_boundary_weighted(m, E2, W0)
     assert length == pytest.approx(2 * math.pi, rel=1e-4)
 
 
 def test_boundary_measure_converges_at_second_order():
     w = RadialWeight.linear(1.0)
     exact = 2 * math.pi * math.e   # weighted circumference of the unit circle
-    errs = [abs(mesh_measures(m, E2, w)[1] - exact)
+    errs = [abs(integrate_boundary_weighted(m, E2, w) - exact)
             for m in mesh_levels(Domain2D.disk(1.0), 8, 64, 3)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
@@ -132,7 +133,8 @@ def test_boundary_measure_converges_at_second_order():
 def test_polygon_measures_exact():
     sq = Domain2D.polygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
     m = generate_mesh(sq, 4, 16)
-    area, perim = mesh_measures(m, E2, W0)
+    area = integrate_weighted(m, E2, W0)
+    perim = integrate_boundary_weighted(m, E2, W0)
     assert area == pytest.approx(4.0, rel=1e-12)
     assert perim == pytest.approx(8.0, rel=1e-12)
 
@@ -142,7 +144,7 @@ def test_polygon_refinement_recovers_corners():
     m = generate_mesh(rect, 4, 32)
     errs = []
     for _ in range(3):
-        errs.append(abs(mesh_measures(m, E2, W0)[0] - 4.0))
+        errs.append(abs(integrate_weighted(m, E2, W0) - 4.0))
         m = refine(m)
     assert errs[-1] < errs[0] / 4.0
 

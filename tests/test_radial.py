@@ -10,7 +10,7 @@ from oracles import (concave_table, fd_beta_rich,
 from steklovw import radial
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
-                               ball_boundary_weighted_measure, s_kappa)
+                               ball_boundary_weighted_measure)
 from steklovw.radial import (AdmissibilityError, ball_gh_integrals,
                              ball_spectrum, check_gh_monotonicity, compute_gh,
                              g_values, h_values, harmonic_multiplicity,
@@ -227,35 +227,23 @@ def test_integral_identity_small_discrepancy():
                     (H3, RadialWeight.constant())]:
         res = sigma1_ball(form, w, 1.5)
         assert res.rel_discrepancy < 1e-12
-        assert res.integral_value == pytest.approx(res.beta, rel=1e-12)
-
-
-def test_constant_boundary_eigenvalue_reading_differs():
-    # freezing the boundary-sphere eigenvalue at its R value is a different
-    # (inconsistent) quantity: int (t^2 + 1) t dt / R^3 = 3/4 at R = 1
-    res = sigma1_ball(E2, W0, 1.0)
-    assert res.constant_boundary_eigenvalue_reading == pytest.approx(0.75, rel=1e-6)
-    assert abs(res.constant_boundary_eigenvalue_reading - res.beta) > 0.2
+        assert res.integral_value == pytest.approx(res.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("w", [w for w, _ in POLYNOMIAL],
                          ids=["constant", "linear", "quadratic"])
 @pytest.mark.parametrize("form", [E2, H3, S2], ids=lambda f: f.label)
 def test_ball_integrals_match_gauss_oracle(form, w):
-    """int_B G, int_B H and the frozen-boundary reading, each on the
-    adaptive ball-volume panels, against fixed Gauss-Legendre per integrand."""
+    """int_B G and int_B H, each on the adaptive ball-volume panels, against
+    fixed Gauss-Legendre per integrand."""
     for R in (0.5, 0.9, 1.4):
         res = sigma1_ball(form, w, R)
-        sol, n = res.solution, form.dim
+        sol = res.solution
         g = radial_integral(sol, lambda t, T, dT: g_values(form, w, t, T, dT))
         h = radial_integral(sol, lambda t, T, dT: h_values(form, w, t, T, dT))
-        v1 = (n - 1) / s_kappa(form, R) ** 2
-        alt = radial_integral(sol, lambda t, T, dT: dT * dT + v1 * T * T)
         denom = sol(R)[0][0] ** 2 * ball_boundary_weighted_measure(form, w, R)
         assert ball_gh_integrals(sol) == pytest.approx((g, h), rel=1e-12, abs=0.0)
         assert res.integral_value == pytest.approx(h / denom, rel=1e-12, abs=0.0)
-        assert res.constant_boundary_eigenvalue_reading == pytest.approx(
-            alt / denom, rel=1e-12, abs=0.0)
 
 
 def test_ball_gh_integrals_disk():
@@ -271,13 +259,6 @@ def test_ball_gh_integrals_disk():
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
-
-def test_normalization_invariance():
-    w = RadialWeight.quadratic(0.5, 0.25)
-    b1 = solve_mode(H2, w, 1, 1.0).beta
-    b2 = solve_mode(H2, w, 1, 1.0, lead_coeff=3.7).beta
-    assert b2 == pytest.approx(b1, rel=1e-10)
-
 
 def test_mode_monotonicity():
     w = RadialWeight.linear(0.5)
@@ -312,15 +293,6 @@ def test_solve_mode_preconditions():
         solve_mode(E2, W0, 1, 1.0, t_end=0.5)
     with pytest.raises(DomainError):
         solve_mode(SpaceForm(Curvature.SPHERICAL_CAP, 2), W0, 1, 3.3)
-
-
-@pytest.mark.parametrize("lead", [math.nan, math.inf, 0.0, -1.0])
-def test_bad_lead_coeff_raises_domain_error(lead):
-    with pytest.raises(DomainError):
-        solve_mode(E2, RadialWeight.linear(0.5), 1, 1.0, lead_coeff=lead)
-    with pytest.raises(DomainError):
-        solve_mode(E2, RadialWeight.tabulated(*concave_table()), 1, 1.0,
-                   lead_coeff=lead)
 
 
 def test_admissibility_gate():

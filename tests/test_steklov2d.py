@@ -10,7 +10,7 @@ from oracles import (dense_axisym_spectrum, dense_spectrum, dtn_reduce,
 from steklovw import steklov2d
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeridianDomain, TriMesh, generate_mesh,
-                             mesh_measures)
+                             integrate_boundary_weighted)
 from steklovw.radial import sigma1_ball
 from steklovw.steklov2d import (MODES, AssembledSystem, FactorizationError,
                                 assemble, assemble_mode, domain_spectrum,
@@ -50,7 +50,7 @@ def test_boundary_mass_totals_weighted_length(disk_mesh):
     w = RadialWeight.linear(0.5)
     sys = assemble(disk_mesh, E2, w)
     total = sys.boundary_mass.sum()
-    _, length = mesh_measures(disk_mesh, E2, w)
+    length = integrate_boundary_weighted(disk_mesh, E2, w)
     assert total == pytest.approx(length, rel=1e-13)
 
 

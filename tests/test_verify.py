@@ -12,8 +12,8 @@ from steklovw.radial import AdmissibilityError, g_values, h_values, solve_mode
 from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
                              convergence_study,
                              domain_is_reflection_symmetric, match_radius,
-                             proof_chain_check, question_a_report,
-                             rearrangement_check, richardson,
+                             proof_chain_check, rearrangement_check,
+                             richardson,
                              standard_chain_domains, standard_sweep_euclidean,
                              standard_sweep_hyperbolic)
 
@@ -125,7 +125,7 @@ def test_report_matches_ball_volume():
 
 
 def test_question_a_block_disk():
-    rep = question_a_report(Domain2D.disk(1.0), E2, W0, levels=3)
+    rep = brock_report(Domain2D.disk(1.0), E2, W0, question_a=True, levels=3)
     qa = rep.question_a
     assert qa is not None
     # 1/sigma1 + 1/sigma2 = 2 at the disk, equality in the open variant
@@ -137,7 +137,7 @@ def test_question_a_block_disk():
 def test_question_a_classical_regime_ellipses():
     for ratio in (1.3, 1.8):
         dom = Domain2D.ellipse(math.sqrt(ratio), 1.0 / math.sqrt(ratio))
-        rep = question_a_report(dom, E2, W0, levels=3)
+        rep = brock_report(dom, E2, W0, question_a=True, levels=3)
         assert rep.question_a["gap_n"] >= -rep.question_a["slack_n"]
         assert rep.question_a["status"] == "ok"
 
@@ -240,6 +240,16 @@ def test_every_report_takes_the_matched_radius(monkeypatch):
     reports = [brock_report(hier, E2, w), proof_chain_check(hier, E2, w),
                rearrangement_check(hier, E2, w, lambda t: t, "non_decreasing")]
     assert [rep.R for rep in reports] == [want] * 3
+
+
+def test_mesh_settings_go_to_the_hierarchy_once():
+    """A report forwards its mesh keywords to MeshHierarchy; beside a
+    prebuilt hierarchy they are an error, not silently dropped."""
+    w = RadialWeight.linear(0.5)
+    hier = MeshHierarchy(ELLIPSE, E2, rings=4, sectors=16, levels=2)
+    with pytest.raises(DomainError, match="prebuilt"):
+        brock_report(hier, E2, w, levels=4)
+    assert brock_report(ELLIPSE, E2, w, levels=4).levels == 4
 
 
 def test_convergence_and_rearrangement_take_a_hierarchy():
