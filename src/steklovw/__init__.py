@@ -6,18 +6,18 @@ axisymmetric domains, and a verification harness for the ball-maximization
 non-increasing concave weights.
 """
 from .config import DEFAULT_CONFIG, NumericsConfig
-from .geometry import (Curvature, DomainError, QuadratureError, RadialWeight,
-                       SpaceForm, ball_boundary_weighted_measure,
-                       ball_weighted_volume, c_kappa, conformal_factor,
-                       poincare_distance, s_kappa, unit_sphere_area,
-                       validate_property_i)
+from .geometry import (AdmissibilityError, Curvature, DomainError,
+                       QuadratureError, RadialWeight, SpaceForm,
+                       ball_boundary_weighted_measure, ball_weighted_volume,
+                       c_kappa, conformal_factor, poincare_distance, s_kappa,
+                       unit_sphere_area, validate_property_i)
 from .mesh2d import (Domain2D, MeridianDomain, MeshQualityError, TriMesh,
                      generate_mesh, refine)
-from .radial import (AdmissibilityError, BallSigma1, GHProfile,
-                     IntegrationError, NonPositiveSolutionError,
-                     RadialSolution, ball_gh_integrals, ball_spectrum,
-                     check_gh_monotonicity, compute_gh, harmonic_multiplicity,
-                     sigma1_ball, solve_mode)
+from .radial import (BallSigma1, GHProfile, IntegrationError,
+                     NonPositiveSolutionError, RadialSolution,
+                     ball_gh_integrals, ball_spectrum, check_gh_monotonicity,
+                     compute_gh, harmonic_multiplicity, sigma1_ball,
+                     solve_mode)
 from .spectrum import SteklovSpectrum
 from .steklov2d import (AssembledSystem, FactorizationError, assemble,
                         assemble_mode, domain_spectrum, solve_spectrum)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
+                       validate_property_i)
 from .mesh2d import Domain2D, MeridianDomain
 from .radial import sigma1_ball
 from .verify import (MeshHierarchy, brock_report, convergence_study,
@@ -40,7 +41,7 @@ class ConfigError(ValueError):
         self.line = line
 
 
-_TOP_KEYS = {"command", "radii", "count", "waive_admissibility"}
+_TOP_KEYS = {"command", "radii", "count"}
 _SPACE_KEYS = {"curvature", "dim"}
 _MESH_KEYS = {"rings", "sectors", "levels"}
 _OUTPUT_KEYS = {"dir", "format"}
@@ -78,7 +79,6 @@ class RunConfig:
     levels: int = 3
     out_dir: str = "out"
     out_format: str = "both"
-    waive_admissibility: bool = False
     weight_sources: list[dict] = field(default_factory=list)
     domain_sources: list[dict] = field(default_factory=list)
 
@@ -96,7 +96,6 @@ class RunConfig:
                      "levels": self.levels},
             "tolerances": DEFAULT_CONFIG.to_dict(),
             "output": {"dir": self.out_dir, "format": self.out_format},
-            "waive_admissibility": self.waive_admissibility,
         }
 
 
@@ -119,15 +118,6 @@ def _parse_int(val: str, line: int) -> int:
         return int(val)
     except ValueError:
         raise ConfigError(f"expected an integer, got {val!r}", line) from None
-
-
-def _parse_bool(val: str, line: int) -> bool:
-    low = val.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {val!r}", line)
 
 
 def _parse_floats(val: str, line: int) -> list[float]:
@@ -259,12 +249,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r} "
                           f"(expected one of {', '.join(_RUNNERS)})", cline)
 
+    once = {"space", "mesh", "output"}
     if command in ("spectrum", "verify", "converge"):    # one run each
-        for kind in ("domain", "weight"):
-            starts = [start for name, start, _ in sections if name == kind]
-            if len(starts) > 1:
-                raise ConfigError(f"the {command!r} command takes one "
-                                  f"[{kind}], not several", starts[1])
+        once |= {"domain", "weight"}
+    seen = set()
+    for name, start, _ in sections[1:]:
+        if name in once and name in seen:
+            raise ConfigError(f"the {command!r} command takes one [{name}], "
+                              "not several", start)
+        seen.add(name)
 
     curvature = Curvature.EUCLIDEAN
     dim = 2
@@ -331,8 +324,6 @@ def parse_config(text: str) -> RunConfig:
         opts["count"] = _parse_int(*top["count"])
         if opts["count"] < 1:
             raise ConfigError("count must be >= 1", top["count"][1])
-    if "waive_admissibility" in top:
-        opts["waive_admissibility"] = _parse_bool(*top["waive_admissibility"])
 
     if command == "ball" and not opts.get("radii"):
         raise ConfigError("the 'ball' command needs a top-level 'radii' list")
@@ -398,8 +389,7 @@ def _run_ball(cfg: RunConfig) -> int:
     rows = []
     for w in cfg.weights:
         for R in cfg.radii:
-            res = sigma1_ball(cfg.space, w, R,
-                              waive_admissibility=cfg.waive_admissibility)
+            res = sigma1_ball(cfg.space, w, R)
             rows.append({
                 "curvature": cfg.space.curvature.label, "n": cfg.space.dim,
                 "weight": w.label, "R": R, "sigma1_ball": res.value,
@@ -415,7 +405,9 @@ def _mesh(cfg: RunConfig, dom) -> MeshHierarchy:
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
-    spec = _mesh(cfg, cfg.domains[0]).spectrum(-1, cfg.weights[0], cfg.count)
+    hier, w = _mesh(cfg, cfg.domains[0]), cfg.weights[0]
+    validate_property_i(w, hier.t_max)
+    spec = hier.spectrum(-1, w, cfg.count)
     spec.metadata["identities"] = {
         "zero_mode_ratio": abs(spec.eigenvalues[0]) /
         max(spec.eigenvalues[1], 1e-300),
@@ -432,8 +424,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
 def _verify_one(cfg: RunConfig, hier: MeshHierarchy, w: RadialWeight):
     """The verify report of one meshed domain under one weight, with the
     sum-of-n block in 2-D."""
-    return brock_report(hier, cfg.space, w, question_a=cfg.space.dim == 2,
-                        waive_admissibility=cfg.waive_admissibility)
+    return brock_report(hier, cfg.space, w, question_a=cfg.space.dim == 2)
 
 
 def _each_run(cfg: RunConfig, report) -> list:
@@ -475,8 +466,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 def _run_converge(cfg: RunConfig) -> int:
     study = convergence_study(_mesh(cfg, cfg.domains[0]), cfg.space,
-                              cfg.weights[0], cfg.count,
-                              waive_admissibility=cfg.waive_admissibility)
+                              cfg.weights[0], cfg.count)
     rows = []
     for i in range(1, cfg.count + 1):
         row = {"index": i}
@@ -494,7 +484,7 @@ def _run_converge(cfg: RunConfig) -> int:
 
 def _run_chain(cfg: RunConfig) -> int:
     reports = _each_run(cfg, lambda hier, w: proof_chain_check(
-        hier, cfg.space, w, waive_admissibility=cfg.waive_admissibility))
+        hier, cfg.space, w))
     fields = ["domain", "weight", "n", "margin_divergence",
               "margin_variational", "margin_ball_G", "margin_ball_H",
               "capped_ball_G_comparison", "passed"]
@@ -510,9 +500,6 @@ _RUNNERS = {"ball": _run_ball, "spectrum": _run_spectrum,
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.command not in _RUNNERS:
-        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-        return 1
     try:
         return _RUNNERS[cfg.command](cfg)
     except Exception as exc:

@@ -25,6 +25,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 
 
+class AdmissibilityError(ValueError):
+    """The weight fails Property I: phi non-increasing and concave."""
+
+
 class Curvature(enum.Enum):
     EUCLIDEAN = 0
     HYPERBOLIC = -1
@@ -191,24 +195,14 @@ class RadialWeight:
         return f"tabulated[{self.grid_t.size}]"
 
 
-@dataclass(frozen=True)
-class WeightAdmissibility:
-    """Outcome of the non-increasing/concavity check on a sample grid."""
+def validate_property_i(w: RadialWeight, t_max: float) -> None:
+    """Raise ``AdmissibilityError`` unless phi is non-increasing and concave
+    on [0, t_max].
 
-    admissible: bool
-    max_phi_prime: float
-    max_phi_second: float
-    tol: float
-    t_max: float
-    samples: int
-
-
-def validate_property_i(w: RadialWeight, t_max: float) -> WeightAdmissibility:
-    """Check that phi is non-increasing and concave on [0, t_max].
-
-    Inadmissibility is a report outcome, never an exception.  The check is
-    numerical on ``property_samples`` points; closed-form kinds use their
-    exact derivatives there.
+    Property I is the hypothesis of the ball comparison, so every solve and
+    report checks it and none goes on without it.  The check is numerical on
+    ``property_samples`` points; closed-form kinds use their exact
+    derivatives there.
     """
     if not 0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -221,14 +215,13 @@ def validate_property_i(w: RadialWeight, t_max: float) -> WeightAdmissibility:
         h_min = float(np.min(np.diff(w.grid_t)))
         scale = max(1.0, float(np.max(np.abs(w.grid_phi))))
         tol = max(tol, 32.0 * np.finfo(float).eps * scale / h_min ** 2)
-    dp = np.asarray(w.phi_prime(ts))
-    d2p = np.asarray(w.phi_second(ts))
-    max_dp = float(np.max(dp))
-    max_d2p = float(np.max(d2p))
-    return WeightAdmissibility(
-        admissible=(max_dp <= tol and max_d2p <= tol),
-        max_phi_prime=max_dp, max_phi_second=max_d2p,
-        tol=tol, t_max=float(t_max), samples=int(ts.size))
+    max_dp = float(np.max(w.phi_prime(ts)))
+    max_d2p = float(np.max(w.phi_second(ts)))
+    if max_dp > tol or max_d2p > tol:
+        raise AdmissibilityError(
+            "weight fails Property I (non-increasing, concave) on "
+            f"[0, {t_max:.3g}]: max phi' = {max_dp:.3e}, "
+            f"max phi'' = {max_d2p:.3e}")
 
 
 # ---------------------------------------------------------------------------

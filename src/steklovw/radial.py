@@ -49,10 +49,6 @@ class NonPositiveSolutionError(IntegrationError):
     """T <= 0 detected inside (0, R): invalid weight or integrator failure."""
 
 
-class AdmissibilityError(ValueError):
-    """Weight fails the non-increasing/concavity requirement and no waiver set."""
-
-
 def angular_eigenvalue(n: int, i: int) -> float:
     """Unit-sphere eigenvalue of degree-i spherical harmonics: i(i+n-2)."""
     return float(i * (i + n - 2))
@@ -223,8 +219,7 @@ class RadialSolution:
 
 
 def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
-               t_end: float | None = None,
-               waive_admissibility: bool = False) -> RadialSolution:
+               t_end: float | None = None) -> RadialSolution:
     """Integrate one radial mode and return the sampled solution with beta_i.
 
     ``t_end`` extends the integration beyond R (the shooting value is still
@@ -242,13 +237,7 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
     if form.curvature.kappa == 1 and t_end >= math.pi:
         raise DomainError("spherical-cap solves require t_end < pi")
 
-    if not waive_admissibility:
-        adm = validate_property_i(w, t_end)
-        if not adm.admissible:
-            raise AdmissibilityError(
-                "weight fails Property I (non-increasing, concave): "
-                f"max phi' = {adm.max_phi_prime:.3e}, max phi'' = {adm.max_phi_second:.3e}; "
-                "pass waive_admissibility=True to integrate anyway")
+    validate_property_i(w, t_end)
 
     dense = None
     if w.kind != "tabulated":
@@ -305,13 +294,12 @@ class BallSigma1:
     solution: RadialSolution
 
 
-def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
-                waive_admissibility: bool = False) -> BallSigma1:
+def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float) -> BallSigma1:
     """sigma_1 of the weighted ball via shooting, cross-checked by quadrature.
 
     The identity checked is beta_1 = int_B H dmu / (T(R)^2 |bd B_R|_phi).
     """
-    sol = solve_mode(form, w, 1, R, waive_admissibility=waive_admissibility)
+    sol = solve_mode(form, w, 1, R)
     _, ih = ball_gh_integrals(sol)
     integral_value = ih / (sol(R)[0][0] ** 2
                            * ball_boundary_weighted_measure(form, w, R))
@@ -325,8 +313,8 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float, *,
                       rel_discrepancy=rel, solution=sol)
 
 
-def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int, *,
-                  waive_admissibility: bool = False) -> SteklovSpectrum:
+def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float,
+                  count: int) -> SteklovSpectrum:
     """sigma_0 = 0 followed by the ``count`` smallest ball eigenvalues.
 
     Mode eigenvalues beta_i enter with the multiplicity of degree-i
@@ -340,7 +328,7 @@ def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float, count: int, *,
     modes = [0]
     i = 1
     while len(values) < count + 1:
-        sol = solve_mode(form, w, i, R, waive_admissibility=waive_admissibility)
+        sol = solve_mode(form, w, i, R)
         mult = harmonic_multiplicity(n, i)
         values.extend([sol.beta] * mult)
         modes.extend([i] * mult)

@@ -27,8 +27,8 @@ from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
 from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain,
                      integrate_boundary_weighted, integrate_weighted, measure,
                      mesh_levels)
-from .radial import (AdmissibilityError, ball_gh_integrals, g_values,
-                     h_values, sigma1_ball, solve_mode)
+from .radial import (ball_gh_integrals, g_values, h_values, sigma1_ball,
+                     solve_mode)
 from .spectrum import SteklovSpectrum
 from .steklov2d import domain_spectrum
 
@@ -148,16 +148,6 @@ class MeshHierarchy:
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
         return [self.spectrum(i, w, k) for i in range(len(self.meshes))]
 
-    def check_weight(self, w: RadialWeight, waive: bool) -> None:
-        """Property I check on the distance range [0, t_max] of the finest
-        mesh."""
-        adm = validate_property_i(w, self.t_max)
-        if not adm.admissible and not waive:
-            raise AdmissibilityError(
-                "weight fails Property I on the domain range "
-                f"[0, {self.t_max:.3g}]: max phi' = {adm.max_phi_prime:.3e}, "
-                f"max phi'' = {adm.max_phi_second:.3e}")
-
     def extrapolate(self, w: RadialWeight, k: int) -> tuple[list, list]:
         """Per-level sigma_0..sigma_k, and the Richardson extrapolation of
         each of sigma_1..sigma_k over the levels."""
@@ -172,17 +162,20 @@ class MeshHierarchy:
         return volume, match_radius(self.form, w, volume)
 
 
-def _hierarchy(dom, form: SpaceForm, mesh: dict) -> MeshHierarchy:
+def _hierarchy(dom, form: SpaceForm, w: RadialWeight,
+               mesh: dict) -> MeshHierarchy:
     """``dom`` when it is a prebuilt ``MeshHierarchy``, which takes no mesh
-    settings, else ``MeshHierarchy(dom, form, **mesh)``."""
+    settings, else ``MeshHierarchy(dom, form, **mesh)``; either way after
+    the Property I check of ``w`` on its distance range [0, t_max]."""
     if not isinstance(dom, MeshHierarchy):
-        return MeshHierarchy(dom, form, **mesh)
-    if mesh:
+        dom = MeshHierarchy(dom, form, **mesh)
+    elif mesh:
         raise DomainError(f"mesh settings {sorted(mesh)} passed with a "
                           "prebuilt mesh hierarchy")
-    if dom.form != form:
+    elif dom.form != form:
         raise DomainError(f"the mesh hierarchy was built for {dom.form.label}, "
                           f"not {form.label}")
+    validate_property_i(w, dom.t_max)
     return dom
 
 
@@ -237,8 +230,7 @@ class VerificationReport:
 
 
 def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
-                 question_a: bool = False, waive_admissibility: bool = False,
-                 **mesh) -> VerificationReport:
+                 question_a: bool = False, **mesh) -> VerificationReport:
     """Volume-matched ball comparison for the sum of reciprocal eigenvalues.
 
     ``dom`` is a domain, meshed by ``MeshHierarchy(dom, form, **mesh)``, or
@@ -248,15 +240,14 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     sum-of-n-reciprocals block, which is reported but never asserted.
     """
     n = form.dim
-    hier = _hierarchy(dom, form, mesh)
+    hier = _hierarchy(dom, form, w, mesh)
     dom = hier.domain
-    hier.check_weight(w, waive_admissibility)
     sigma_levels, extraps = hier.extrapolate(w, n)
     sigma = [ex.value for ex in extraps]
     errs = [ex.error for ex in extraps]
 
     volume, R = hier.matched_radius(w)
-    ball = sigma1_ball(form, w, R, waive_admissibility=waive_admissibility)
+    ball = sigma1_ball(form, w, R)
 
     lhs = sum(1.0 / s for s in sigma[:n - 1])
     rhs = (n - 1) / ball.value
@@ -307,8 +298,7 @@ class ConvergenceStudy:
     monotone: list[bool]
 
 
-def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
-                      waive_admissibility: bool = False,
+def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int,
                       **mesh) -> ConvergenceStudy:
     """Per-eigenvalue Richardson table used to calibrate inequality slacks.
 
@@ -317,10 +307,9 @@ def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int, *,
     """
     if k < 1:
         raise DomainError(f"need at least one eigenvalue, got k = {k}")
-    hier = _hierarchy(dom, form, mesh)
+    hier = _hierarchy(dom, form, w, mesh)
     if len(hier.meshes) < 3:
         raise DomainError("convergence study needs at least 3 levels")
-    hier.check_weight(w, waive_admissibility)
     values, extraps = hier.extrapolate(w, k)
     for i, ex in enumerate(extraps, start=1):
         if not ex.monotone:
@@ -353,8 +342,7 @@ class RearrangementReport:
     passed: bool
 
 
-def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
-                        waive_admissibility: bool = False,
+def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str,
                         **mesh) -> RearrangementReport:
     """Compare int_Omega v(t) dmu with the volume-matched ball integral.
 
@@ -364,8 +352,7 @@ def rearrangement_check(dom, form: SpaceForm, w: RadialWeight, fn, kind: str, *,
     """
     if kind not in ("non_decreasing", "non_increasing"):
         raise DomainError("kind must be non_decreasing or non_increasing")
-    hier = _hierarchy(dom, form, mesh)
-    hier.check_weight(w, waive_admissibility)
+    hier = _hierarchy(dom, form, w, mesh)
     volume, R = hier.matched_radius(w)
     omega_side = integrate_weighted(hier.meshes[-1], form, w, fn)
     ball_side = ball_weighted_volume(form, w, R, fn)
@@ -448,8 +435,7 @@ def domain_is_reflection_symmetric(dom: Domain2D) -> bool:
 
 
 def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
-                      w: RadialWeight, *, waive_admissibility: bool = False,
-                      **mesh) -> ChainReport:
+                      w: RadialWeight, **mesh) -> ChainReport:
     """Audit the trial-function inequality chain behind the ball comparison.
 
     The asserted links use the radial profile itself (solved past R where
@@ -475,8 +461,7 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
             f"domain {plane.label} is not symmetric under x->-x, y->-y")
     n = form.dim
 
-    hier = _hierarchy(dom, form, mesh)
-    hier.check_weight(w, waive_admissibility)
+    hier = _hierarchy(dom, form, w, mesh)
     extraps = hier.extrapolate(w, n)[1][:n - 1]
     sigma = [ex.value for ex in extraps]
     sigma_err = sum(ex.error / ex.value ** 2 for ex in extraps)
@@ -485,8 +470,7 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
 
     # one mode-1 solve past R: its shooting value at R is the ball's sigma_1
     t_end = max(R, hier.t_max) * (1.0 + 1e-9)
-    sol = solve_mode(form, w, 1, R, t_end=t_end,
-                     waive_admissibility=waive_admissibility)
+    sol = solve_mode(form, w, 1, R, t_end=t_end)
 
     # The capped profile keeps T frozen at T(R) and T' = 0 beyond R.
     TR = sol(R)[0][0]

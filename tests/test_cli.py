@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import pytest
 
 import oracles
 import steklovw
+import steklovw.cli as cli
 import steklovw.mesh2d
 import steklovw.verify
 from steklovw.cli import ConfigError, _sanitize, main, parse_config, run
@@ -68,6 +70,10 @@ def test_parse_rejects_unknown_key():
                      "a = 5\nepsilon = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'a'"):
         parse_config(cfg_text(BALL_CFG + "\n[weight]\nkind = constant\na = 5"))
+    # Property I has no off switch
+    with pytest.raises(ConfigError,
+                       match="line 3: unknown key 'waive_admissibility'"):
+        parse_config("command = ball\nradii = 1\nwaive_admissibility = true\n")
 
 
 def test_parse_rejects_non_finite_numbers():
@@ -133,6 +139,31 @@ def test_parse_rejects_unknown_section_and_command():
         parse_config(cfg_text("command = fly\nradii = 1"))
     with pytest.raises(ConfigError, match="command"):
         parse_config(cfg_text("[space]\ndim = 2"))
+
+
+@pytest.mark.parametrize("section, first, second", [
+    ("space", "curvature = euclidean", "curvature = hyperbolic"),
+    ("mesh", "levels = 2", "levels = 3"),
+    ("output", "dir = a", "dir = b"),
+])
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_parse_rejects_repeated_singleton_section(command, section, first,
+                                                  second):
+    """Only [weight] and [domain] repeat; a second [space], [mesh] or
+    [output] is an error at its header, not a silent override."""
+    text = (f"command = {command}\n[{section}]\n{first}\n"
+            "[domain]\nkind = disk\nradius = 1\n"
+            f"[{section}]\n{second}\n")
+    with pytest.raises(ConfigError, match=rf"line 7: .* one \[{section}\]"):
+        parse_config(text)
+
+
+def test_run_exits_1_on_an_unknown_command(capsys):
+    """parse_config rejects an unknown command at its line; a hand-built
+    RunConfig with one fails in run's error handler."""
+    cfg = dataclasses.replace(parse_config(cfg_text(BALL_CFG)), command="fly")
+    assert run(cfg) == 1
+    assert "error [fly]" in capsys.readouterr().err
 
 
 def test_parse_rejects_star_shape_violation():
@@ -629,6 +660,33 @@ def test_spectrum_command_planar(tmp_path):
     assert spec["metadata"]["identities"]["zero_mode_ratio"] < 1e-8
 
 
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_every_command_refuses_inadmissible_weight(tmp_path, capsys, command):
+    """Property I is a precondition of every command: phi = +t exits 1."""
+    cfg = parse_config(cfg_text(f"""
+        command = {command}
+        radii = 1
+
+        [weight]
+        kind = linear
+        a = -1
+
+        [domain]
+        kind = disk
+        radius = 1
+
+        [mesh]
+        rings = 2
+        sectors = 16
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 1
+    assert "fails Property I" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_command_axisym(tmp_path):
     cfg = parse_config(cfg_text(f"""
         command = spectrum
@@ -685,6 +743,28 @@ def test_readme_library_example_runs(capsys):
     block = block.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-3:] == ["pass"] * 3
+
+
+def test_readme_config_key_table_matches_parser():
+    """The README's key table lists exactly the keys the parser accepts, so
+    no key can be added, or stay, without its row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:4] for line in block.splitlines()
+            if line.startswith("|")][2:]
+    table = {(sec.strip(), kind.strip().strip("`")):
+             set(re.findall(r"`(\w+)`", keys)) for sec, kind, keys in rows}
+    expected = {("top level", ""): cli._TOP_KEYS,
+                ("`[space]`", ""): cli._SPACE_KEYS,
+                ("`[mesh]`", ""): cli._MESH_KEYS,
+                ("`[output]`", ""): cli._OUTPUT_KEYS}
+    expected.update({("`[weight]`", kind): set(keys)
+                     for kind, keys in cli._WEIGHT_KINDS.items()})
+    planar = {2: {"center"}, 3: set()}      # 'center' on every planar kind
+    expected.update({("`[domain]`", kind): set(keys) | planar[dim]
+                     for kind, (_, dim, keys) in cli._DOMAIN_KINDS.items()})
+    assert len(rows) == len(table)
+    assert table == expected
 
 
 def test_readme_example_config_parses():

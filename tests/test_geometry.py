@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from steklovw.geometry import (Curvature, DomainError, QuadratureError,
-                               RadialWeight, SpaceForm,
+from steklovw.geometry import (AdmissibilityError, Curvature, DomainError,
+                               QuadratureError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume, c_kappa, conformal_factor,
                                poincare_distance, s_kappa, unit_sphere_area,
@@ -79,24 +79,24 @@ def test_weight_evaluators():
 
 
 def test_property_i_constant_and_linear_admissible():
-    assert validate_property_i(RadialWeight.constant(1.0), 2.0).admissible
-    assert validate_property_i(RadialWeight.linear(1.0), 2.0).admissible
-    assert validate_property_i(RadialWeight.quadratic(0.5, 0.25), 2.0).admissible
+    validate_property_i(RadialWeight.constant(1.0), 2.0)
+    validate_property_i(RadialWeight.linear(1.0), 2.0)
+    validate_property_i(RadialWeight.quadratic(0.5, 0.25), 2.0)
 
 
 def test_property_i_rejects_convex_log_weight():
     # phi(t) = -log(1+t) is non-increasing but convex: phi'' = 1/(1+t)^2 > 0
     ts = np.linspace(0.0, 3.0, 301)
     w = RadialWeight.tabulated(ts, -np.log1p(ts))
-    rep = validate_property_i(w, 3.0)
-    assert not rep.admissible
-    assert rep.max_phi_second > 0
+    with pytest.raises(AdmissibilityError,
+                       match=r"Property I .*max phi' = -.*max phi'' = [1-9]"):
+        validate_property_i(w, 3.0)
 
 
 def test_property_i_rejects_increasing_weight():
-    rep = validate_property_i(RadialWeight.linear(-1.0), 2.0)   # phi = +t
-    assert not rep.admissible
-    assert rep.max_phi_prime > 0.5
+    with pytest.raises(AdmissibilityError,
+                       match=r"Property I .*\[0, 2\]: max phi' = 1\.000e\+00"):
+        validate_property_i(RadialWeight.linear(-1.0), 2.0)   # phi = +t
 
 
 def test_property_i_preconditions():

@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oracles import (concave_table, fd_beta_rich,
                      linear_weight_beta1_euclid_n2, radial_integral,
                      shoot_beta)
-from steklovw import radial
+from steklovw import AdmissibilityError, radial
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure)
-from steklovw.radial import (AdmissibilityError, ball_gh_integrals,
-                             ball_spectrum, check_gh_monotonicity, compute_gh,
-                             g_values, h_values, harmonic_multiplicity,
-                             sigma1_ball, solve_mode)
+from steklovw.radial import (GHProfile, ball_gh_integrals, ball_spectrum,
+                             check_gh_monotonicity, compute_gh, g_values,
+                             h_values, harmonic_multiplicity, sigma1_ball,
+                             solve_mode)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -299,8 +300,6 @@ def test_admissibility_gate():
     bad = RadialWeight.linear(-1.0)    # phi = +t, increasing
     with pytest.raises(AdmissibilityError):
         solve_mode(E2, bad, 1, 1.0)
-    sol = solve_mode(E2, bad, 1, 1.0, waive_admissibility=True)
-    assert sol.beta > 0
 
 
 def test_extended_solution_evaluators():
@@ -375,10 +374,19 @@ def test_gh_monotonicity_constant_weight():
 
 
 def test_gh_monotonicity_flags_inadmissible_weight():
-    # phi = +t violates the hypotheses; H gains an increasing stretch
+    # phi = +t violates the hypotheses; H gains an increasing stretch.
+    # solve_mode refuses the weight, so T'' = -(1/t - 1) T' + T/t^2 is
+    # integrated here from its series T = t (1 + t/3) at t0.
     bad = RadialWeight.linear(-1.0)
-    sol = solve_mode(E2, bad, 1, 2.0, waive_admissibility=True)
-    rep = check_gh_monotonicity(compute_gh(sol))
+    t0 = 1e-4
+    ivp = solve_ivp(lambda t, y: (y[1], -(1.0 / t - 1.0) * y[1] + y[0] / t**2),
+                    (t0, 2.0), [t0 * (1 + t0 / 3), 1 + 2 * t0 / 3],
+                    method="DOP853", rtol=1e-10, atol=1e-14, dense_output=True)
+    t = np.linspace(t0, 2.0, 400)
+    T, dT = ivp.sol(t)
+    rep = check_gh_monotonicity(GHProfile(
+        form=E2, weight=bad, grid=t, G_values=g_values(E2, bad, t, T, dT),
+        H_values=h_values(E2, bad, t, T, dT)))
     assert not rep.h_ok
     assert not rep.passed
 

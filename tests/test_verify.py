@@ -5,10 +5,12 @@ import pytest
 
 import oracles
 
-from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from steklovw.geometry import (AdmissibilityError, Curvature, DomainError,
+                               RadialWeight, SpaceForm)
 from steklovw.mesh2d import (Domain2D, MeridianDomain,
                              integrate_boundary_weighted, integrate_weighted)
-from steklovw.radial import AdmissibilityError, g_values, h_values, solve_mode
+from steklovw.radial import (ball_spectrum, g_values, h_values, sigma1_ball,
+                             solve_mode)
 from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
                              convergence_study,
                              domain_is_reflection_symmetric, match_radius,
@@ -184,6 +186,50 @@ def test_inadmissible_weight_raises_without_waiver():
     with pytest.raises(AdmissibilityError, match="Property I"):
         brock_report(Domain2D.disk(1.0), E2, RadialWeight.linear(-0.5),
                      levels=2)
+
+
+COARSE = {"rings": 2, "sectors": 16, "levels": 3}
+DISK = Domain2D.disk(1.0)
+ENTRY_POINTS = {
+    "solve_mode": lambda w: solve_mode(E2, w, 1, 1.0),
+    "sigma1_ball": lambda w: sigma1_ball(E2, w, 1.0),
+    "ball_spectrum": lambda w: ball_spectrum(E2, w, 1.0, 3),
+    "brock_report": lambda w: brock_report(DISK, E2, w, **COARSE),
+    "convergence_study": lambda w: convergence_study(DISK, E2, w, 2, **COARSE),
+    "rearrangement_check": lambda w: rearrangement_check(
+        DISK, E2, w, lambda t: t, "non_decreasing", **COARSE),
+    "proof_chain_check": lambda w: proof_chain_check(DISK, E2, w, **COARSE),
+}
+
+
+@pytest.mark.parametrize("w", [RadialWeight.linear(-1.0),
+                               RadialWeight.quadratic(0.5, -0.25)],
+                         ids=["increasing", "convex"])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_refuses_inadmissible_weight(entry, w):
+    with pytest.raises(AdmissibilityError, match="Property I"):
+        ENTRY_POINTS[entry](w)
+
+
+@pytest.mark.parametrize("w, phi, phi_prime, linear_a", [
+    (RadialWeight.linear(0.5), lambda t: -0.5 * t,
+     lambda t: -0.5 + 0.0 * t, 0.5),
+    (RadialWeight.quadratic(1.0, 0.25), lambda t: -t - 0.25 * t * t,
+     lambda t: -1.0 - 0.5 * t, None)], ids=["-t/2", "-t-t^2/4"])
+def test_offset_disk_gap_is_second_order(w, phi, phi_prime, linear_a):
+    """The unit disk offset by c fails the ball comparison by a gap close to
+    a fixed multiple of c^2: the harness flags it and agrees with the polar
+    oracle, whose gap / c^2 holds within 2% over c = 0.1 .. 0.3."""
+    ratios = []
+    for c in (0.1, 0.2, 0.3):
+        rep = brock_report(Domain2D.disk(1.0, center=(c, 0.0)), E2, w)
+        ref = oracles.offset_disk_comparison(phi, phi_prime, (c, 0.0),
+                                             linear_a=linear_a)
+        assert rep.status == "violation"
+        assert rep.gap + rep.slack < 0.0
+        assert abs(rep.gap - ref["gap"]) <= 2e-4, (c, rep.gap, ref["gap"])
+        ratios.append(ref["gap"] / c ** 2)
+    assert all(abs(r / ratios[0] - 1.0) <= 0.02 for r in ratios), ratios
 
 
 def test_verify_rejects_spherical_cap():
