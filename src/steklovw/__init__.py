@@ -19,8 +19,9 @@ from .radial import (BallSigma1, GHProfile, IntegrationError,
                      compute_gh, harmonic_multiplicity, sigma1_ball,
                      solve_mode)
 from .spectrum import SteklovSpectrum
-from .steklov2d import (AssembledSystem, FactorizationError, assemble,
-                        assemble_mode, domain_spectrum, solve_spectrum)
+from .steklov2d import (AssembledSystem, FactorizationError, P1Level,
+                        assemble, assemble_mode, domain_spectrum,
+                        solve_spectrum)
 from .verify import (BracketError, ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
                      match_radius, proof_chain_check, rearrangement_check,

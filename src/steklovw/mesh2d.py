@@ -402,11 +402,11 @@ def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
     curved = np.asarray(curved_edges, dtype=np.int64).reshape(-1, 2)
     if len(curved):
         center = np.asarray(shape.center, dtype=float)
-        for i in mid(curved):
-            d = verts[i] - center
-            theta = math.atan2(d[1], d[0])
-            r = shape.boundary_radius(theta)[0]
-            verts[i] = center + r * np.array([math.cos(theta), math.sin(theta)])
+        i = mid(curved)
+        # math.atan2: numpy's SIMD arctan2 may differ from it in the last bit
+        theta = np.array([math.atan2(y, x) for x, y in verts[i] - center])
+        verts[i] = center + shape.boundary_radius(theta)[:, None] * \
+            np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
     out = TriMesh(vertices=verts, triangles=tris, boundary_edges=new_boundary,
                   h=_max_edge(verts, tris), domain=mesh.domain)

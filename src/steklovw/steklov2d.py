@@ -1,16 +1,16 @@
 """Weighted P1 finite elements for the Steklov problem.
 
 The weak form pairs the weighted Dirichlet energy against the weighted
-boundary mass.  One assembler serves every model: the plane, the
-Poincare disk and the meridian of an axisymmetric solid differ only in
-the ``Measure`` densities (see ``mesh2d.measure``).  A solid separates
-into azimuthal Fourier modes u = U(r, z) e^{i m theta}; its mode-0 system
-carries the e^{-phi}/r block that m^2 times adds to the stiffness of mode
-m, whose axis nodes are removed (u = 0 there for m >= 1).  Mode
-eigenvalues enter a solid's spectrum once for m = 0 and twice for m >= 1.
-The sparse pencil K u = sigma M_b u is solved by block shift-invert Krylov
-on boundary vectors; its finite eigenvalues are those of the
-Dirichlet-to-Neumann map, since M_b vanishes off the boundary.
+boundary mass.  A ``P1Level`` holds all of a mesh's data but the weight,
+which ``assemble`` scatters in; the plane, the Poincare disk and the
+meridian of a solid differ only in the ``Measure`` densities (see
+``mesh2d.measure``).  A solid separates into azimuthal Fourier modes
+u = U(r, z) e^{i m theta}; its mode-0 system carries the e^{-phi}/r block
+that m^2 times adds to the stiffness of mode m, whose axis nodes are
+removed (u = 0 there for m >= 1).  Mode eigenvalues enter a solid's
+spectrum once for m = 0 and twice for m >= 1.  K u = sigma M_b u is
+solved by block shift-invert Krylov on boundary vectors; its finite
+eigenvalues are the Dirichlet-to-Neumann map's, as M_b is 0 inside.
 """
 from __future__ import annotations
 
@@ -29,13 +29,12 @@ from .spectrum import SteklovSpectrum
 
 # Azimuthal modes solved for a solid's merged spectrum.
 MODES = (0, 1, 2)
-_SOLID = SpaceForm(Curvature.EUCLIDEAN, 3)
 
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 2 / 3, 1 / 6],
                    [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
-# row g: the 3x3 outer product of _BARY3[g], flattened like a local block
-_BARY3_OUTER = np.einsum("gi,gj->gij", _BARY3, _BARY3).reshape(3, 9)
+_PAIRS = np.array([[0, 1, 2], [1, 2, 0]])    # local node pairs (i, j)
+_BARY3_OFF = _BARY3[:, _PAIRS[0]] * _BARY3[:, _PAIRS[1]]    # (point, pair)
 
 
 class FactorizationError(RuntimeError):
@@ -48,7 +47,7 @@ class AssembledSystem:
     mesh extent (largest coordinate range), which sets the solver shift;
     the coordinates of the boundary nodes and the azimuthal ``mode`` (0 in
     the plane) choose the solver's start block.  A solid's mode m adds m^2
-    times its ``azimuthal`` block to K."""
+    times its ``azimuthal`` block to K.  All share one symmetric pattern."""
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
@@ -59,10 +58,73 @@ class AssembledSystem:
     mode: int = 0
 
 
-def assemble(mesh: TriMesh, form: SpaceForm,
-             w: RadialWeight) -> AssembledSystem:
-    """Weighted stiffness K and boundary mass M_b of the P1 pencil of the
-    model ``measure(form)`` on a 2-D mesh.
+class P1Level:
+    """All of one mesh's P1 data under ``measure(form)`` but e^{-phi}: per
+    triangle the centroid distance and area x stiffness density x grad
+    phi_i . grad phi_j of its three node pairs (the diagonal is minus their
+    row sum: a triangle's hat gradients sum to zero); per Steklov edge its
+    Gauss-point distances and weights times the length density; on a
+    meridian three interior-point distances and their (area/3)/r.  Int32
+    ``slots`` scatter a pair's entry to (i, j) and (j, i) of one sorted CSR
+    pattern, so every matrix is bitwise symmetric; a solid's modes m >= 1
+    drop the axis nodes through ``keep``."""
+
+    def __init__(self, mesh: TriMesh, form: SpaceForm):
+        meas, v, tri = measure(form), mesh.vertices, mesh.triangles
+        self.mesh, self.form, self.solid = mesh, form, meas is MERIDIAN
+        rmax, margin = np.linalg.norm(v, axis=1).max(), \
+            DEFAULT_CONFIG.hyperbolic_margin
+        if form.curvature is Curvature.HYPERBOLIC and rmax > 1.0 - margin:
+            raise DomainError(f"hyperbolic mesh reaches |x| = {rmax:.4f}; "
+                              f"must stay below 1 - {margin:g}")
+        areas = mesh.signed_areas()
+        if np.any(areas <= 0):
+            raise DomainError("degenerate or misoriented triangle in mesh")
+        p = v[tri].transpose(1, 0, 2)                 # (3, T, 2)
+        cent = p.mean(axis=0)
+        self.cent_dist = meas.dist(cent)
+        # grad phi_i = perp(e_i) / (2 area), e_i the edge opposite node i
+        e = p[[2, 0, 1]] - p[[1, 2, 0]]
+        self.offd = np.einsum("ita,ita->it", e[_PAIRS[0]], e[_PAIRS[1]]) \
+            * (meas.stiffness(cent) / (4.0 * areas))
+        # slot rows: the pairs (i, j), then (j, i), then the nodes (i, i)
+        nv, i, j = len(v), np.r_[_PAIRS[0], _PAIRS[1], 0:3], \
+            np.r_[_PAIRS[1], _PAIRS[0], 0:3]
+        codes, slots = np.unique(tri.T[i] * nv + tri.T[j], return_inverse=True)
+        slot = lambda r, c: np.searchsorted(codes, r * nv + c).astype(np.int32)
+        self.slots = slots.reshape(9, -1).astype(np.int32)
+        self.indices = (codes % nv).astype(np.int32)
+        self.indptr = slot(np.arange(nv + 1), 0)
+        edges = outer_edges(mesh) if self.solid else mesh.boundary_edges
+        pts, wts = boundary_gauss_points(mesh, edges)   # (B,2,2), (B,2)
+        self.gauss_dist, self.gauss_coef = meas.dist(pts).T, \
+            (wts * meas.length(pts)).T
+        self.edge_slots = slot(edges.T[[0, 1, 0, 1]], edges.T[[1, 0, 0, 1]])
+        self.boundary_index = np.unique(edges)
+        self.extent = float(np.ptp(v, axis=0).max())
+        if self.solid:
+            qpts = np.einsum("gi,ita->gta", _BARY3, p)   # (3, T, 2)
+            if np.any(qpts[..., 0] <= 0.0):
+                raise DomainError("interior quadrature point fell on the axis")
+            self.q_dist, self.q_coef = meas.dist(qpts), (areas / 3) / qpts[..., 0]
+            # the m >= 1 pattern: the slots that survive dropping the axis
+            self.off_axis = np.setdiff1d(np.arange(nv), axis_nodes(mesh))
+            sub = sp.csr_matrix((np.arange(1.0, len(codes) + 1), self.indices,
+                                 self.indptr))[self.off_axis][:, self.off_axis]
+            self.keep = (sub.data - 1).astype(np.int32)
+            self.sub_indices, self.sub_indptr = sub.indices, sub.indptr
+
+    def csr(self, slots, off, diag) -> sp.csr_matrix:
+        """Pair entries ``off`` scattered to both their slots, ``diag`` after."""
+        data = np.bincount(slots.ravel(), np.concatenate([off, off, diag])
+                           .ravel(), minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(len(self.indptr) - 1,) * 2)
+
+
+def assemble(level: P1Level, w: RadialWeight) -> AssembledSystem:
+    """Weighted stiffness K and boundary mass M_b of the P1 pencil of one
+    weight on a ``P1Level``: one exp and one scatter each.
 
     K: e^{-phi} grad u . grad v times the stiffness density, weight at the
     centroid.  M_b: e^{-phi} u v times the length density on the Steklov
@@ -70,82 +132,39 @@ def assemble(mesh: TriMesh, form: SpaceForm,
     ``outer_edges`` of a meridian.  A meridian's system also carries the
     azimuthal block e^{-phi} u v / r of its modes, on three interior points.
     """
-    meas = measure(form)
-    solid = meas is MERIDIAN
-    if form.curvature is Curvature.HYPERBOLIC:
-        rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
-        margin = DEFAULT_CONFIG.hyperbolic_margin
-        if rmax > 1.0 - margin:
-            raise DomainError(
-                f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
-                f"1 - {margin:g}")
-    nv = len(mesh.vertices)
-    p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-    areas = mesh.signed_areas()
-    if np.any(areas <= 0):
-        raise DomainError("degenerate or misoriented triangle in mesh")
-    # gradient of hat i is perp(opposite edge) / (2 area)
-    grads = np.empty((len(areas), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    cent = p.mean(axis=1)                        # (T, 2)
-    wq = np.exp(-w.phi(meas.dist(cent)))
-    # local 3x3 blocks: wq * area * density * grads grads^T
-    local = np.einsum("t,tia,tja->tij", wq * areas * meas.stiffness(cent),
-                      grads, grads)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    csr = lambda data: sp.coo_matrix((data.ravel(), (rows, cols)),
-                                     shape=(nv, nv)).tocsr()
-    K, R = csr(local), None
-    if solid:
-        qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
-        r_q = qpts[:, :, 0]
-        if np.any(r_q <= 0.0):
-            raise DomainError("interior quadrature point fell on the axis")
-        f_q = np.exp(-w.phi(meas.dist(qpts))) / r_q
-        R = csr(((areas / 3.0)[:, None] * f_q) @ _BARY3_OUTER)
-
-    edges = outer_edges(mesh) if solid else mesh.boundary_edges
-    pts, wts = boundary_gauss_points(mesh, edges)  # (B,2,2), (B,2)
-    f = np.exp(-w.phi(meas.dist(pts))) * meas.length(pts)
-    shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0],
-                     axis=1)                     # (2 gauss, 2 nodes)
-    # local edge mass: sum_g wts_g f_g N_g N_g^T
-    locm = np.einsum("bg,gi,gj->bij", wts * f, shape, shape)
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    b = np.unique(edges)
-    return AssembledSystem(stiffness=K, boundary_mass=Mb, boundary_index=b,
-                           extent=float(np.ptp(mesh.vertices, axis=0).max()),
-                           boundary_points=mesh.vertices[b], azimuthal=R)
+    a = level.offd * np.exp(-w.phi(level.cent_dist))
+    K, R = level.csr(level.slots, a, -(a + a[[2, 0, 1]])), None
+    if level.solid:
+        f = np.exp(-w.phi(level.q_dist)) * level.q_coef
+        R = level.csr(level.slots, _BARY3_OFF.T @ f, (_BARY3 ** 2).T @ f)
+    f = np.exp(-w.phi(level.gauss_dist)) * level.gauss_coef    # (2 gauss, B)
+    shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0])
+    Mb = level.csr(level.edge_slots, shape.prod(axis=0, keepdims=True) @ f,
+                   (shape ** 2) @ f)
+    return AssembledSystem(K, Mb, level.boundary_index, level.extent,
+                           level.mesh.vertices[level.boundary_index], R)
 
 
-def _mode(sys: AssembledSystem, m: int, axis: np.ndarray) -> AssembledSystem:
+def _mode(level: P1Level, sys: AssembledSystem, m: int) -> AssembledSystem:
     """Mode m >= 1 of the mode-0 system ``sys``: m^2 azimuthal blocks added
-    and the ``axis`` nodes (u = 0 there) removed."""
-    keep = np.setdiff1d(np.arange(sys.stiffness.shape[0]), axis)
-    sub = lambda A: A[np.ix_(keep, keep)].tocsr()
-    off_axis = ~np.isin(sys.boundary_index, axis)
+    and the axis nodes (u = 0 there) removed."""
+    n = len(level.off_axis)
+    sub = lambda data: sp.csr_matrix(
+        (data[level.keep], level.sub_indices, level.sub_indptr), shape=(n, n))
+    on = np.isin(sys.boundary_index, level.off_axis)
     return AssembledSystem(
-        sub(sys.stiffness + (m * m) * sys.azimuthal), sub(sys.boundary_mass),
-        np.searchsorted(keep, sys.boundary_index[off_axis]), sys.extent,
-        sys.boundary_points[off_axis], mode=m)
+        sub(sys.stiffness.data + (m * m) * sys.azimuthal.data),
+        sub(sys.boundary_mass.data),
+        np.searchsorted(level.off_axis, sys.boundary_index[on]), sys.extent,
+        sys.boundary_points[on], mode=m)
 
 
-def assemble_mode(mesh: TriMesh, w: RadialWeight, m: int) -> AssembledSystem:
-    """Mode-m stiffness and outer-boundary mass of a meridian mesh, axis dofs
-    removed for m >= 1."""
-    if m < 0:
-        raise DomainError("azimuthal mode must be >= 0")
-    sys = assemble(mesh, _SOLID, w)
-    return _mode(sys, m, axis_nodes(mesh)) if m else sys
+def assemble_mode(level: P1Level, w: RadialWeight, m: int) -> AssembledSystem:
+    """Mode-m stiffness and outer-boundary mass of a meridian level, axis
+    dofs removed for m >= 1."""
+    if m < 0 or not level.solid:
+        raise DomainError("azimuthal modes m >= 0 need a meridian level")
+    return _mode(level, assemble(level, w), m) if m else assemble(level, w)
 
 
 def _start_block(sys: AssembledSystem, k: int) -> np.ndarray:
@@ -162,10 +181,8 @@ def _start_block(sys: AssembledSystem, k: int) -> np.ndarray:
     else:
         d = p - p.mean(axis=0)
         theta = np.arctan2(d[:, 1], d[:, 0])
-        cols = [np.ones(len(p))]
-        for j in range(1, (k + 1) // 2 + 1):
-            cols += [np.cos(j * theta), np.sin(j * theta)]
-        cols = cols[:k + 1]
+        cols = [np.ones(len(p))] + [f(j * theta) for j in range(1, k // 2 + 2)
+                                    for f in (np.cos, np.sin)][:k]
     cols.append(np.random.default_rng(0).standard_normal(len(p)))
     return np.column_stack(cols)
 
@@ -227,16 +244,17 @@ def solve_spectrum(sys: AssembledSystem, k: int,
     fixed, so repeated solves agree bit for bit.  Returns the
     M_bb-orthonormal boundary traces.
     """
-    b = sys.boundary_index
-    nb = len(b)
+    b, nb = sys.boundary_index, len(sys.boundary_index)
     if k + 2 > nb:
         raise DomainError(
             f"requested {k + 1} eigenvalues from a {nb}-node boundary")
     K, Mb, shift = sys.stiffness, sys.boundary_mass, -1.0 / sys.extent
     Mbb = Mb[np.ix_(b, b)].tocsr()
+    # K - s M_b on the pattern K and M_b share is symmetric: CSR arrays = CSC
+    A = sp.csc_matrix((K.data - shift * Mb.data, K.indices, K.indptr),
+                      shape=K.shape)
     try:
-        lu = spla.splu((K - shift * Mb).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"shift-invert factorization failed: {exc}") \
@@ -273,9 +291,9 @@ def solve_spectrum(sys: AssembledSystem, k: int,
                            metadata=dict(metadata or {}))
 
 
-def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
+def domain_spectrum(level: P1Level, w: RadialWeight,
                     k: int) -> SteklovSpectrum:
-    """sigma_0..sigma_k of one mesh, assembled once, with mesh/weight
+    """sigma_0..sigma_k of one mesh level, assembled once, with mesh/weight
     metadata.
 
     A planar or Poincare-disk pencil is solved as it stands, traces
@@ -283,7 +301,7 @@ def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     twice: mode 0 is asked for k+1 eigenvalues and each m >= 1 for
     ceil((k+1)/2), all it can place among the first k+1.
     """
-    sys = assemble(mesh, form, w)
+    mesh, form, sys = level.mesh, level.form, assemble(level, w)
     meta = {"h": mesh.h, "curvature": form.curvature.label, "n": form.dim,
             "weight": w.label, "vertices": len(mesh.vertices),
             "boundary_nodes": len(sys.boundary_index)}
@@ -291,9 +309,9 @@ def domain_spectrum(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
         meta["domain"] = mesh.domain.label
     if sys.azimuthal is None:
         return solve_spectrum(sys, k, metadata=meta)
-    axis, entries = axis_nodes(mesh), []
+    entries = []
     for m in MODES:
-        mode, mult = (sys, 1) if m == 0 else (_mode(sys, m, axis), 2)
+        mode, mult = (sys, 1) if m == 0 else (_mode(level, sys, m), 2)
         for val in solve_spectrum(mode, k // mult).eigenvalues:
             entries += [(float(val), m, copy) for copy in range(mult)]
     entries = sorted(entries)[:k + 1]

@@ -30,7 +30,7 @@ from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain,
 from .radial import (ball_gh_integrals, g_values, h_values, sigma1_ball,
                      solve_mode)
 from .spectrum import SteklovSpectrum
-from .steklov2d import domain_spectrum
+from .steklov2d import P1Level, domain_spectrum
 
 
 class BracketError(RuntimeError):
@@ -119,11 +119,11 @@ class MeshHierarchy:
     ``MeridianDomain`` in E3, meshed here by ``mesh_levels`` at ``rings`` x
     ``sectors`` (``None`` means 64 rays for a planar fan, 32 for a meridian
     half-fan), each on the fan its shape states.  The report functions
-    forward their ``**mesh`` keywords here.  Quadrature runs on ``meshes``;
-    ``extrapolate`` walks the levels and ``matched_radius`` picks the
-    matched volume.  Nothing here depends on a weight, so one hierarchy
-    serves every weight of a domain: the report functions take it in place
-    of the domain.
+    forward their ``**mesh`` keywords here.  Quadrature runs on ``meshes``,
+    eigensolves on the ``level`` data, built on first use; ``extrapolate``
+    walks the levels and ``matched_radius`` picks the matched volume.
+    Nothing here depends on a weight, so one hierarchy serves every weight
+    of a domain: the report functions take it in place of the domain.
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
@@ -138,12 +138,18 @@ class MeshHierarchy:
         if sectors is None:
             sectors = 32 if shape is MeridianDomain else 64
         self.meshes = mesh_levels(dom, rings, sectors, levels)
+        self._p1 = [None] * len(self.meshes)
         dist = meas.dist(self.meshes[-1].vertices)
         self.t_max = max(float(np.max(dist)), 1e-6)
 
+    def level(self, i: int) -> P1Level:
+        """The P1 data of level i, built on first use."""
+        self._p1[i] = self._p1[i] or P1Level(self.meshes[i], self.form)
+        return self._p1[i]
+
     def spectrum(self, level: int, w: RadialWeight, k: int) -> SteklovSpectrum:
         """sigma_0..sigma_k on one level (azimuthal modes merged for a solid)."""
-        return domain_spectrum(self.meshes[level], self.form, w, k)
+        return domain_spectrum(self.level(level), w, k)
 
     def spectra(self, w: RadialWeight, k: int) -> list[SteklovSpectrum]:
         return [self.spectrum(i, w, k) for i in range(len(self.meshes))]

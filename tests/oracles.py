@@ -30,6 +30,12 @@ over every interval of a weight table (or over uniform panels for a
 closed-form weight), each evaluated once, with no error control shared
 with the package's adaptive 8/16-point panel rule.
 
+The per-call P1 assembler builds every local block with ``einsum`` and
+each matrix through COO, from the mesh and the weight in one pass; it is
+the reference for the package's ``P1Level``, which splits the
+weight-independent data off and scatters each weight into one shared
+pattern.
+
 The dict-based 4-way split is the reference for the package's array-based
 ``mesh2d.subdivide``: it numbers midpoints one triangle edge at a time.
 
@@ -41,11 +47,18 @@ scipy only.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
+
+from steklovw.config import DEFAULT_CONFIG
+from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from steklovw.mesh2d import (_GAUSS2, MERIDIAN, TriMesh,
+                             boundary_gauss_points, measure, outer_edges)
+from steklovw.steklov2d import AssembledSystem
 
 
 def fd_beta(n, kappa, phi_prime, R, m, mode=1):
@@ -118,6 +131,99 @@ def linear_weight_beta1_euclid_n2(a, R):
     """
     s = a * R
     return a * (1 - (1 + s) * math.exp(-s)) / (s * (math.exp(-s) - 1 + s))
+
+
+# ---------------------------------------------------------------------------
+# The per-call P1 assembler: local blocks by einsum, matrices through COO
+# ---------------------------------------------------------------------------
+
+_BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
+                   [1 / 6, 2 / 3, 1 / 6],
+                   [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
+# row g: the 3x3 outer product of _BARY3[g], flattened like a local block
+_BARY3_OUTER = np.einsum("gi,gj->gij", _BARY3, _BARY3).reshape(3, 9)
+
+
+def assemble_reference(mesh: TriMesh, form: SpaceForm,
+                       w: RadialWeight) -> AssembledSystem:
+    """Weighted stiffness K and boundary mass M_b of the P1 pencil of the
+    model ``measure(form)`` on a 2-D mesh.
+
+    K: e^{-phi} grad u . grad v times the stiffness density, weight at the
+    centroid.  M_b: e^{-phi} u v times the length density on the Steklov
+    edges, 2-point Gauss: the boundary loop in the plane, the
+    ``outer_edges`` of a meridian.  A meridian's system also carries the
+    azimuthal block e^{-phi} u v / r of its modes, on three interior points.
+    """
+    meas = measure(form)
+    solid = meas is MERIDIAN
+    if form.curvature is Curvature.HYPERBOLIC:
+        rmax = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
+        margin = DEFAULT_CONFIG.hyperbolic_margin
+        if rmax > 1.0 - margin:
+            raise DomainError(
+                f"hyperbolic mesh reaches |x| = {rmax:.4f}; must stay below "
+                f"1 - {margin:g}")
+    nv = len(mesh.vertices)
+    p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
+    areas = mesh.signed_areas()
+    if np.any(areas <= 0):
+        raise DomainError("degenerate or misoriented triangle in mesh")
+    # gradient of hat i is perp(opposite edge) / (2 area)
+    grads = np.empty((len(areas), 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    cent = p.mean(axis=1)                        # (T, 2)
+    wq = np.exp(-w.phi(meas.dist(cent)))
+    # local 3x3 blocks: wq * area * density * grads grads^T
+    local = np.einsum("t,tia,tja->tij", wq * areas * meas.stiffness(cent),
+                      grads, grads)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    csr = lambda data: sp.coo_matrix((data.ravel(), (rows, cols)),
+                                     shape=(nv, nv)).tocsr()
+    K, R = csr(local), None
+    if solid:
+        qpts = np.einsum("gi,tia->tga", _BARY3, p)    # (T, 3, 2) interior
+        r_q = qpts[:, :, 0]
+        if np.any(r_q <= 0.0):
+            raise DomainError("interior quadrature point fell on the axis")
+        f_q = np.exp(-w.phi(meas.dist(qpts))) / r_q
+        R = csr(((areas / 3.0)[:, None] * f_q) @ _BARY3_OUTER)
+
+    edges = outer_edges(mesh) if solid else mesh.boundary_edges
+    pts, wts = boundary_gauss_points(mesh, edges)  # (B,2,2), (B,2)
+    f = np.exp(-w.phi(meas.dist(pts))) * meas.length(pts)
+    shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0],
+                     axis=1)                     # (2 gauss, 2 nodes)
+    # local edge mass: sum_g wts_g f_g N_g N_g^T
+    locm = np.einsum("bg,gi,gj->bij", wts * f, shape, shape)
+    rows = np.repeat(edges, 2, axis=1).ravel()
+    cols = np.tile(edges, (1, 2)).ravel()
+    Mb = sp.coo_matrix((locm.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+    b = np.unique(edges)
+    return AssembledSystem(stiffness=K, boundary_mass=Mb, boundary_index=b,
+                           extent=float(np.ptp(mesh.vertices, axis=0).max()),
+                           boundary_points=mesh.vertices[b], azimuthal=R)
+
+
+def mode_reference(sys: AssembledSystem, m: int,
+                   axis: np.ndarray) -> AssembledSystem:
+    """Mode m >= 1 of the mode-0 system ``sys``: m^2 azimuthal blocks added
+    and the ``axis`` nodes (u = 0 there) removed."""
+    keep = np.setdiff1d(np.arange(sys.stiffness.shape[0]), axis)
+    sub = lambda A: A[np.ix_(keep, keep)].tocsr()
+    off_axis = ~np.isin(sys.boundary_index, axis)
+    return AssembledSystem(
+        sub(sys.stiffness + (m * m) * sys.azimuthal), sub(sys.boundary_mass),
+        np.searchsorted(keep, sys.boundary_index[off_axis]), sys.extent,
+        sys.boundary_points[off_axis], mode=m)
+
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from steklovw.mesh2d import (MeridianDomain, TriMesh, axis_nodes,
                              integrate_boundary_weighted, integrate_weighted,
                              mesh_levels, outer_edges, refine)
 from steklovw.radial import sigma1_ball
-from steklovw.steklov2d import MODES, assemble_mode, domain_spectrum
+from steklovw.steklov2d import MODES, P1Level, assemble_mode, domain_spectrum
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 W0 = RadialWeight.constant()
@@ -69,7 +69,7 @@ def test_weighted_measures_match_radial_quadrature(ball_fine):
 
 def test_mode0_constants_in_kernel():
     mesh = generate_mesh(MeridianDomain.ball(1.0), 6, 24)
-    sys = assemble_mode(mesh, RadialWeight.linear(0.5), 0)
+    sys = assemble_mode(P1Level(mesh, E3), RadialWeight.linear(0.5), 0)
     one = np.ones(sys.stiffness.shape[0])
     assert np.max(np.abs(sys.stiffness @ one)) < 1e-12
     # boundary mass totals the weighted sphere area / (2 pi), O(h^2)
@@ -82,20 +82,20 @@ def test_mode0_constants_in_kernel():
 def test_constant_weight_scales_mode_stiffness():
     mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
     c = 0.9
-    k0 = assemble_mode(mesh, RadialWeight.constant(0.0), 1).stiffness
-    kc = assemble_mode(mesh, RadialWeight.constant(c), 1).stiffness
+    k0 = assemble_mode(P1Level(mesh, E3), RadialWeight.constant(0.0), 1).stiffness
+    kc = assemble_mode(P1Level(mesh, E3), RadialWeight.constant(c), 1).stiffness
     assert abs(kc - math.exp(-c) * k0).max() < 1e-13 * abs(k0).max()
 
 
 def test_mode1_drops_axis_dofs():
     mesh = generate_mesh(MeridianDomain.ball(1.0), 4, 16)
-    sys0 = assemble_mode(mesh, W0, 0)
-    sys1 = assemble_mode(mesh, W0, 1)
+    sys0 = assemble_mode(P1Level(mesh, E3), W0, 0)
+    sys1 = assemble_mode(P1Level(mesh, E3), W0, 1)
     assert sys1.stiffness.shape[0] == sys0.stiffness.shape[0] - len(axis_nodes(mesh))
 
 
 def test_unit_ball_triple_eigenvalue(ball_fine):
-    spec = domain_spectrum(ball_fine, E3, W0, 6)
+    spec = domain_spectrum(P1Level(ball_fine, E3), W0, 6)
     vals = spec.eigenvalues
     assert abs(vals[0]) < 1e-10
     assert np.allclose(vals[1:4], 1.0, rtol=1.5e-2)
@@ -104,14 +104,14 @@ def test_unit_ball_triple_eigenvalue(ball_fine):
 
 
 def test_m1_lowest_appears_twice(ball_fine):
-    spec = domain_spectrum(ball_fine, E3, RadialWeight.linear(0.5), 6)
+    spec = domain_spectrum(P1Level(ball_fine, E3), RadialWeight.linear(0.5), 6)
     m1_vals = [v for v, m in zip(spec.eigenvalues, spec.modes) if m == 1]
     assert m1_vals[0] == m1_vals[1]
 
 
 def test_weighted_ball_matches_radial(ball_fine):
     w = RadialWeight.linear(0.5)
-    spec = domain_spectrum(ball_fine, E3, w, 3)
+    spec = domain_spectrum(P1Level(ball_fine, E3), w, 3)
     target = sigma1_ball(E3, w, 1.0).value
     assert np.allclose(spec.eigenvalues[1:4], target, rtol=1.5e-2)
 
@@ -125,9 +125,9 @@ def test_each_mode_asked_for_its_share(dom):
     mesh = generate_mesh(dom, 6, 24)
     w = RadialWeight.linear(0.5)
     want, tags = dense_axisym_spectrum(
-        [assemble_mode(mesh, w, m) for m in MODES], 6)
+        [assemble_mode(P1Level(mesh, E3), w, m) for m in MODES], 6)
     for k in range(1, 7):
-        spec = domain_spectrum(mesh, E3, w, k)
+        spec = domain_spectrum(P1Level(mesh, E3), w, k)
         assert len(spec.eigenvalues) == k + 1
         assert np.max(np.abs(spec.eigenvalues - want[:k + 1])) \
             <= 1e-12 * want[1]
@@ -139,14 +139,14 @@ def test_short_mode_boundary_raises():
     k = 3 is the most it supplies, and more is an error, not a short list."""
     mesh = generate_mesh(MeridianDomain.ball(1.0), 2, 4)
     want, tags = dense_axisym_spectrum(
-        [assemble_mode(mesh, W0, m) for m in MODES], 3)
-    spec = domain_spectrum(mesh, E3, W0, 3)
+        [assemble_mode(P1Level(mesh, E3), W0, m) for m in MODES], 3)
+    spec = domain_spectrum(P1Level(mesh, E3), W0, 3)
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * want[1]
     assert spec.modes == tags
     for k in (4, 6):
         with pytest.raises(DomainError, match=f"requested {k + 1} eigenvalues "
                            "from a 5-node boundary"):
-            domain_spectrum(mesh, E3, W0, k)
+            domain_spectrum(P1Level(mesh, E3), W0, k)
 
 
 def test_degenerate_spheroid_is_ball():
@@ -158,13 +158,13 @@ def test_degenerate_spheroid_is_ball():
 
 def test_z_reflection_symmetry():
     mesh = generate_mesh(MeridianDomain.spheroid(1.1, 0.9), 6, 24)
-    spec = domain_spectrum(mesh, E3, RadialWeight.linear(0.5), 6)
+    spec = domain_spectrum(P1Level(mesh, E3), RadialWeight.linear(0.5), 6)
     flipped = TriMesh(
         vertices=mesh.vertices * np.array([1.0, -1.0]),
         triangles=mesh.triangles[:, ::-1].copy(),   # restore orientation
         boundary_edges=mesh.boundary_edges[:, ::-1].copy(),
         h=mesh.h, domain=mesh.domain)   # the spheroid is z-symmetric
-    spec_f = domain_spectrum(flipped, E3, RadialWeight.linear(0.5), 6)
+    spec_f = domain_spectrum(P1Level(flipped, E3), RadialWeight.linear(0.5), 6)
     assert np.allclose(spec.eigenvalues, spec_f.eigenvalues, atol=1e-10)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 
+from steklovw import verify
 from steklovw.geometry import (AdmissibilityError, Curvature, DomainError,
                                RadialWeight, SpaceForm)
 from steklovw.mesh2d import (Domain2D, MeridianDomain,
@@ -310,6 +311,37 @@ def test_convergence_and_rearrangement_take_a_hierarchy():
         convergence_study(hier, H2, w, 2)
     with pytest.raises(DomainError, match="built for"):
         rearrangement_check(hier, H2, w, np.exp, "non_decreasing")
+
+
+def test_levels_are_built_once_on_first_use(monkeypatch):
+    """A hierarchy builds a level's P1 data on its first spectrum and then
+    serves every weight from it; the levels it never solves stay unbuilt,
+    as in the CLI ``spectrum`` command, which solves the finest alone."""
+    built, level = [], verify.P1Level
+    monkeypatch.setattr(verify, "P1Level",
+                        lambda mesh, form: built.append(mesh) or level(mesh, form))
+    hier = MeshHierarchy(ELLIPSE, E2, rings=4, sectors=16, levels=3)
+    for w in (W0, RadialWeight.linear(0.5)):
+        hier.spectrum(-1, w, 2)
+    assert built == [hier.meshes[-1]]
+
+
+@pytest.mark.parametrize("dom, form", [
+    (Domain2D.disk(1.0, center=(0.3, 0.0)), E2),
+    (MeridianDomain.spheroid(1.2, 0.8), E3)], ids=["offset-disk-E2", "spheroid"])
+def test_level_reuse_cannot_leak_between_weights(dom, form):
+    """The weights of one hierarchy share its levels' P1 data: the
+    constant, linear and quadratic weights in that order give per-level
+    eigenvalues bit-identical to a fresh hierarchy run in reverse order."""
+    weights = [W0, RadialWeight.linear(0.5), RadialWeight.quadratic(1.0, 0.25)]
+    hier = MeshHierarchy(dom, form)
+    forward = [[s.eigenvalues for s in hier.spectra(w, 4)] for w in weights]
+    fresh = MeshHierarchy(dom, form)
+    backward = [[s.eigenvalues for s in fresh.spectra(w, 4)]
+                for w in weights[::-1]][::-1]
+    for got, want in zip(forward, backward):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dom, form", [(Domain2D.disk(1.0), E3),
