@@ -269,44 +269,41 @@ class TriMesh:
     """Planar triangulation with an oriented boundary-edge loop.
 
     ``domain`` is the shape it was meshed from: a ``Domain2D`` or the
-    ``MeridianDomain`` of a solid.
+    ``MeridianDomain`` of a solid.  Every mesh, generated, refined or built
+    by hand, is measured once here: the triangle ``areas`` 0.5 d1 x d2
+    (d1 = p1 - p0, d2 = p2 - p0), ``h`` its longest edge and its smallest
+    angle; a triangle that is not positively oriented, or an angle below
+    the fixed floor, raises ``MeshQualityError``.
     """
 
     vertices: np.ndarray          # (V, 2)
     triangles: np.ndarray         # (T, 3) int, positive orientation
     boundary_edges: np.ndarray    # (B, 2) int, CCW loop
-    h: float                      # maximum edge length
     domain: object = None
+    areas: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False)
+    min_angle_deg: float = field(init=False)
 
-    @property
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
-
-    def min_angle_deg(self) -> float:
-        p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.sum(u * v, axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
-
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def _validate(mesh: TriMesh):
-    if np.any(mesh.signed_areas() <= 0):
-        raise MeshQualityError("mesh contains non-positively-oriented triangles")
-    ang, floor = mesh.min_angle_deg(), DEFAULT_CONFIG.min_angle_deg
-    if ang < floor:
-        raise MeshQualityError(
-            f"minimum triangle angle {ang:.3f} deg below floor {floor:g} deg")
+    def __post_init__(self):
+        p0, p1, p2 = (self.vertices[c] for c in self.triangles.T)
+        d1, d2, d3 = p1 - p0, p2 - p0, p2 - p1     # (T, 2) each
+        del p0, p1, p2
+        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if not np.all(self.areas > 0):
+            raise MeshQualityError(
+                "mesh contains non-positively-oriented triangles")
+        n1, n2, n3 = (np.linalg.norm(d, axis=1) for d in (d1, d2, d3))
+        self.h = float(max(n1.max(), n2.max(), n3.max()))
+        dot = lambda a, b: np.einsum("ij,ij->i", a, b)
+        # the largest corner cosine is the smallest angle: at p0, p1, p2
+        cos = dot(d1, d2) / (n1 * n2)
+        np.maximum(cos, -dot(d1, d3) / (n1 * n3), out=cos)
+        np.maximum(cos, dot(d2, d3) / (n2 * n3), out=cos)
+        self.min_angle_deg = float(np.degrees(np.arccos(min(cos.max(), 1.0))))
+        ang, floor = self.min_angle_deg, DEFAULT_CONFIG.min_angle_deg
+        if ang < floor:
+            raise MeshQualityError(
+                f"minimum triangle angle {ang:.3f} deg below floor {floor:g} deg")
 
 
 def generate_mesh(shape, rings: int, sectors: int) -> TriMesh:
@@ -352,27 +349,20 @@ def generate_mesh(shape, rings: int, sectors: int) -> TriMesh:
         boundary += [(idx(1, N), 0), (0, idx(1, 0))]
         boundary += [(idx(j, 0), idx(j + 1, 0)) for j in range(1, M)]
 
-    mesh = TriMesh(vertices=verts, triangles=triangles,
+    return TriMesh(vertices=verts, triangles=triangles,
                    boundary_edges=np.array(boundary, dtype=np.int64),
-                   h=_max_edge(verts, triangles), domain=shape)
-    _validate(mesh)
-    return mesh
+                   domain=shape)
 
 
-def _max_edge(verts: np.ndarray, triangles: np.ndarray) -> float:
-    p = verts[triangles]
-    lengths = [np.linalg.norm(p[:, (i + 1) % 3] - p[:, i], axis=1) for i in range(3)]
-    return float(np.max(lengths))
-
-
-def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
+def refine(mesh: TriMesh) -> TriMesh:
     """Uniform 4-way split, midpoints appended in first-appearance order.
 
     Edges are numbered by walking the triangles' edges (ab, bc, ca) in
-    order.  Midpoints of ``curved_edges`` move along their ray from
-    ``shape.center`` onto ``shape.boundary_radius``: exact (a no-op) on
-    straight pieces, it restores corner/curvature geometry otherwise.  Other
-    midpoints stay, so one between two axis nodes keeps r = 0 exactly.
+    order.  Midpoints of the edges that ``mesh.domain.curved_edges`` names
+    move along their ray from the domain's ``center`` onto its
+    ``boundary_radius``: exact (a no-op) on straight pieces, it restores
+    corner/curvature geometry otherwise.  Other midpoints stay, so one
+    between two axis nodes keeps r = 0 exactly.
     """
     V, tri = mesh.vertices, mesh.triangles
     nv = len(V)
@@ -399,7 +389,8 @@ def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
     new_boundary = np.stack([be[:, 0], m, m, be[:, 1]], axis=1).reshape(-1, 2)
     verts = np.concatenate([V, (V[edges[:, 0]] + V[edges[:, 1]]) / 2.0])
 
-    curved = np.asarray(curved_edges, dtype=np.int64).reshape(-1, 2)
+    shape = mesh.domain
+    curved = () if shape is None else shape.curved_edges(mesh)
     if len(curved):
         center = np.asarray(shape.center, dtype=float)
         i = mid(curved)
@@ -408,18 +399,8 @@ def subdivide(mesh: TriMesh, curved_edges, shape) -> TriMesh:
         verts[i] = center + shape.boundary_radius(theta)[:, None] * \
             np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    out = TriMesh(vertices=verts, triangles=tris, boundary_edges=new_boundary,
-                  h=_max_edge(verts, tris), domain=mesh.domain)
-    _validate(out)
-    return out
-
-
-def refine(mesh: TriMesh) -> TriMesh:
-    """4-way refinement with the midpoints of the shape's curved boundary
-    edges snapped to the exact curve."""
-    dom = mesh.domain
-    curved = dom.curved_edges(mesh) if dom is not None else ()
-    return subdivide(mesh, curved, dom)
+    return TriMesh(vertices=verts, triangles=tris, boundary_edges=new_boundary,
+                   domain=shape)
 
 
 def mesh_levels(shape, rings: int, sectors: int,
@@ -441,7 +422,8 @@ def mesh_levels(shape, rings: int, sectors: int,
 class Measure:
     """Point densities of one FEM model on its 2-D chart.
 
-    ``dist`` is the model distance t(x) to the weight origin; ``area``,
+    ``dist`` is the model distance t(x) to the weight origin (the
+    Poincare disk's refuses points past its margin); ``area``,
     ``length`` and ``stiffness`` multiply e^{-phi(t)} in the volume,
     boundary and Dirichlet-energy integrals.  On the meridian (r, z) of a
     solid they are per radian: ``revolution`` = 2 pi turns integrals into
@@ -467,10 +449,20 @@ def _radius(pts: np.ndarray) -> np.ndarray:
     return pts[..., 0]
 
 
+def _poincare_dist(pts: np.ndarray) -> np.ndarray:
+    """Hyperbolic distance to the origin of points that keep the fixed
+    margin from the ideal boundary: |x| <= 1 - ``hyperbolic_margin``."""
+    rmax, margin = float(np.max(_norm(pts))), DEFAULT_CONFIG.hyperbolic_margin
+    if rmax > 1.0 - margin:
+        raise DomainError(f"hyperbolic mesh reaches |x| = {rmax:.4f}; "
+                          f"must stay below 1 - {margin:g}")
+    return poincare_distance(pts)
+
+
 PLANE = Measure(_norm, _one, _one, _one)
 # The 2-D Dirichlet energy is conformally invariant, so the stiffness keeps
 # Euclidean gradients; area and length pick up the conformal factor.
-POINCARE_DISK = Measure(poincare_distance, lambda p: conformal_factor(p) ** 2,
+POINCARE_DISK = Measure(_poincare_dist, lambda p: conformal_factor(p) ** 2,
                         conformal_factor, _one)
 MERIDIAN = Measure(_norm, _radius, _radius, _radius, 2.0 * math.pi)
 
@@ -499,7 +491,6 @@ def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     """
     meas = measure(form)
     p = mesh.vertices[mesh.triangles]
-    areas = mesh.signed_areas()
     mids = np.stack([(p[:, 0] + p[:, 1]) / 2.0,
                      (p[:, 1] + p[:, 2]) / 2.0,
                      (p[:, 2] + p[:, 0]) / 2.0], axis=1)   # (T, 3, 2)
@@ -508,7 +499,7 @@ def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     if fn is not None:
         vals = vals * fn(t)
     vals = vals * meas.area(mids)
-    sums = np.sum(areas / 3.0 * np.sum(vals, axis=-1), axis=-1)
+    sums = np.sum(mesh.areas / 3.0 * np.sum(vals, axis=-1), axis=-1)
     return (meas.revolution * sums).tolist()
 
 

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_CONFIG
-from .geometry import Curvature, DomainError, RadialWeight, SpaceForm
+from .geometry import DomainError, RadialWeight, SpaceForm
 from .mesh2d import (_GAUSS2, MERIDIAN, TriMesh, axis_nodes,
                      boundary_gauss_points, measure, outer_edges)
 from .spectrum import SteklovSpectrum
@@ -72,21 +72,13 @@ class P1Level:
     def __init__(self, mesh: TriMesh, form: SpaceForm):
         meas, v, tri = measure(form), mesh.vertices, mesh.triangles
         self.mesh, self.form, self.solid = mesh, form, meas is MERIDIAN
-        rmax, margin = np.linalg.norm(v, axis=1).max(), \
-            DEFAULT_CONFIG.hyperbolic_margin
-        if form.curvature is Curvature.HYPERBOLIC and rmax > 1.0 - margin:
-            raise DomainError(f"hyperbolic mesh reaches |x| = {rmax:.4f}; "
-                              f"must stay below 1 - {margin:g}")
-        areas = mesh.signed_areas()
-        if np.any(areas <= 0):
-            raise DomainError("degenerate or misoriented triangle in mesh")
         p = v[tri].transpose(1, 0, 2)                 # (3, T, 2)
         cent = p.mean(axis=0)
         self.cent_dist = meas.dist(cent)
         # grad phi_i = perp(e_i) / (2 area), e_i the edge opposite node i
         e = p[[2, 0, 1]] - p[[1, 2, 0]]
         self.offd = np.einsum("ita,ita->it", e[_PAIRS[0]], e[_PAIRS[1]]) \
-            * (meas.stiffness(cent) / (4.0 * areas))
+            * (meas.stiffness(cent) / (4.0 * mesh.areas))
         # slot rows: the pairs (i, j), then (j, i), then the nodes (i, i)
         nv, i, j = len(v), np.r_[_PAIRS[0], _PAIRS[1], 0:3], \
             np.r_[_PAIRS[1], _PAIRS[0], 0:3]
@@ -106,7 +98,7 @@ class P1Level:
             qpts = np.einsum("gi,ita->gta", _BARY3, p)   # (3, T, 2)
             if np.any(qpts[..., 0] <= 0.0):
                 raise DomainError("interior quadrature point fell on the axis")
-            self.q_dist, self.q_coef = meas.dist(qpts), (areas / 3) / qpts[..., 0]
+            self.q_dist, self.q_coef = meas.dist(qpts), (mesh.areas / 3) / qpts[..., 0]
             # the m >= 1 pattern: the slots that survive dropping the axis
             self.off_axis = np.setdiff1d(np.arange(nv), axis_nodes(mesh))
             sub = sp.csr_matrix((np.arange(1.0, len(codes) + 1), self.indices,

@@ -139,6 +139,7 @@ class MeshHierarchy:
             sectors = 32 if shape is MeridianDomain else 64
         self.meshes = mesh_levels(dom, rings, sectors, levels)
         self._p1 = [None] * len(self.meshes)
+        # the Poincare model refuses a mesh past its margin here
         dist = meas.dist(self.meshes[-1].vertices)
         self.t_max = max(float(np.max(dist)), 1e-6)
 

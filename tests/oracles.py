@@ -37,7 +37,7 @@ weight-independent data off and scatters each weight into one shared
 pattern.
 
 The dict-based 4-way split is the reference for the package's array-based
-``mesh2d.subdivide``: it numbers midpoints one triangle edge at a time.
+``mesh2d.refine``: it numbers midpoints one triangle edge at a time.
 
 The off-centre-disk oracle at the end (polynomial Ritz/Schur solve with
 polar quadrature about the weight origin) shares no code with the
@@ -166,7 +166,7 @@ def assemble_reference(mesh: TriMesh, form: SpaceForm,
                 f"1 - {margin:g}")
     nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]            # (T, 3, 2)
-    areas = mesh.signed_areas()
+    areas = mesh.areas
     if np.any(areas <= 0):
         raise DomainError("degenerate or misoriented triangle in mesh")
     # gradient of hat i is perp(opposite edge) / (2 area)

@@ -43,7 +43,7 @@ def test_axis_gauss_points_on_axis(ball_fine):
 
 def test_meridian_mesh_valid():
     mesh = generate_mesh(MeridianDomain.spheroid(1.2, 0.8), 6, 24)
-    assert np.all(mesh.signed_areas() > 0)
+    assert np.all(mesh.areas > 0)
     assert np.all(mesh.vertices[:, 0] >= 0.0)
     # boundary split: outer arc has both r>0 interior, axis edges r=0
     outer = outer_edges(mesh)
@@ -163,7 +163,7 @@ def test_z_reflection_symmetry():
         vertices=mesh.vertices * np.array([1.0, -1.0]),
         triangles=mesh.triangles[:, ::-1].copy(),   # restore orientation
         boundary_edges=mesh.boundary_edges[:, ::-1].copy(),
-        h=mesh.h, domain=mesh.domain)   # the spheroid is z-symmetric
+        domain=mesh.domain)   # the spheroid is z-symmetric
     spec_f = domain_spectrum(P1Level(flipped, E3), RadialWeight.linear(0.5), 6)
     assert np.allclose(spec.eigenvalues, spec_f.eigenvalues, atol=1e-10)
 

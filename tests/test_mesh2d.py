@@ -6,7 +6,7 @@ import pytest
 import oracles
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeridianDomain, MeshQualityError,
-                             TriMesh, _max_edge, axis_nodes, generate_mesh,
+                             TriMesh, axis_nodes, generate_mesh,
                              integrate_boundary_weighted, integrate_weighted,
                              mesh_levels, outer_edges, refine)
 
@@ -42,7 +42,7 @@ def test_refine_counts_and_projection():
     r = refine(m)
     assert len(r.triangles) == 4 * len(m.triangles)
     assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
-    radii = np.linalg.norm(r.vertices[r.boundary_nodes], axis=1)
+    radii = np.linalg.norm(r.vertices[np.unique(r.boundary_edges)], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-14
     assert r.h < m.h
 
@@ -50,7 +50,7 @@ def test_refine_counts_and_projection():
 def test_positive_orientation_and_euler():
     for dom in (Domain2D.ellipse(1.5, 0.7), Domain2D.perturbed_disk(1, 0.15, 3)):
         m = generate_mesh(dom, 4, 16)
-        assert np.all(m.signed_areas() > 0)
+        assert np.all(m.areas > 0)
         v, e, f = len(m.vertices), len(undirected_edges(m)), len(m.triangles)
         assert v - e + f == 1
 
@@ -85,7 +85,63 @@ def test_min_angle_floor_enforced():
     with pytest.raises(MeshQualityError):
         generate_mesh(Domain2D.disk(1.0), 2, 400)
     m = generate_mesh(Domain2D.disk(1.0), 2, 8)   # 45 deg fan passes
-    assert m.min_angle_deg() >= 15.0
+    assert m.min_angle_deg >= 15.0
+
+
+def test_mesh_refuses_a_reversed_triangle():
+    """A hand-built mesh is checked as a generated one is: with one
+    triangle reversed its area is negative, and the weighted volume would
+    come out short (3.13502 against 3.13655 on this disk)."""
+    m = generate_mesh(Domain2D.disk(1.0), 8, 64)
+    tris = m.triangles.copy()
+    tris[0] = tris[0, ::-1]           # a triangle of the centre fan
+    with pytest.raises(MeshQualityError, match="non-positively-oriented"):
+        TriMesh(vertices=m.vertices, triangles=tris,
+                boundary_edges=m.boundary_edges, domain=m.domain)
+
+
+def _check_measures(m):
+    """The mesh's own measures against references computed here."""
+    p = m.vertices[m.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert m.areas.tobytes() == areas.tobytes()
+    edges = [p[:, (i + 1) % 3] - p[:, i] for i in range(3)]
+    assert m.h == np.max([np.linalg.norm(e, axis=1) for e in edges])
+    angles = [np.arccos(np.clip(np.sum(u * v, axis=1) / (
+        np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)), -1, 1))
+        for u, v in ((edges[0], -edges[2]), (edges[1], -edges[0]),
+                     (edges[2], -edges[1]))]
+    assert abs(m.min_angle_deg - np.degrees(np.min(angles))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, sectors", [
+    (Domain2D.disk(1.0, center=(0.3, 0.0)), 64),
+    (Domain2D.ellipse(0.5, 0.35), 64),
+    (MeridianDomain.spheroid(1.1, 0.8), 32)],
+    ids=["offset-disk", "H2-ellipse", "spheroid"])
+def test_mesh_measures_itself(shape, sectors):
+    """``areas`` is 0.5 d1 x d2 and ``h`` the longest edge, bit for bit,
+    and ``min_angle_deg`` the smallest corner angle, on levels 0-2 and
+    with each triangle's corners turned once and twice."""
+    for mesh in mesh_levels(shape, 8, sectors, 3):
+        turned = (TriMesh(vertices=mesh.vertices,
+                          triangles=np.roll(mesh.triangles, s, axis=1),
+                          boundary_edges=mesh.boundary_edges) for s in (1, 2))
+        for m in (mesh, *turned):
+            _check_measures(m)
+
+
+def test_one_triangle_measures_itself():
+    """A right triangle with its hypotenuse at each place in turn."""
+    for s in range(3):
+        m = TriMesh(vertices=np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+                    triangles=np.roll([[0, 1, 2]], s, axis=1),
+                    boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]))
+        _check_measures(m)
+        assert m.h == math.sqrt(5.0) and m.areas.tolist() == [1.0]
+        assert m.min_angle_deg == pytest.approx(math.degrees(math.atan(0.5)),
+                                                abs=1e-12)
 
 
 def test_domain_invariant_validation():
@@ -213,7 +269,7 @@ def load_mesh(path) -> TriMesh:
     bnd = np.array([[int(v) for v in tokens[1 + nv + nt + i].split()]
                     for i in range(nb)], dtype=np.int64)
     return TriMesh(vertices=verts, triangles=tris, boundary_edges=bnd,
-                   h=_max_edge(verts, tris), domain=None)
+                   domain=None)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from steklovw.geometry import Curvature, RadialWeight, SpaceForm
+from steklovw.geometry import (AdmissibilityError, Curvature, RadialWeight,
+                               SpaceForm, validate_property_i)
 from steklovw.mesh2d import Domain2D, MeridianDomain
 from steklovw.radial import solve_mode
 from steklovw.verify import brock_report
@@ -29,6 +31,23 @@ def test_euclidean_scaling_law(form, a, b, R, t, mode):
     scaled = solve_mode(form, RadialWeight.quadratic(a / t, b / t ** 2),
                         mode, t * R).beta
     assert scaled == pytest.approx(beta / t, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(0.0, 1.0),
+       knots=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+       slopes=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3))
+def test_property_i_on_random_admissible_tables(c, knots, slopes):
+    """A criterion-4-style table, phi = -int g with the non-decreasing slope
+    g = c + sum s_i (t - k_i)_+ >= 0, passes Property I; adding 0.01 t^2
+    makes it convex on [0, 0.1], where g is constant, and fails it."""
+    ts = np.linspace(0.0, 1.25, 641)
+    g = c + sum(s * np.maximum(ts - k, 0.0) for k, s in zip(knots, slopes))
+    phi = -cumulative_trapezoid(g, ts, initial=0.0)
+    validate_property_i(RadialWeight.tabulated(ts, phi), 1.25)
+    with pytest.raises(AdmissibilityError, match="Property I"):
+        validate_property_i(RadialWeight.tabulated(ts, phi + 0.01 * ts ** 2),
+                            1.25)
 
 
 # ---------------------------------------------------------------------------

@@ -392,8 +392,7 @@ def test_singular_pencil_is_a_factorization_error(disk_mesh):
 def test_euclidean_scaling(t):
     mesh = generate_mesh(Domain2D.ellipse(1.0, 0.6, center=(0.2, 0.1)), 6, 48)
     scaled = TriMesh(vertices=t * mesh.vertices, triangles=mesh.triangles,
-                     boundary_edges=mesh.boundary_edges, h=t * mesh.h,
-                     domain=None)
+                     boundary_edges=mesh.boundary_edges, domain=None)
     base = domain_spectrum(P1Level(mesh, E2), W0, 5).eigenvalues
     got = domain_spectrum(P1Level(scaled, E2), W0, 5).eigenvalues
     assert np.max(np.abs(t * got[1:] / base[1:] - 1.0)) < 1e-10
@@ -423,8 +422,7 @@ def test_rotation_equivariance(disk_mesh):
                     [math.sin(ang), math.cos(ang)]])
     rotated = TriMesh(vertices=disk_mesh.vertices @ rot.T,
                       triangles=disk_mesh.triangles,
-                      boundary_edges=disk_mesh.boundary_edges,
-                      h=disk_mesh.h, domain=None)
+                      boundary_edges=disk_mesh.boundary_edges, domain=None)
     got = domain_spectrum(P1Level(rotated, E2), w, 4).eigenvalues
     assert np.allclose(got, base, atol=1e-10)
 

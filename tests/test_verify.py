@@ -403,6 +403,21 @@ def test_rearrangement_weighted_hyperbolic():
     assert inc.passed and inc.margin > 0
 
 
+@pytest.mark.parametrize("entry", [
+    lambda dom, w: brock_report(dom, H2, w),
+    lambda dom, w: convergence_study(dom, H2, w, 2),
+    lambda dom, w: rearrangement_check(dom, H2, w, lambda t: t,
+                                       "non_decreasing"),
+    lambda dom, w: proof_chain_check(dom, H2, w)],
+    ids=["brock", "convergence", "rearrangement", "chain"])
+def test_every_report_keeps_the_hyperbolic_margin(entry):
+    """A disk that reaches past |x| = 1 - margin is refused by every report
+    when its hierarchy is built; the rearrangement check, which solves no
+    pencil, once returned a matched radius beyond the disk's own."""
+    with pytest.raises(DomainError, match="must stay below"):
+        entry(Domain2D.disk(0.99), RadialWeight.linear(0.5))
+
+
 # ---------------------------------------------------------------------------
 # proof-chain audit
 # ---------------------------------------------------------------------------
