@@ -38,7 +38,7 @@ from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        ball_boundary_weighted_measure, ball_weighted_volume,
                        c_kappa, s_kappa, validate_property_i)
-from .spectrum import SteklovSpectrum
+from .spectrum import SteklovSpectrum, merge_modes
 
 
 class IntegrationError(RuntimeError):
@@ -315,30 +315,17 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float) -> BallSigma1:
 
 def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float,
                   count: int) -> SteklovSpectrum:
-    """sigma_0 = 0 followed by the ``count`` smallest ball eigenvalues.
-
-    Mode eigenvalues beta_i enter with the multiplicity of degree-i
-    spherical harmonics; beta_i increases with i, so modes are walked in
-    order until enough values are collected.
-    """
+    """sigma_0 = 0 followed by the ``count`` smallest ball eigenvalues:
+    degree i >= 1 enters ``merge_modes`` as beta_i, which increases with i,
+    with the multiplicity of degree-i spherical harmonics."""
     if count < 1:
         raise DomainError("count must be >= 1")
     n = form.dim
-    values = [0.0]
-    modes = [0]
-    i = 1
-    while len(values) < count + 1:
-        sol = solve_mode(form, w, i, R)
-        mult = harmonic_multiplicity(n, i)
-        values.extend([sol.beta] * mult)
-        modes.extend([i] * mult)
-        i += 1
-    values = values[:count + 1]
-    modes = modes[:count + 1]
-    return SteklovSpectrum(
-        eigenvalues=np.array(values), modes=modes,
-        metadata={"source": "radial", "curvature": form.curvature.label,
-                  "n": n, "R": R, "weight": w.label})
+    return merge_modes(
+        lambda i: [solve_mode(form, w, i, R).beta] if i else [0.0],
+        lambda i: harmonic_multiplicity(n, i), count,
+        {"source": "radial", "curvature": form.curvature.label, "n": n,
+         "R": R, "weight": w.label})
 
 
 # ---------------------------------------------------------------------------

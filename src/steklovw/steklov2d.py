@@ -7,10 +7,12 @@ meridian of a solid differ only in the ``Measure`` densities (see
 ``mesh2d.measure``).  A solid separates into azimuthal Fourier modes
 u = U(r, z) e^{i m theta}; its mode-0 system carries the e^{-phi}/r block
 that m^2 times adds to the stiffness of mode m, whose axis nodes are
-removed (u = 0 there for m >= 1).  Mode eigenvalues enter a solid's
-spectrum once for m = 0 and twice for m >= 1.  K u = sigma M_b u is
-solved by block shift-invert Krylov on boundary vectors; its finite
-eigenvalues are the Dirichlet-to-Neumann map's, as M_b is 0 inside.
+removed (u = 0 there for m >= 1).  ``merge_modes`` merges the mode
+eigenvalues, once for m = 0 and twice for m >= 1; by min-max they do not
+decrease with m, as mode m+1 lives on mode m's space (no axis nodes) and
+adds (2m+1) times the semidefinite block.  K u = sigma M_b u is solved
+by block shift-invert Krylov on boundary vectors; its finite eigenvalues
+are the Dirichlet-to-Neumann map's, as M_b is 0 inside.
 """
 from __future__ import annotations
 
@@ -25,10 +27,7 @@ from .config import DEFAULT_CONFIG
 from .geometry import DomainError, RadialWeight, SpaceForm
 from .mesh2d import (_GAUSS2, MERIDIAN, TriMesh, axis_nodes,
                      boundary_gauss_points, measure, outer_edges)
-from .spectrum import SteklovSpectrum
-
-# Azimuthal modes solved for a solid's merged spectrum.
-MODES = (0, 1, 2)
+from .spectrum import SteklovSpectrum, merge_modes
 
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 2 / 3, 1 / 6],
@@ -289,9 +288,8 @@ def domain_spectrum(level: P1Level, w: RadialWeight,
     metadata.
 
     A planar or Poincare-disk pencil is solved as it stands, traces
-    included.  A solid merges its azimuthal ``MODES``, each m >= 1 counted
-    twice: mode 0 is asked for k+1 eigenvalues and each m >= 1 for
-    ceil((k+1)/2), all it can place among the first k+1.
+    included.  A solid's modes enter ``merge_modes``, each m >= 1 counted
+    twice and asked for k // 2 + 1 values, all it can place.
     """
     mesh, form, sys = level.mesh, level.form, assemble(level, w)
     meta = {"h": mesh.h, "curvature": form.curvature.label, "n": form.dim,
@@ -301,11 +299,7 @@ def domain_spectrum(level: P1Level, w: RadialWeight,
         meta["domain"] = mesh.domain.label
     if sys.azimuthal is None:
         return solve_spectrum(sys, k, metadata=meta)
-    entries = []
-    for m in MODES:
-        mode, mult = (sys, 1) if m == 0 else (_mode(level, sys, m), 2)
-        for val in solve_spectrum(mode, k // mult).eigenvalues:
-            entries += [(float(val), m, copy) for copy in range(mult)]
-    entries = sorted(entries)[:k + 1]
-    return SteklovSpectrum(eigenvalues=np.array([e[0] for e in entries]),
-                           modes=[e[1] for e in entries], metadata=meta)
+    mult = lambda m: 2 if m else 1
+    return merge_modes(lambda m: solve_spectrum(
+        _mode(level, sys, m) if m else sys, k // mult(m)).eigenvalues,
+        mult, k, meta)

@@ -19,6 +19,10 @@ eigenvalue of every mode, merged, checks which of them the package asks
 each mode for.  ARPACK's single-vector shift-invert Lanczos, the
 package's solver before the block method, checks it per level.
 
+The Kummer values give beta_i of a Euclidean ball in closed form under
+phi = -a t and phi = -b t^2, through scipy's confluent hypergeometric
+function; they share nothing with the package's radial solvers.
+
 The per-integrand radial quadrature sums a fixed 40-point Gauss-Legendre
 rule over uniform panels of [0, R], evaluating the radial solution afresh
 for each integral through its public evaluator ``sol(t)``; it checks the
@@ -52,7 +56,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
+from scipy.special import hyp1f1, roots_legendre
 
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
@@ -123,14 +127,21 @@ def shoot_beta(n, kappa, phi_prime, R, mode=1, breaks=()):
     return y[1] / y[0]
 
 
-def linear_weight_beta1_euclid_n2(a, R):
-    """Exact closed form for phi(t) = -a t in the plane.
+def kummer_beta(n, i, R, a=0.0, b=0.0):
+    """Exact beta_i of the Euclidean n-ball of radius R under phi = -a t
+    (b = 0) or phi = -b t^2 (a = 0).
 
-    T(t) = 2 (exp(-a t) - 1 + a t) / (a^2 t) solves the mode-1 equation
-    (verified by substitution); the value below is its log-derivative at R.
+    With T = t^i u the mode-i equation becomes Kummer's equation
+    z u'' + (B - z) u' - A u = 0, solved by u = M(A, B, z): A = i,
+    B = 2i + n - 1, z = -a t for the linear weight and A = i/2,
+    B = i + n/2, z = -b t^2 for the quadratic one (verified by
+    substitution).  beta_i = T'(R)/T(R), with M' = (A/B) M(A+1, B+1, .).
     """
-    s = a * R
-    return a * (1 - (1 + s) * math.exp(-s)) / (s * (math.exp(-s) - 1 + s))
+    if b == 0:
+        A, B, z, dz = i, 2 * i + n - 1, -a * R, -a
+    else:
+        A, B, z, dz = i / 2, i + n / 2, -b * R * R, -2 * b * R
+    return i / R + dz * (A / B) * hyp1f1(A + 1, B + 1, z) / hyp1f1(A, B, z)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +553,7 @@ def offset_disk_comparison(phi, phi_prime, center, radius=1.0, degree=20,
 
     The ball side uses the same weighted volume as the domain (polar
     quadrature), the radius from ``ball_radius_for_volume`` and sigma_1 from
-    the closed form when ``linear_a`` is given (phi = -a t), otherwise from
+    ``kummer_beta`` when ``linear_a`` is given (phi = -a t), otherwise from
     the Richardson finite-difference march ``fd_beta_rich``.  The gap is
     1/sigma_1(domain) - 1/sigma_1(ball), the n = 2 Brock comparison.
     """
@@ -550,7 +561,7 @@ def offset_disk_comparison(phi, phi_prime, center, radius=1.0, degree=20,
     volume = disk_weighted_area(phi, center, radius)
     R = ball_radius_for_volume(phi, volume)
     if linear_a is not None:
-        sigma_ball = linear_weight_beta1_euclid_n2(linear_a, R)
+        sigma_ball = kummer_beta(2, 1, R, a=linear_a)
     else:
         sigma_ball = fd_beta_rich(2, 0, phi_prime, R)
     return {"sigma1_domain": sigma_dom, "volume": volume, "R": R,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_axisym_spectrum
+from oracles import dense_axisym_spectrum, dense_spectrum
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume)
@@ -11,8 +11,9 @@ from steklovw.mesh2d import (MeridianDomain, TriMesh, axis_nodes,
                              boundary_gauss_points, generate_mesh,
                              integrate_boundary_weighted, integrate_weighted,
                              mesh_levels, outer_edges, refine)
-from steklovw.radial import sigma1_ball
-from steklovw.steklov2d import MODES, P1Level, assemble_mode, domain_spectrum
+from steklovw.radial import ball_spectrum, sigma1_ball
+from steklovw.steklov2d import P1Level, assemble_mode, domain_spectrum
+from steklovw.verify import MeshHierarchy
 
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
 W0 = RadialWeight.constant()
@@ -125,7 +126,7 @@ def test_each_mode_asked_for_its_share(dom):
     mesh = generate_mesh(dom, 6, 24)
     w = RadialWeight.linear(0.5)
     want, tags = dense_axisym_spectrum(
-        [assemble_mode(P1Level(mesh, E3), w, m) for m in MODES], 6)
+        [assemble_mode(P1Level(mesh, E3), w, m) for m in range(6 + 2)], 6)
     for k in range(1, 7):
         spec = domain_spectrum(P1Level(mesh, E3), w, k)
         assert len(spec.eigenvalues) == k + 1
@@ -139,7 +140,7 @@ def test_short_mode_boundary_raises():
     k = 3 is the most it supplies, and more is an error, not a short list."""
     mesh = generate_mesh(MeridianDomain.ball(1.0), 2, 4)
     want, tags = dense_axisym_spectrum(
-        [assemble_mode(P1Level(mesh, E3), W0, m) for m in MODES], 3)
+        [assemble_mode(P1Level(mesh, E3), W0, m) for m in range(3 + 2)], 3)
     spec = domain_spectrum(P1Level(mesh, E3), W0, 3)
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * want[1]
     assert spec.modes == tags
@@ -147,6 +148,44 @@ def test_short_mode_boundary_raises():
         with pytest.raises(DomainError, match=f"requested {k + 1} eigenvalues "
                            "from a 5-node boundary"):
             domain_spectrum(P1Level(mesh, E3), W0, k)
+
+
+def test_ball_modes_walked_to_degree_four():
+    """sigma_1..sigma_20 of the unit ball reach degree 4: each degree-i
+    value comes once from mode 0 and twice from each mode 1..i, so mode 3
+    enters at sigma_9, which a fixed list of modes 0-2 would miss.  The
+    values hold the radial ones to 2e-3 (measured 1.4e-3 at level 2)."""
+    spec = MeshHierarchy(MeridianDomain.ball(1.0), E3).spectrum(2, W0, 20)
+    want = ball_spectrum(E3, W0, 1.0, 20).eigenvalues
+    assert np.max(np.abs(spec.eigenvalues[1:] / want[1:] - 1)) < 2e-3
+    for degree, (lo, hi) in enumerate([(1, 4), (4, 9), (9, 16)], start=1):
+        assert sorted(spec.modes[lo:hi]) == \
+            [0] + [m for m in range(1, degree + 1) for _ in (0, 1)]
+
+
+def test_oblate_spheroid_sigma5_from_mode3():
+    """On the oblate spheroid a = 1.5, c = 0.4, sigma_5 is mode 3's lowest
+    value, below mode 0's second: the walk finds it and agrees with every
+    eigenvalue of modes 0-6, merged densely, to 1e-12 sigma_1."""
+    hier = MeshHierarchy(MeridianDomain.spheroid(1.5, 0.4), E3)
+    spec = hier.spectrum(-1, W0, 5)
+    want, tags = dense_axisym_spectrum(
+        [assemble_mode(hier.level(-1), W0, m) for m in range(7)], 5)
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * want[1]
+    assert spec.modes == tags
+    assert spec.modes[5] == 3
+
+
+@pytest.mark.parametrize("w", [W0, RadialWeight.linear(0.5)],
+                         ids=["constant", "linear"])
+def test_mode_values_do_not_decrease_with_m(w):
+    """The ground the walk stands on: by min-max, sigma_j of mode m+1 is at
+    least sigma_j of mode m (mode m+1 lives on mode m's space and adds
+    (2m+1) times the semidefinite azimuthal block)."""
+    level = MeshHierarchy(MeridianDomain.spheroid(1.5, 0.4), E3).level(1)
+    vals = np.array([dense_spectrum(assemble_mode(level, w, m), 3)
+                     for m in range(5)])
+    assert np.all(np.diff(vals, axis=0) >= -1e-12 * np.abs(vals[:-1]))
 
 
 def test_degenerate_spheroid_is_ball():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import json
@@ -713,6 +714,32 @@ def test_spectrum_command_axisym(tmp_path):
     assert abs(vals[0]) < 1e-9
     assert vals[1] == pytest.approx(1.0, rel=2e-2)
     assert "modes" in spec
+
+
+def test_spectrum_command_walks_solid_modes(tmp_path):
+    """On the oblate spheroid a = 1.5, c = 0.4 at the default mesh, sigma_5
+    is mode 3's lowest value: the CSV's last row and the JSON tags say so."""
+    cfg = parse_config(cfg_text(f"""
+        command = spectrum
+        count = 5
+
+        [space]
+        dim = 3
+
+        [domain]
+        kind = spheroid
+        a = 1.5
+        c = 0.4
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 0
+    lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+    assert (rows[-1]["index"], rows[-1]["mode"]) == ("5", "3")
+    spec = json.loads((tmp_path / "out" / "spectrum.json").read_text())["spectrum"]
+    assert spec["modes"][5] == 3
 
 
 def test_main_entrypoint(tmp_path, capsys):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import (concave_table, fd_beta_rich,
-                     linear_weight_beta1_euclid_n2, radial_integral,
-                     shoot_beta)
+from oracles import (concave_table, fd_beta_rich, kummer_beta,
+                     radial_integral, shoot_beta)
 from steklovw import AdmissibilityError, radial
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
@@ -19,6 +18,7 @@ from steklovw.radial import (GHProfile, ball_gh_integrals, ball_spectrum,
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
+E4 = SpaceForm(Curvature.EUCLIDEAN, 4)
 E5 = SpaceForm(Curvature.EUCLIDEAN, 5)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
 H3 = SpaceForm(Curvature.HYPERBOLIC, 3)
@@ -76,11 +76,10 @@ def test_spherical_cap_weighted_against_fd_march():
 
 
 def test_linear_weight_closed_form_family():
-    # exact solution T = 2(exp(-a t) - 1 + a t)/(a^2 t) for the plane
+    # exact solution T = t M(1, 3, -a t) = 2(exp(-a t) - 1 + a t)/(a^2 t)
     for a, R in ((1.0, 1.0), (0.5, 1.0), (0.25, 2.0)):
         sol = solve_mode(E2, RadialWeight.linear(a), 1, R)
-        assert sol.beta == pytest.approx(
-            linear_weight_beta1_euclid_n2(a, R), rel=1e-9)
+        assert sol.beta == pytest.approx(kummer_beta(2, 1, R, a=a), rel=1e-9)
     # a = 1, R = 1 collapses to e - 2
     assert sigma1_ball(E2, RadialWeight.linear(1.0), 1.0).value == \
         pytest.approx(math.e - 2.0, rel=1e-9)
@@ -160,7 +159,7 @@ def test_closed_forms_to_roundoff(R):
     assert solve_mode(S2, W0, 1, R).beta == pytest.approx(1 / math.sin(R), rel=1e-12)
     for a in (0.25, 1.0):
         assert solve_mode(E2, RadialWeight.linear(a), 1, R).beta == \
-            pytest.approx(linear_weight_beta1_euclid_n2(a, R), rel=1e-12)
+            pytest.approx(kummer_beta(2, 1, R, a=a), rel=1e-12)
 
 
 @pytest.mark.parametrize("form", [E2, E3, H2, H3], ids=lambda f: f.label)
@@ -337,6 +336,29 @@ def test_weighted_disk_double_first_eigenvalue():
     assert spec.eigenvalues[0] == 0.0
     assert spec.eigenvalues[1] == spec.eigenvalues[2]   # rotational multiplicity
     assert spec.eigenvalues[1] == pytest.approx(0.8467422493615949, rel=1e-8)
+
+
+@pytest.mark.parametrize("form", [E2, E3, E4], ids=lambda f: f.label)
+def test_kummer_closed_forms_to_roundoff(form):
+    """beta_i of modes 1, 2, 3 and 5 under phi = -a t and phi = -a t^2, a
+    from 0.5 to 3 at R from 1 to 6, against Kummer's M (within 1.9e-13)."""
+    for i in (1, 2, 3, 5):
+        for a, R in ((0.5, 1.0), (1.5, 3.0), (3.0, 6.0)):
+            lin = solve_mode(form, RadialWeight.linear(a), i, R).beta
+            assert lin == pytest.approx(kummer_beta(form.dim, i, R, a=a),
+                                        rel=1e-12)
+            quad = solve_mode(form, RadialWeight.quadratic(0.0, a), i, R).beta
+            assert quad == pytest.approx(kummer_beta(form.dim, i, R, b=a),
+                                         rel=1e-12)
+
+
+def test_ball_spectrum_is_kummer_degrees_with_multiplicity():
+    """Degrees 1-3 of the weighted 3-ball, each with its 2i+1 copies."""
+    spec = ball_spectrum(E3, RadialWeight.linear(0.5), 1.0, 15)
+    beta = [kummer_beta(3, i, 1.0, a=0.5) for i in (1, 2, 3)]
+    want = [0.0] + [beta[0]] * 3 + [beta[1]] * 5 + [beta[2]] * 7
+    assert np.allclose(spec.eigenvalues, want, rtol=1e-12, atol=0.0)
+    assert spec.modes == [0] + [1] * 3 + [2] * 5 + [3] * 7
 
 
 # ---------------------------------------------------------------------------
