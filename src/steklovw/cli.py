@@ -421,12 +421,6 @@ def _run_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_one(cfg: RunConfig, hier: MeshHierarchy, w: RadialWeight):
-    """The verify report of one meshed domain under one weight, with the
-    sum-of-n block in 2-D."""
-    return brock_report(hier, cfg.space, w, question_a=cfg.space.dim == 2)
-
-
 def _each_run(cfg: RunConfig, report) -> list:
     """report(hierarchy, w) for every (domain, weight) pair in input order.
 
@@ -448,7 +442,7 @@ def _each_run(cfg: RunConfig, report) -> list:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    report = _verify_one(cfg, _mesh(cfg, cfg.domains[0]), cfg.weights[0])
+    report = brock_report(_mesh(cfg, cfg.domains[0]), cfg.space, cfg.weights[0])
     row = report.csv_row()   # its keys are the report fields, in order
     _emit(cfg, "verify", {"report": asdict(report)}, list(row), [row])
     return 0 if report.passed else 2
@@ -456,7 +450,7 @@ def _run_verify(cfg: RunConfig) -> int:
 
 def _run_sweep(cfg: RunConfig) -> int:
     """Every (domain, weight) pair in input order, one JSON file per run."""
-    reports = _each_run(cfg, lambda hier, w: _verify_one(cfg, hier, w))
+    reports = _each_run(cfg, lambda hier, w: brock_report(hier, cfg.space, w))
     for i, rep in enumerate(reports):
         _emit(cfg, f"sweep_{i:03d}", {"report": asdict(rep)})
     rows = [r.csv_row() for r in reports]

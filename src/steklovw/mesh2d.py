@@ -23,7 +23,8 @@ from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
 
 
 class MeshQualityError(ValueError):
-    """Triangle quality below the fixed floor (increase M, N)."""
+    """A mesh that fails its checks: a triangle reversed or below the angle
+    floor (increase M, N), or a boundary pair that is no triangle edge."""
 
 
 def _check_star(radius: float, eps: float = 0.0, k: int = 1) -> None:
@@ -258,10 +259,8 @@ def axis_nodes(mesh: TriMesh) -> np.ndarray:
 def outer_edges(mesh: TriMesh) -> np.ndarray:
     """Boundary edges of a meridian mesh off the axis (an endpoint at r > 0):
     the Steklov boundary of a solid."""
-    v = mesh.vertices
     be = mesh.boundary_edges
-    on_axis = (v[be[:, 0], 0] == 0.0) & (v[be[:, 1], 0] == 0.0)
-    return be[~on_axis]
+    return be[np.any(mesh.vertices[be, 0] != 0.0, axis=1)]
 
 
 @dataclass(eq=False)
@@ -354,6 +353,17 @@ def generate_mesh(shape, rings: int, sectors: int) -> TriMesh:
                    domain=shape)
 
 
+def find_edges(codes: np.ndarray, keys: np.ndarray, nv: int) -> np.ndarray:
+    """Positions of the pairs ``keys`` (i nv + j) in the sorted edge ``codes``;
+    a pair that is no triangle edge raises ``MeshQualityError``."""
+    pos = np.searchsorted(codes, keys)
+    miss = codes[np.minimum(pos, len(codes) - 1)] != keys
+    if miss.any():
+        i, j = divmod(int(keys[miss][0]), nv)
+        raise MeshQualityError(f"boundary edge ({i}, {j}) is no triangle edge")
+    return pos
+
+
 def refine(mesh: TriMesh) -> TriMesh:
     """Uniform 4-way split, midpoints appended in first-appearance order.
 
@@ -378,7 +388,7 @@ def refine(mesh: TriMesh) -> TriMesh:
     def mid(e: np.ndarray) -> np.ndarray:
         """Vertex index of the midpoint of each edge in ``e``."""
         e = np.sort(np.asarray(e, dtype=np.int64).reshape(-1, 2), axis=1)
-        return nv + rank[np.searchsorted(codes, e[:, 0] * nv + e[:, 1])]
+        return nv + rank[find_edges(codes, e[:, 0] * nv + e[:, 1], nv)]
 
     mab, mbc, mca = (nv + rank[inverse]).reshape(-1, 3).T
     a, b, c = tri.T
@@ -501,36 +511,3 @@ def integrate_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
     vals = vals * meas.area(mids)
     sums = np.sum(mesh.areas / 3.0 * np.sum(vals, axis=-1), axis=-1)
     return (meas.revolution * sums).tolist()
-
-
-_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-
-
-def boundary_gauss_points(mesh: TriMesh, edges: np.ndarray | None = None):
-    """2-point Gauss nodes and Euclidean weights on each edge (default: the
-    whole boundary loop)."""
-    edges = mesh.boundary_edges if edges is None else edges
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    pts = np.stack([mid + g * half for g in _GAUSS2], axis=1)  # (B, 2, 2)
-    lengths = np.linalg.norm(b - a, axis=1)
-    wts = np.stack([lengths / 2.0, lengths / 2.0], axis=1)     # (B, 2)
-    return pts, wts
-
-
-def integrate_boundary_weighted(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
-                                fn=None):
-    """int over the boundary loop of fn(t(x)) dmu-hat with 2-point Gauss per
-    edge; a stack of k integrands, shape (k, B, 2), gives a list of k
-    integrals.  On the meridian of a solid the axis edges add nothing: their
-    Gauss points have r = 0 exactly, where the length density vanishes."""
-    meas = measure(form)
-    pts, wts = boundary_gauss_points(mesh)
-    t = meas.dist(pts)
-    vals = np.exp(-w.phi(t))
-    if fn is not None:
-        vals = vals * fn(t)
-    vals = vals * meas.length(pts)
-    return (meas.revolution * np.sum(wts * vals, axis=(-2, -1))).tolist()

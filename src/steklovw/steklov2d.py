@@ -2,15 +2,16 @@
 
 The weak form pairs the weighted Dirichlet energy against the weighted
 boundary mass.  A ``P1Level`` holds all of a mesh's data but the weight,
-which ``assemble`` scatters in; the plane, the Poincare disk and the
-meridian of a solid differ only in the ``Measure`` densities (see
-``mesh2d.measure``).  A solid separates into azimuthal Fourier modes
-u = U(r, z) e^{i m theta}; its mode-0 system carries the e^{-phi}/r block
-that m^2 times adds to the stiffness of mode m, whose axis nodes are
-removed (u = 0 there for m >= 1).  ``merge_modes`` merges the mode
-eigenvalues, once for m = 0 and twice for m >= 1; by min-max they do not
-decrease with m, as mode m+1 lives on mode m's space (no axis nodes) and
-adds (2m+1) times the semidefinite block.  K u = sigma M_b u is solved
+which ``assemble`` scatters in; it states the Steklov boundary once, and
+its ``boundary_integral`` runs on M_b's Gauss rule.  The plane, the
+Poincare disk and the meridian of a solid differ only in the ``Measure``
+densities (see ``mesh2d.measure``).  A solid separates into azimuthal
+Fourier modes u = U(r, z) e^{i m theta}; its mode-0 system carries the
+e^{-phi}/r block that m^2 times adds to the stiffness of mode m, whose axis
+nodes are removed (u = 0 there for m >= 1).  ``merge_modes`` merges the
+mode eigenvalues, once for m = 0 and twice for m >= 1; by min-max they do
+not decrease with m, as mode m+1 lives on mode m's space (no axis nodes)
+and adds (2m+1) times the semidefinite block.  K u = sigma M_b u is solved
 by block shift-invert Krylov on boundary vectors; its finite eigenvalues
 are the Dirichlet-to-Neumann map's, as M_b is 0 inside.
 """
@@ -25,8 +26,8 @@ import scipy.sparse.linalg as spla
 
 from .config import DEFAULT_CONFIG
 from .geometry import DomainError, RadialWeight, SpaceForm
-from .mesh2d import (_GAUSS2, MERIDIAN, TriMesh, axis_nodes,
-                     boundary_gauss_points, measure, outer_edges)
+from .mesh2d import (MERIDIAN, TriMesh, axis_nodes, find_edges, measure,
+                     outer_edges)
 from .spectrum import SteklovSpectrum, merge_modes
 
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
@@ -34,6 +35,8 @@ _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 1 / 6, 2 / 3]])   # interior points, never on the axis
 _PAIRS = np.array([[0, 1, 2], [1, 2, 0]])    # local node pairs (i, j)
 _BARY3_OFF = _BARY3[:, _PAIRS[0]] * _BARY3[:, _PAIRS[1]]    # (point, pair)
+_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+_GAUSS2_SHAPE = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0])
 
 
 class FactorizationError(RuntimeError):
@@ -61,12 +64,13 @@ class P1Level:
     """All of one mesh's P1 data under ``measure(form)`` but e^{-phi}: per
     triangle the centroid distance and area x stiffness density x grad
     phi_i . grad phi_j of its three node pairs (the diagonal is minus their
-    row sum: a triangle's hat gradients sum to zero); per Steklov edge its
-    Gauss-point distances and weights times the length density; on a
-    meridian three interior-point distances and their (area/3)/r.  Int32
-    ``slots`` scatter a pair's entry to (i, j) and (j, i) of one sorted CSR
-    pattern, so every matrix is bitwise symmetric; a solid's modes m >= 1
-    drop the axis nodes through ``keep``."""
+    row sum: a triangle's hat gradients sum to zero); the Steklov boundary,
+    stated here once: per edge its Gauss-point distances and weights times
+    the length density, its nodes and their points, and on a meridian
+    those off the axis (``sub_*``) and three interior-point distances and
+    their (area/3)/r.  Int32 ``slots`` scatter a pair's entry to (i, j) and
+    (j, i) of one sorted CSR pattern, so every matrix is bitwise symmetric;
+    a solid's modes m >= 1 drop the axis nodes through ``keep``."""
 
     def __init__(self, mesh: TriMesh, form: SpaceForm):
         meas, v, tri = measure(form), mesh.vertices, mesh.triangles
@@ -82,16 +86,21 @@ class P1Level:
         nv, i, j = len(v), np.r_[_PAIRS[0], _PAIRS[1], 0:3], \
             np.r_[_PAIRS[1], _PAIRS[0], 0:3]
         codes, slots = np.unique(tri.T[i] * nv + tri.T[j], return_inverse=True)
-        slot = lambda r, c: np.searchsorted(codes, r * nv + c).astype(np.int32)
         self.slots = slots.reshape(9, -1).astype(np.int32)
         self.indices = (codes % nv).astype(np.int32)
-        self.indptr = slot(np.arange(nv + 1), 0)
+        self.indptr = np.searchsorted(codes, np.arange(nv + 1) * nv) \
+            .astype(np.int32)
+        # the Steklov edges, 2-point Gauss on each: (gauss point, edge) arrays
         edges = outer_edges(mesh) if self.solid else mesh.boundary_edges
-        pts, wts = boundary_gauss_points(mesh, edges)   # (B,2,2), (B,2)
-        self.gauss_dist, self.gauss_coef = meas.dist(pts).T, \
-            (wts * meas.length(pts)).T
-        self.edge_slots = slot(edges.T[[0, 1, 0, 1]], edges.T[[1, 0, 0, 1]])
+        a, b = v[edges.T]
+        pts = (a + b) / 2.0 + _GAUSS2[:, None, None] * ((b - a) / 2.0)
+        self.gauss_dist = meas.dist(pts)
+        self.gauss_coef = np.tile(np.linalg.norm(b - a, axis=1) / 2.0, (2, 1)) \
+            * meas.length(pts)
+        self.edge_slots = find_edges(codes, edges.T[[0, 1, 0, 1]] * nv
+                                     + edges.T[[1, 0, 0, 1]], nv).astype(np.int32)
         self.boundary_index = np.unique(edges)
+        self.boundary_points = v[self.boundary_index]
         self.extent = float(np.ptp(v, axis=0).max())
         if self.solid:
             qpts = np.einsum("gi,ita->gta", _BARY3, p)   # (3, T, 2)
@@ -104,6 +113,19 @@ class P1Level:
                                  self.indptr))[self.off_axis][:, self.off_axis]
             self.keep = (sub.data - 1).astype(np.int32)
             self.sub_indices, self.sub_indptr = sub.indices, sub.indptr
+            on = np.isin(self.boundary_index, self.off_axis)
+            self.sub_boundary = np.searchsorted(self.off_axis,
+                                                self.boundary_index[on])
+            self.sub_points = self.boundary_points[on]
+
+    def boundary_integral(self, w: RadialWeight, fn=None):
+        """int of fn(t) e^{-phi} dmu-hat over the Steklov edges on M_b's Gauss
+        rule, times the model's ``revolution``; ``fn`` maps distances to
+        values (default 1), or to a (k, 2, B) stack for k integrals."""
+        t = self.gauss_dist
+        vals = np.exp(-w.phi(t)) * (1.0 if fn is None else fn(t))
+        return (measure(self.form).revolution * np.sum(vals * self.gauss_coef,
+                                                       axis=(-2, -1))).tolist()
 
     def csr(self, slots, off, diag) -> sp.csr_matrix:
         """Pair entries ``off`` scattered to both their slots, ``diag`` after."""
@@ -129,11 +151,10 @@ def assemble(level: P1Level, w: RadialWeight) -> AssembledSystem:
         f = np.exp(-w.phi(level.q_dist)) * level.q_coef
         R = level.csr(level.slots, _BARY3_OFF.T @ f, (_BARY3 ** 2).T @ f)
     f = np.exp(-w.phi(level.gauss_dist)) * level.gauss_coef    # (2 gauss, B)
-    shape = np.stack([(1.0 - _GAUSS2) / 2.0, (1.0 + _GAUSS2) / 2.0])
-    Mb = level.csr(level.edge_slots, shape.prod(axis=0, keepdims=True) @ f,
-                   (shape ** 2) @ f)
+    Mb = level.csr(level.edge_slots, _GAUSS2_SHAPE.prod(axis=0, keepdims=True)
+                   @ f, (_GAUSS2_SHAPE ** 2) @ f)
     return AssembledSystem(K, Mb, level.boundary_index, level.extent,
-                           level.mesh.vertices[level.boundary_index], R)
+                           level.boundary_points, R)
 
 
 def _mode(level: P1Level, sys: AssembledSystem, m: int) -> AssembledSystem:
@@ -142,12 +163,10 @@ def _mode(level: P1Level, sys: AssembledSystem, m: int) -> AssembledSystem:
     n = len(level.off_axis)
     sub = lambda data: sp.csr_matrix(
         (data[level.keep], level.sub_indices, level.sub_indptr), shape=(n, n))
-    on = np.isin(sys.boundary_index, level.off_axis)
     return AssembledSystem(
         sub(sys.stiffness.data + (m * m) * sys.azimuthal.data),
-        sub(sys.boundary_mass.data),
-        np.searchsorted(level.off_axis, sys.boundary_index[on]), sys.extent,
-        sys.boundary_points[on], mode=m)
+        sub(sys.boundary_mass.data), level.sub_boundary, sys.extent,
+        level.sub_points, mode=m)
 
 
 def assemble_mode(level: P1Level, w: RadialWeight, m: int) -> AssembledSystem:

@@ -7,7 +7,7 @@ Richardson extrapolation; all ball-side quantities come from the 1-D
 radial solver so the error budget stays on the FEM side.
 
 Also provided: the open sum-of-n-reciprocals variant (data generation
-only, ``brock_report(..., question_a=True)``), the trial-function
+only, the 2-D ``brock_report``'s ``question_a`` block), the trial-function
 proof-chain audit, the monotone-rearrangement comparison, and the
 mesh-convergence study that calibrates slacks.  Every report takes a
 domain plus ``MeshHierarchy`` keywords, or a prebuilt ``MeshHierarchy``.
@@ -24,9 +24,8 @@ from scipy.optimize import brentq
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                        ball_weighted_volume, validate_property_i)
-from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain,
-                     integrate_boundary_weighted, integrate_weighted, measure,
-                     mesh_levels)
+from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain, integrate_weighted,
+                     measure, mesh_levels)
 from .radial import (ball_gh_integrals, g_values, h_values, sigma1_ball,
                      solve_mode)
 from .spectrum import SteklovSpectrum
@@ -119,11 +118,11 @@ class MeshHierarchy:
     ``MeridianDomain`` in E3, meshed here by ``mesh_levels`` at ``rings`` x
     ``sectors`` (``None`` means 64 rays for a planar fan, 32 for a meridian
     half-fan), each on the fan its shape states.  The report functions
-    forward their ``**mesh`` keywords here.  Quadrature runs on ``meshes``,
-    eigensolves on the ``level`` data, built on first use; ``extrapolate``
-    walks the levels and ``matched_radius`` picks the matched volume.
-    Nothing here depends on a weight, so one hierarchy serves every weight
-    of a domain: the report functions take it in place of the domain.
+    forward their ``**mesh`` keywords here.  Volume quadrature runs on
+    ``meshes``, eigensolves and boundary integrals on the ``level`` data,
+    built on first use; ``extrapolate`` walks the levels.  Nothing here
+    depends on a weight, so one hierarchy serves every weight of a
+    domain: the report functions take it in place of the domain.
     """
 
     def __init__(self, dom, form: SpaceForm, rings: int = 8,
@@ -236,15 +235,15 @@ class VerificationReport:
         return row
 
 
-def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
-                 question_a: bool = False, **mesh) -> VerificationReport:
+def brock_report(dom, form: SpaceForm, w: RadialWeight,
+                 **mesh) -> VerificationReport:
     """Volume-matched ball comparison for the sum of reciprocal eigenvalues.
 
     ``dom`` is a domain, meshed by ``MeshHierarchy(dom, form, **mesh)``, or
     its prebuilt ``MeshHierarchy``.  status is "pass" when lhs - rhs >=
     -slack with slack the larger of the relative floor and 3x the
-    Richardson error estimate of the lhs.  ``question_a`` adds the open
-    sum-of-n-reciprocals block, which is reported but never asserted.
+    Richardson error estimate of the lhs.  In 2-D ``question_a`` holds the
+    open sum-of-n-reciprocals block, which is reported but never asserted.
     """
     n = form.dim
     hier = _hierarchy(dom, form, w, mesh)
@@ -264,7 +263,7 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight, *,
     equality_tol = max(DEFAULT_CONFIG.equality_floor, 3.0 * err_lhs)
 
     qa = None
-    if question_a:
+    if n == 2:
         lhs_n = lhs + 1.0 / sigma[n - 1]
         rhs_n = n / ball.value
         err_n = err_lhs + errs[n - 1] / sigma[n - 1] ** 2
@@ -472,7 +471,6 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
     extraps = hier.extrapolate(w, n)[1][:n - 1]
     sigma = [ex.value for ex in extraps]
     sigma_err = sum(ex.error / ex.value ** 2 for ex in extraps)
-    mesh = hier.meshes[-1]
     volume, R = hier.matched_radius(w)
 
     # one mode-1 solve past R: its shooting value at R is the ball's sigma_1
@@ -497,8 +495,8 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
                          g_values(form, w, t, Tc, dTc),
                          h_values(form, w, t, Tc, dTc)])
 
-    A, A_cap = integrate_boundary_weighted(mesh, form, w, squares)
-    B, C, B_cap, C_cap = integrate_weighted(mesh, form, w, profiles)
+    A, A_cap = hier.level(-1).boundary_integral(w, squares)
+    B, C, B_cap, C_cap = integrate_weighted(hier.meshes[-1], form, w, profiles)
     ball_G, ball_H = ball_gh_integrals(sol)
 
     inv_sum = sum(1.0 / s for s in sigma)

@@ -40,6 +40,11 @@ the reference for the package's ``P1Level``, which splits the
 weight-independent data off and scatters each weight into one shared
 pattern.
 
+The whole-loop boundary rule walks every boundary edge of a mesh with
+its own 2-point Gauss points, axis edges of a meridian included (their
+length density is 0); it is the reference for ``P1Level``'s boundary
+integral over the Steklov edges alone.
+
 The dict-based 4-way split is the reference for the package's array-based
 ``mesh2d.refine``: it numbers midpoints one triangle edge at a time.
 
@@ -60,8 +65,7 @@ from scipy.special import hyp1f1, roots_legendre
 
 from steklovw.config import DEFAULT_CONFIG
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
-from steklovw.mesh2d import (_GAUSS2, MERIDIAN, TriMesh,
-                             boundary_gauss_points, measure, outer_edges)
+from steklovw.mesh2d import MERIDIAN, TriMesh, measure, outer_edges
 from steklovw.steklov2d import AssembledSystem
 
 
@@ -147,6 +151,39 @@ def kummer_beta(n, i, R, a=0.0, b=0.0):
 # ---------------------------------------------------------------------------
 # The per-call P1 assembler: local blocks by einsum, matrices through COO
 # ---------------------------------------------------------------------------
+
+_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+
+
+def boundary_gauss_points(mesh: TriMesh, edges: np.ndarray | None = None):
+    """2-point Gauss nodes and Euclidean weights on each edge (default: the
+    whole boundary loop)."""
+    edges = mesh.boundary_edges if edges is None else edges
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
+    mid = (a + b) / 2.0
+    half = (b - a) / 2.0
+    pts = np.stack([mid + g * half for g in _GAUSS2], axis=1)  # (B, 2, 2)
+    lengths = np.linalg.norm(b - a, axis=1)
+    wts = np.stack([lengths / 2.0, lengths / 2.0], axis=1)     # (B, 2)
+    return pts, wts
+
+
+def boundary_integral_loop(mesh: TriMesh, form: SpaceForm, w: RadialWeight,
+                           fn=None):
+    """int over the whole boundary loop of fn(t(x)) e^{-phi} times the
+    length density, 2-point Gauss per edge, times the model's revolution;
+    on a meridian the axis edges add nothing, as their Gauss points have
+    r = 0 exactly."""
+    meas = measure(form)
+    pts, wts = boundary_gauss_points(mesh)
+    t = meas.dist(pts)
+    vals = np.exp(-w.phi(t))
+    if fn is not None:
+        vals = vals * fn(t)
+    vals = vals * meas.length(pts)
+    return float(meas.revolution * np.sum(wts * vals))
+
 
 _BARY3 = np.array([[2 / 3, 1 / 6, 1 / 6],
                    [1 / 6, 2 / 3, 1 / 6],

@@ -191,7 +191,7 @@ def _euclidean_sweep_runs():
     for dom in standard_sweep_euclidean():
         hier = MeshHierarchy(dom, E2, rings=8, sectors=64, levels=3)
         for w in standard_weights_euclidean():
-            runs.append((dom, w, brock_report(hier, E2, w, question_a=True)))
+            runs.append((dom, w, brock_report(hier, E2, w)))
     return runs
 
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_axisym_spectrum, dense_spectrum
+from oracles import (boundary_gauss_points, dense_axisym_spectrum,
+                     dense_spectrum)
 from steklovw.geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
                                ball_boundary_weighted_measure,
                                ball_weighted_volume)
 from steklovw.mesh2d import (MeridianDomain, TriMesh, axis_nodes,
-                             boundary_gauss_points, generate_mesh,
-                             integrate_boundary_weighted, integrate_weighted,
-                             mesh_levels, outer_edges, refine)
+                             generate_mesh, integrate_weighted, mesh_levels,
+                             outer_edges, refine)
 from steklovw.radial import ball_spectrum, sigma1_ball
 from steklovw.steklov2d import P1Level, assemble_mode, domain_spectrum
 from steklovw.verify import MeshHierarchy
@@ -54,7 +54,7 @@ def test_meridian_mesh_valid():
 
 def test_ball_measures_converge(ball_fine):
     vol = integrate_weighted(ball_fine, E3, W0)
-    area = integrate_boundary_weighted(ball_fine, E3, W0)
+    area = P1Level(ball_fine, E3).boundary_integral(W0)
     assert vol == pytest.approx(4 * math.pi / 3, rel=2e-3)
     assert area == pytest.approx(4 * math.pi, rel=2e-3)
 
@@ -62,7 +62,7 @@ def test_ball_measures_converge(ball_fine):
 def test_weighted_measures_match_radial_quadrature(ball_fine):
     w = RadialWeight.linear(0.5)
     vol = integrate_weighted(ball_fine, E3, w)
-    area = integrate_boundary_weighted(ball_fine, E3, w)
+    area = P1Level(ball_fine, E3).boundary_integral(w)
     assert vol == pytest.approx(ball_weighted_volume(E3, w, 1.0), rel=5e-3)
     assert area == pytest.approx(ball_boundary_weighted_measure(E3, w, 1.0),
                                  rel=5e-3)

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import json
 import os
 import re
@@ -509,7 +508,7 @@ def test_runs_mesh_each_domain_once(tmp_path, monkeypatch, command, dim,
     else:
         got = [json.loads((out / f"sweep_{i:03d}.json").read_text())["report"]
                for i in range(4)]
-        report = functools.partial(brock_report, question_a=dim == 2)
+        report = brock_report
     want = [report(dom, cfg.space, w, rings=4, sectors=16, levels=2)
             for dom in cfg.domains for w in cfg.weights]
     assert got == [json.loads(json.dumps(_sanitize(dataclasses.asdict(r))))

@@ -7,8 +7,9 @@ import oracles
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeridianDomain, MeshQualityError,
                              TriMesh, axis_nodes, generate_mesh,
-                             integrate_boundary_weighted, integrate_weighted,
-                             mesh_levels, outer_edges, refine)
+                             integrate_weighted, mesh_levels, outer_edges,
+                             refine)
+from steklovw.steklov2d import P1Level
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -144,6 +145,22 @@ def test_one_triangle_measures_itself():
                                                 abs=1e-12)
 
 
+def test_boundary_pair_off_the_mesh_fails_loudly():
+    """A boundary pair that is no triangle edge (edge 0 of a disk mesh
+    replaced by the chord (49, 52)) is refused where it is looked up:
+    ``refine`` would route the boundary through another edge's midpoint
+    and ``P1Level`` would scatter M_b into other pairs' slots."""
+    m = generate_mesh(Domain2D.disk(1.0), 4, 16)
+    be = m.boundary_edges.copy()
+    assert tuple(be[0]) == (49, 50)
+    be[0] = (49, 52)
+    bad = TriMesh(m.vertices, m.triangles, be, domain=m.domain)
+    with pytest.raises(MeshQualityError, match=r"\(49, 52\) is no triangle"):
+        refine(bad)
+    with pytest.raises(MeshQualityError, match=r"\(49, 52\) is no triangle"):
+        P1Level(bad, E2)
+
+
 def test_domain_invariant_validation():
     with pytest.raises(DomainError):
         Domain2D.perturbed_disk(1.0, 0.5, 3)    # eps*k >= 1
@@ -173,14 +190,14 @@ def test_measures_converge_at_second_order():
 
 def test_boundary_length_unit_circle():
     m = mesh_levels(Domain2D.disk(1.0), 8, 64, 3)[-1]
-    length = integrate_boundary_weighted(m, E2, W0)
+    length = P1Level(m, E2).boundary_integral(W0)
     assert length == pytest.approx(2 * math.pi, rel=1e-4)
 
 
 def test_boundary_measure_converges_at_second_order():
     w = RadialWeight.linear(1.0)
     exact = 2 * math.pi * math.e   # weighted circumference of the unit circle
-    errs = [abs(integrate_boundary_weighted(m, E2, w) - exact)
+    errs = [abs(P1Level(m, E2).boundary_integral(w) - exact)
             for m in mesh_levels(Domain2D.disk(1.0), 8, 64, 3)]
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
@@ -190,7 +207,7 @@ def test_polygon_measures_exact():
     sq = Domain2D.polygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
     m = generate_mesh(sq, 4, 16)
     area = integrate_weighted(m, E2, W0)
-    perim = integrate_boundary_weighted(m, E2, W0)
+    perim = P1Level(m, E2).boundary_integral(W0)
     assert area == pytest.approx(4.0, rel=1e-12)
     assert perim == pytest.approx(8.0, rel=1e-12)
 

@@ -5,13 +5,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import (assemble_reference, dense_axisym_spectrum,
-                     dense_spectrum, dtn_reduce, lanczos_spectrum,
-                     mode_reference)
+from oracles import (assemble_reference, boundary_integral_loop,
+                     dense_axisym_spectrum, dense_spectrum, dtn_reduce,
+                     lanczos_spectrum, mode_reference)
 from steklovw import steklov2d
 from steklovw.geometry import Curvature, DomainError, RadialWeight, SpaceForm
 from steklovw.mesh2d import (Domain2D, MeridianDomain, TriMesh, axis_nodes,
-                             generate_mesh, integrate_boundary_weighted)
+                             generate_mesh, mesh_levels, outer_edges)
 from steklovw.radial import sigma1_ball
 from steklovw.steklov2d import (AssembledSystem, FactorizationError, P1Level,
                                 assemble, assemble_mode, domain_spectrum,
@@ -51,7 +51,7 @@ def test_boundary_mass_totals_weighted_length(disk_mesh):
     w = RadialWeight.linear(0.5)
     sys = assemble(P1Level(disk_mesh, E2), w)
     total = sys.boundary_mass.sum()
-    length = integrate_boundary_weighted(disk_mesh, E2, w)
+    length = boundary_integral_loop(disk_mesh, E2, w)
     assert total == pytest.approx(length, rel=1e-13)
 
 
@@ -135,7 +135,9 @@ def test_level_assembly_matches_reference(case):
     level object on levels 0-1, agree with the per-call einsum/COO
     assembler ``oracles.assemble_reference`` within 1e-13 of max|entry|,
     compared as matrices (the shared pattern may hold explicit zeros); a
-    solid's modes 1 and 2 against ``oracles.mode_reference``."""
+    solid's modes 1 and 2 against ``oracles.mode_reference``, and their
+    boundary index and points, which the level builds once, against the
+    per-call ``isin`` / ``searchsorted`` of the off-axis Steklov nodes."""
     dom, form = _LEVEL_CASES[case]
     hier = MeshHierarchy(dom, form, levels=2)
     for i, mesh in enumerate(hier.meshes):
@@ -154,6 +156,34 @@ def test_level_assembly_matches_reference(case):
                 assert np.array_equal(got.boundary_index, ref.boundary_index)
                 assert np.array_equal(got.boundary_points, ref.boundary_points)
                 assert (got.extent, got.mode) == (ref.extent, ref.mode)
+        if level.solid:
+            b = np.unique(outer_edges(mesh))
+            off = np.setdiff1d(np.arange(len(mesh.vertices)), axis_nodes(mesh))
+            on = np.isin(b, off)
+            for m in (1, 2):
+                sys = assemble_mode(level, W0, m)
+                assert np.array_equal(sys.boundary_index,
+                                      np.searchsorted(off, b[on]))
+                assert np.array_equal(sys.boundary_points,
+                                      mesh.vertices[b[on]])
+
+
+@pytest.mark.parametrize("dom, form", [
+    (MeridianDomain.ball(1.0), E3), (MeridianDomain.spheroid(1.2, 0.8), E3),
+    (Domain2D.ellipse(0.5, 0.35), H2), (Domain2D.disk(1.0, center=(0.3, 0.0)), E2),
+])
+def test_boundary_integral_matches_whole_loop_rule(dom, form):
+    """``P1Level.boundary_integral``, M_b's Gauss rule on the Steklov edges
+    alone, equals the whole-loop rule of ``oracles.boundary_integral_loop``
+    (a meridian's axis edges included, where the length density is 0)
+    within 1e-15 relative at level 2, with and without an integrand."""
+    mesh = mesh_levels(dom, 8, 32 if form is E3 else 64, 3)[-1]
+    level = P1Level(mesh, form)
+    for w in standard_weights_euclidean():
+        for fn in (None, lambda t: t * t):
+            want = boundary_integral_loop(mesh, form, w, fn)
+            assert level.boundary_integral(w, fn) == pytest.approx(
+                want, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("case", list(_LEVEL_CASES))
