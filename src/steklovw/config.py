@@ -15,7 +15,6 @@ from dataclasses import dataclass
 class NumericsConfig:
     # radial ODE integration
     integrator_rtol: float = 1e-10
-    integrator_method: str = "DOP853"
     series_start_factor: float = 1e-4   # t0 = factor * R
     report_points: int = 2048
 

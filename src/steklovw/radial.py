@@ -19,20 +19,23 @@ A closed-form weight (constant, linear, quadratic) is solved by Chebyshev
 collocation (Trefethen, Spectral Methods in MATLAB, ch. 6-7), with DOP853
 as the fallback when degrees 24 and 32 disagree on beta.  A tabulated
 weight stays on DOP853 at rtol 1e-10: its phi' has kinks at the nodes.
-DOP853 starts at t0 = series_start_factor * R from the three-term series
-of T, which also serves below t0; either route hands back one evaluator of
-(T, T') on [0, t_end].  Every ball integral, G and H included, goes
-through ``geometry.ball_weighted_volume``.
+DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) runs in a loop of
+this module that repeats scipy 1.17.1's ``solve_ivp`` bit for bit, on a
+right-hand side that takes a table's phi' from the table's slopes by
+np.interp's own formula.  It starts at t0 = series_start_factor * R from
+the three-term series of T, which also serves below t0; either route hands
+back one evaluator of (T, T') on [0, t_end].  Every ball integral, G and H
+included, goes through ``geometry.ball_weighted_volume``.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
@@ -132,6 +135,78 @@ def _chebyshev_solve(form, w, i, R, t_end):
     return dense, float(beta)
 
 
+# The tableau of scipy's DOP853 class, which its solver steps with: each
+# stage's row a[:s] and node c, for the step (stages 1-11) and for the dense
+# output (stages 13-15).
+_STEP = [(a[:s], c) for s, (a, c) in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), 1)]
+_EXTRA = [(a[:s], c) for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), 13)]
+
+
+def _norm(x):
+    """np.linalg.norm of a real vector, computed as numpy computes it."""
+    return np.sqrt(x.dot(x))
+
+
+def _dop853(fun, t, y, t_end, rtol, atol):
+    """scipy 1.17.1's ``solve_ivp(fun, (t, t_end), y, method="DOP853",
+    rtol=rtol, atol=atol, dense_output=True)`` for a 2-vector y, operation
+    for operation in scipy's order (``select_initial_step``, ``rk_step``,
+    the E5/E3 error norm, the step-factor rule, ``_dense_output_impl``), so
+    every value has scipy's bits.  Returns the step times and y there, as
+    scipy's ``t`` and ``y.T``, and each step's dense-output coefficients F;
+    a step's size is the difference of its two times, as in scipy.  ``fun``
+    may return a tuple."""
+    K = np.empty((16, 2))
+    KT = [K[:s].T for s in range(17)]    # K[:s].T.dot is scipy's np.dot
+    f = np.asarray(fun(t, y), dtype=float)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _norm(y / scale) / 2 ** 0.5, _norm(f / scale) / 2 ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    f1 = np.asarray(fun(t + h0, y + h0 * f), dtype=float)
+    d2 = _norm((f1 - f) / scale) / 2 ** 0.5 / h0
+    h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+                else (0.01 / max(d1, d2)) ** 0.125, t_end - t)
+    ts, ys, Fs = [t], [y], []
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:      # also stops a NaN step size
+                raise IntegrationError(
+                    f"radial integration failed: step size underflow at t = {t}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_STEP, 1):
+                K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+            y_new = y + h * KT[12].dot(DOP853.B)
+            K[12] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = _norm(KT[13].dot(DOP853.E5) / scale) ** 2
+            e3 = _norm(KT[13].dot(DOP853.E3) / scale) ** 2
+            err = (0.0 if e5 == 0 and e3 == 0
+                   else abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * 2))
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        for s, (a, c) in enumerate(_EXTRA, 13):
+            K[s] = fun(t + c * h, y + KT[s].dot(a) * h)
+        dy = y_new - y
+        F = np.empty((7, 2))
+        F[0], F[1] = dy, h * K[0] - dy
+        F[2] = 2 * dy - h * (K[12] + K[0])
+        F[3:] = h * DOP853.D.dot(K)
+        Fs.append(F)
+        t, y, f = t_new, y_new, K[12].copy()
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.stack(ys), np.stack(Fs)
+
+
 def _shoot(form, w, i, R, t_end):
     """(dense (T, T') evaluator on [0, t_end], beta) from DOP853 started at
     t0 = series_start_factor * R on the series lead t^i (1 + c1 t + c2 t^2)
@@ -154,39 +229,36 @@ def _shoot(form, w, i, R, t_end):
     s_fn, c_fn = _METRIC[form.curvature]
     dphi = w.phi_prime
     if w.kind == "tabulated":
-        # one range check for [t0, t_end], then bare interpolation per call
+        # one range check for [t0, t_end], then np.interp's own formula on
+        # slopes taken once: slope[j] (t - x[j]) + f[j] on x[j] <= t < x[j+1]
         w.phi_prime(np.array([t0, t_end]))
-        dphi = partial(np.interp, xp=w.grid_t, fp=w.grid_dphi)
+        x, f = w.grid_t, w.grid_dphi
+        slope = ((f[1:] - f[:-1]) / (x[1:] - x[:-1])).tolist()
+        x, f = x.tolist(), f.tolist()
+
+        def dphi(t):
+            if not x[0] < t < x[-1]:
+                return f[0] if t <= x[0] else f[-1]
+            j = bisect(x, t) - 1
+            return slope[j] * (t - x[j]) + f[j]
 
     def rhs(t, y):
-        T, dT = y
+        T, dT = y.tolist()
         s, c = float(s_fn(t)), float(c_fn(t))
         return (dT,
                 -((n - 1) * c / s - dphi(t)) * dT + lam / (s * s) * T)
 
     y0 = np.array(series(t0))
     atol = cfg.integrator_rtol * max(abs(y0[0]), 1e-290)
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=cfg.integrator_method,
-                    rtol=cfg.integrator_rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"radial integration failed: {sol.message}")
-    if t_end == R:
-        TR, dTR = sol.y[0, -1], sol.y[1, -1]
-    else:
-        TR, dTR = sol.sol(R)
+    ts, ys, F = _dop853(rhs, t0, y0, t_end, cfg.integrator_rtol, atol)
 
-    # every step's dense-output piece, gathered once: scipy's evaluation
-    # (OdeSolution segment choice, Dop853DenseOutput Horner sequence) run
-    # elementwise on all points at once, bit for bit
-    ts, pieces = sol.sol.ts, sol.sol.interpolants
-    t_old = np.array([p.t_old for p in pieces])
-    h = np.array([p.h for p in pieces])
-    F = np.stack([p.F for p in pieces])          # (steps, power, 2)
-    y_old = np.stack([p.y_old for p in pieces])
+    # scipy's evaluation (OdeSolution segment choice, Dop853DenseOutput
+    # Horner sequence) run elementwise on all points at once, bit for bit
+    t_old, h, y_old = ts[:-1], np.diff(ts), ys[:-1]
 
     def dense(t):
         flat = np.maximum(t, t0).ravel()
-        seg = np.clip(np.searchsorted(ts, flat, "left") - 1, 0, len(pieces) - 1)
+        seg = np.clip(np.searchsorted(ts, flat, "left") - 1, 0, len(h) - 1)
         x = ((flat - t_old[seg]) / h[seg])[:, None]
         x1, Fs = 1 - x, F[seg]
         y = np.zeros((len(flat), 2))
@@ -196,6 +268,7 @@ def _shoot(form, w, i, R, t_end):
         y += y_old[seg]
         above = y.T.reshape((2,) + t.shape)
         return np.where(t < t0, series(np.minimum(t, t0)), above)
+    TR, dTR = ys[-1] if t_end == R else dense(np.array([R]))[:, 0]
     return dense, float(dTR / TR)
 
 

@@ -1,9 +1,10 @@
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from oracles import (concave_table, fd_beta_rich, kummer_beta,
                      radial_integral, shoot_beta)
@@ -139,8 +140,8 @@ def test_unconverged_collocation_falls_back_to_shooting(monkeypatch):
     """Degrees 24 and 32 disagree on a steep weight over a large hyperbolic
     ball, so that solve goes to DOP853; a moderate one never reaches it."""
     calls = []
-    orig = radial.solve_ivp
-    monkeypatch.setattr(radial, "solve_ivp",
+    orig = radial._dop853
+    monkeypatch.setattr(radial, "_dop853",
                         lambda *a, **k: calls.append(1) or orig(*a, **k))
     solve_mode(H3, RadialWeight.quadratic(0.5, 0.4), 1, 1.5, t_end=2.0)
     assert calls == []
@@ -182,21 +183,32 @@ def test_tabulated_beta_frozen(form, expected):
         shoot_beta(form.dim, form.kappa, dphi, 1.0, breaks=w.grid_t), rel=1e-9)
 
 
+def _record_dop853(monkeypatch):
+    """Every call of the in-module DOP853 loop, as (args, result)."""
+    calls, orig = [], radial._dop853
+    monkeypatch.setattr(radial, "_dop853", lambda *a: calls.append(
+        (a, orig(*a))) or calls[-1][1])
+    return calls
+
+
+def _scipy_dop853(fun, t0, y0, t_end, rtol, atol):
+    return solve_ivp(fun, (t0, t_end), y0, method="DOP853", rtol=rtol,
+                     atol=atol, dense_output=True)
+
+
 @pytest.mark.parametrize("form, t_end", [(E2, 1.0), (H3, 1.2)],
                          ids=["E2", "H3-extended"])
 def test_dense_evaluator_is_scipys_bit_for_bit(monkeypatch, form, t_end):
-    """The DOP853 evaluator gathers every step's dense-output piece once and
-    runs scipy's segment choice and Horner sequence on all points together;
-    it returns exactly ``OdeSolution``'s values on the report grid and on
-    the Gauss nodes of the G/H integrals.  Tabulated beta is rounding-chaotic
-    at 1e-9, so reordering even one sum would move recorded values."""
-    runs = []
-    orig = radial.solve_ivp
-    monkeypatch.setattr(radial, "solve_ivp",
-                        lambda *a, **k: runs.append(orig(*a, **k)) or runs[-1])
+    """The DOP853 evaluator holds every step's dense-output piece and runs
+    scipy's segment choice and Horner sequence on all points together; it
+    returns exactly ``OdeSolution``'s values on the report grid and on the
+    Gauss nodes of the G/H integrals.  Tabulated beta is rounding-chaotic at
+    1e-9, so reordering even one sum would move recorded values."""
+    calls = _record_dop853(monkeypatch)
     sol = solve_mode(form, RadialWeight.tabulated(*concave_table()), 1, 1.0,
                      t_end=t_end)
-    ode, dense, nodes = runs[-1].sol, sol._dense, []
+    ode = _scipy_dop853(*calls[-1][0]).sol
+    dense, nodes = sol._dense, []
     sol._dense = lambda t: nodes.append(t) or dense(t)
     ball_gh_integrals(sol)
     nodes = np.concatenate(nodes)
@@ -204,6 +216,83 @@ def test_dense_evaluator_is_scipys_bit_for_bit(monkeypatch, form, t_end):
     assert len(nodes) > 500
     for t in (sol.grid, nodes):
         assert np.array_equal(dense(t), ode(t))
+
+
+def _criterion4_tables(count, seed=20250810):
+    """Concave tables as criterion 4 builds them: phi = -int g with g a
+    constant plus three ramps, all drawn from the criterion's ranges."""
+    rng, ts = np.random.default_rng(seed), np.linspace(0.0, 1.25, 641)
+    tables = []
+    for _ in range(count):
+        g = np.full_like(ts, rng.uniform(0.0, 1.0))
+        for _k in range(3):
+            knot = rng.uniform(0.1, 1.0)
+            g = g + rng.uniform(0.0, 2.0) * np.maximum(ts - knot, 0.0)
+        tables.append((ts, -cumulative_trapezoid(g, ts, initial=0.0)))
+    return tables
+
+
+_LOOP_CASES = {
+    name: [(form, RadialWeight.tabulated(*table), i, R, t_end)
+           for form in (E2, E3, H2, H3) for i in (1, 2, 3)
+           for R, t_end in ((1.0, 1.0), (0.8, 1.2))]
+    for name, table in zip(["concave_table", "c4-0", "c4-1", "c4-2", "c4-3"],
+                           [concave_table(), *_criterion4_tables(4)])}
+_LOOP_CASES["closed-form-fallback"] = [
+    (H2, RadialWeight.quadratic(2.0, 1.0), 1, 8.0, 8.0)]
+
+
+def _interp_rhs(form, w, i):
+    """The mode equation as a first-order system, with a table's phi'
+    from np.interp itself."""
+    n, lam = form.dim, radial.angular_eigenvalue(form.dim, i)
+    dphi = (partial(np.interp, xp=w.grid_t, fp=w.grid_dphi)
+            if w.kind == "tabulated" else w.phi_prime)
+    sc = {Curvature.EUCLIDEAN: lambda t: (t, 1.0),
+          Curvature.HYPERBOLIC: lambda t: (np.sinh(t), np.cosh(t))}[form.curvature]
+
+    def rhs(t, y):
+        s, c = sc(t)
+        return y[1], -((n - 1) * c / s - dphi(t)) * y[1] + lam / (s * s) * y[0]
+    return rhs
+
+
+@pytest.mark.parametrize("cases", _LOOP_CASES.values(), ids=_LOOP_CASES.keys())
+def test_dop853_loop_is_scipys_bit_for_bit(monkeypatch, cases):
+    """The in-module loop and its right-hand side repeat scipy's DOP853 on
+    np.interp's phi' (checked against the installed scipy; CI pins 1.17.1):
+    the same step times, dense pieces, values and beta, on tabulated
+    weights in E2, E3, H2 and H3, modes 1-3, to t_end = R and past it, and
+    on the closed-form fallback."""
+    calls = _record_dop853(monkeypatch)
+    for case in cases:
+        form, w, i, R, t_end = case
+        beta = solve_mode(form, w, i, R, t_end=t_end).beta
+        args, (ts, ys, F) = calls[-1]
+        ref = _scipy_dop853(_interp_rhs(form, w, i), *args[1:])
+        pieces = ref.sol.interpolants
+        assert ref.success and len(pieces) == len(F), case
+        assert np.array_equal(ts, ref.t), case
+        assert np.array_equal(ys, ref.y.T), case
+        assert np.array_equal(F, np.stack([p.F for p in pieces])), case
+        assert np.array_equal(ys[:-1], np.stack([p.y_old for p in pieces])), case
+        assert np.array_equal(np.diff(ts), [p.h for p in pieces]), case
+        T, dT = ref.y[:, -1] if t_end == R else ref.sol(R)
+        assert beta == float(dT / T), case
+    assert len(calls) == len(cases)
+
+
+def test_dop853_loop_raises_on_nan_never_returns_it():
+    """Step-size underflow raises IntegrationError: a right-hand side that
+    turns NaN at t = 0.5 stalls the step there (where scipy reports
+    failure), and one that is NaN from the start stops at once (where
+    scipy's step loop never ends)."""
+    y0 = np.array([1.0, 0.0])
+    half = lambda t, y: (math.nan if t > 0.5 else y[1], y[0])
+    assert not _scipy_dop853(half, 0.0, y0, 1.0, 1e-10, 1e-12).success
+    for fun in (half, lambda t, y: (math.nan, math.nan)):
+        with pytest.raises(radial.IntegrationError):
+            radial._dop853(fun, 0.0, y0, 1.0, 1e-10, 1e-12)
 
 
 def test_tabulated_weight_rejects_queries_past_its_grid():
