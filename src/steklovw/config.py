@@ -23,7 +23,6 @@ class NumericsConfig:
 
     # Property I admissibility check
     property_tol: float = 1e-12
-    property_samples: int = 256
 
     # shooting / integral-identity cross check
     identity_warn_tol: float = 1e-6

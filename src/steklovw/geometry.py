@@ -105,8 +105,9 @@ class RadialWeight:
     """Radial weight phi(t) with first/second derivative evaluators.
 
     Closed-form kinds are the polynomial c - a t - b t^2 with exact
-    derivatives; tabulated weights use centered finite differences on their
-    sample grid and linear interpolation in between.
+    derivatives.  A table is phi' = ``np.gradient`` of its samples at the
+    nodes, linear in between: phi'' is constant on each interval, and phi,
+    its exact integral from the first sample, quadratic there.
     """
 
     kind: str
@@ -147,41 +148,49 @@ class RadialWeight:
             raise DomainError("tabulated weight grid must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
             raise DomainError("tabulated weight samples must be finite")
-        dphi = np.gradient(phi, t)
-        d2phi = np.gradient(dphi, t)
-        return RadialWeight(kind="tabulated", grid_t=t, grid_phi=phi,
-                            grid_dphi=dphi, grid_d2phi=d2phi)
+        dphi, h = np.gradient(phi, t), np.diff(t)
+        steps = np.cumsum(0.5 * h * (dphi[:-1] + dphi[1:]))   # exact: phi' is linear
+        return RadialWeight(kind="tabulated", grid_t=t, grid_phi=np.r_[phi[0], phi[0] + steps],
+                            grid_dphi=dphi, grid_d2phi=np.diff(dphi) / h)
 
     # -- evaluation ---------------------------------------------------
-    def _tab_interp(self, values: np.ndarray, t):
-        t_arr = np.asarray(t, dtype=float)
-        lo, hi = self.grid_t[0], self.grid_t[-1]
-        pad = 1e-12 * max(1.0, abs(hi))
-        if not np.all((t_arr >= lo - pad) & (t_arr <= hi + pad)):
-            raise DomainError(
-                f"tabulated weight queried outside its grid [{lo}, {hi}]")
-        out = np.interp(t_arr, self.grid_t, values)
-        return out if out.ndim else float(out)
+    def _on_grid(self, t) -> np.ndarray:
+        t, x = np.asarray(t, dtype=float), self.grid_t
+        pad = 1e-12 * max(1.0, abs(x[-1]))
+        if not np.all((t >= x[0] - pad) & (t <= x[-1] + pad)):
+            raise DomainError(f"tabulated weight queried outside its grid [{x[0]}, {x[-1]}]")
+        return t
+
+    def _piece(self, t):
+        """t on the grid, and the index j of its interval t_j <= t < t_{j+1}
+        (the last one at the end): np.interp of the interval numbers, floored."""
+        t = self._on_grid(t)
+        return t, np.interp(t, self.grid_t[:-1], np.arange(self.grid_t.size - 1.0)).astype(np.intp)
 
     def phi(self, t):
-        """c - a t - b t^2, or the table interpolated."""
+        """c - a t - b t^2, or the table's quadratic on the interval of t."""
         if self.kind == "tabulated":
-            return self._tab_interp(self.grid_phi, t)
-        t = np.asarray(t, dtype=float)
-        out = self.c - self.a * t - self.b * t * t
+            t, j = self._piece(t)
+            u = t - self.grid_t.take(j)
+            out = self.grid_phi.take(j) + u * (self.grid_dphi.take(j)
+                                               + 0.5 * u * self.grid_d2phi.take(j))
+        else:
+            t = np.asarray(t, dtype=float)
+            out = self.c - self.a * t - self.b * t * t
         return out if out.ndim else float(out)
 
     def phi_prime(self, t):
         if self.kind == "tabulated":
-            return self._tab_interp(self.grid_dphi, t)
-        t = np.asarray(t, dtype=float)
-        out = 0.0 - self.a - 2.0 * self.b * t
+            out = np.interp(self._on_grid(t), self.grid_t, self.grid_dphi)
+        else:
+            out = 0.0 - self.a - 2.0 * self.b * np.asarray(t, dtype=float)
         return out if out.ndim else float(out)
 
     def phi_second(self, t):
         if self.kind == "tabulated":
-            return self._tab_interp(self.grid_d2phi, t)
-        out = np.full_like(np.asarray(t, dtype=float), 0.0 - 2.0 * self.b)
+            out = self.grid_d2phi.take(self._piece(t)[1])
+        else:
+            out = np.full_like(np.asarray(t, dtype=float), 0.0 - 2.0 * self.b)
         return out if out.ndim else float(out)
 
     @property
@@ -200,23 +209,23 @@ def validate_property_i(w: RadialWeight, t_max: float) -> None:
     on [0, t_max].
 
     Property I is the hypothesis of the ball comparison, so every solve and
-    report checks it and none goes on without it.  The check is numerical on
-    ``property_samples`` points; closed-form kinds use their exact
-    derivatives there.
+    report checks it and none goes on without it.  The check is exact:
+    phi' is linear and phi'' constant on each piece of the weight (one for a
+    closed form, each interval of a table), so max phi' is at 0, t_max or a
+    node between; a table ending before t_max is a ``DomainError``.
     """
     if not 0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
-    ts = np.linspace(0.0, t_max, DEFAULT_CONFIG.property_samples)
-    tol = DEFAULT_CONFIG.property_tol
+    tol, knots, d2p = DEFAULT_CONFIG.property_tol, [0.0, t_max], w.phi_second(0.0)
     if w.kind == "tabulated":
-        # stay on the tabulated range, and widen the tolerance to the
+        # the pieces that meet [0, t_max], and the tolerance widened to the
         # roundoff floor of twice-differenced table values (~eps/h^2)
-        ts = ts[ts <= w.grid_t[-1] + 1e-15]
-        h_min = float(np.min(np.diff(w.grid_t)))
+        t = w.grid_t
+        knots = np.concatenate([[0.0], t[(t > 0) & (t < t_max)], [t_max]])
+        d2p = w.grid_d2phi[(t[1:] > 0) & (t[:-1] < t_max)]
         scale = max(1.0, float(np.max(np.abs(w.grid_phi))))
-        tol = max(tol, 32.0 * np.finfo(float).eps * scale / h_min ** 2)
-    max_dp = float(np.max(w.phi_prime(ts)))
-    max_d2p = float(np.max(w.phi_second(ts)))
+        tol = max(tol, 32.0 * np.finfo(float).eps * scale / np.min(np.diff(t)) ** 2)
+    max_dp, max_d2p = float(np.max(w.phi_prime(knots))), float(np.max(d2p))
     if max_dp > tol or max_d2p > tol:
         raise AdmissibilityError(
             "weight fails Property I (non-increasing, concave) on "

@@ -21,11 +21,11 @@ as the fallback when degrees 24 and 32 disagree on beta.  A tabulated
 weight stays on DOP853 at rtol 1e-10: its phi' has kinks at the nodes.
 DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) runs in a loop of
 this module that repeats scipy 1.17.1's ``solve_ivp`` bit for bit, on a
-right-hand side that takes a table's phi' from the table's slopes by
-np.interp's own formula.  It starts at t0 = series_start_factor * R from
-the three-term series of T, which also serves below t0; either route hands
-back one evaluator of (T, T') on [0, t_end].  Every ball integral, G and H
-included, goes through ``geometry.ball_weighted_volume``.
+right-hand side that takes a table's phi' from its node values and its
+phi'' by np.interp's own formula.  It starts at t0 = series_start_factor
+* R from the three-term series of T, which also serves below t0; either
+route hands back one evaluator of (T, T') on [0, t_end].  Every ball
+integral, G and H included, goes through ``geometry.ball_weighted_volume``.
 """
 from __future__ import annotations
 
@@ -229,12 +229,9 @@ def _shoot(form, w, i, R, t_end):
     s_fn, c_fn = _METRIC[form.curvature]
     dphi = w.phi_prime
     if w.kind == "tabulated":
-        # one range check for [t0, t_end], then np.interp's own formula on
-        # slopes taken once: slope[j] (t - x[j]) + f[j] on x[j] <= t < x[j+1]
+        # one range check, then np.interp's formula, whose slopes are phi''
         w.phi_prime(np.array([t0, t_end]))
-        x, f = w.grid_t, w.grid_dphi
-        slope = ((f[1:] - f[:-1]) / (x[1:] - x[:-1])).tolist()
-        x, f = x.tolist(), f.tolist()
+        x, f, slope = w.grid_t.tolist(), w.grid_dphi.tolist(), w.grid_d2phi.tolist()
 
         def dphi(t):
             if not x[0] < t < x[-1]:

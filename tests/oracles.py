@@ -32,7 +32,10 @@ run on the adaptive panel rule of ``geometry.ball_weighted_volume``.
 The ball-volume quadrature sums scipy's 40-point Gauss-Legendre rule
 over every interval of a weight table (or over uniform panels for a
 closed-form weight), each evaluated once, with no error control shared
-with the package's adaptive 8/16-point panel rule.
+with the package's adaptive 8/16-point panel rule.  A table's phi there
+is the integral of its np.interp'd ``np.gradient`` slopes, summed by the
+trapezoid rule, which is exact on each linear piece; the package writes
+the same function as a quadratic per interval.
 
 The per-call P1 assembler builds every local block with ``einsum`` and
 each matrix through COO, from the mesh and the weight in one pass; it is
@@ -412,6 +415,20 @@ def concave_table(nodes=641, t_end=1.25, base=0.3, knot=0.4, slope=1.2):
     ts = np.linspace(0.0, t_end, nodes)
     g = base + slope * np.maximum(ts - knot, 0.0)
     return ts, -cumulative_trapezoid(g, ts, initial=0.0)
+
+
+def table_phi(ts, phi):
+    """phi of a weight table as a function: phi(ts[0]) + int phi', with
+    phi' = np.interp(t, ts, np.gradient(phi, ts)) and each interval's
+    integral the trapezoid of its two end values."""
+    ts = np.asarray(ts, dtype=float)
+    g = np.gradient(np.asarray(phi, dtype=float), ts)
+    at_nodes = phi[0] + cumulative_trapezoid(g, ts, initial=0.0)
+
+    def value(t):
+        k = np.clip(np.searchsorted(ts, t, "right") - 1, 0, len(ts) - 2)
+        return at_nodes[k] + 0.5 * (t - ts[k]) * (g[k] + np.interp(t, ts, g))
+    return value
 
 
 def ball_volume(n, kappa, phi, R, breaks=(), points=40, panels=16):

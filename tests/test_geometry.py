@@ -102,6 +102,24 @@ def test_property_i_rejects_increasing_weight():
 def test_property_i_preconditions():
     with pytest.raises(DomainError):
         validate_property_i(RadialWeight.constant(), -1.0)
+    ts = np.linspace(0.0, 1.0, 11)
+    w = RadialWeight.tabulated(ts, -ts)
+    validate_property_i(w, 1.0)
+    with pytest.raises(DomainError, match="outside its grid"):
+        validate_property_i(w, 1.5)     # past the table's end
+
+
+def test_property_i_refuses_a_convex_bump_at_any_node():
+    """phi = -t - t^2/4 with 1e-5 added at one node: the table's phi'' is
+    about +5 on the intervals beside that node, wherever it lies."""
+    ts = np.linspace(0.0, 1.0, 1001)
+    phi = -ts - ts * ts / 4
+    validate_property_i(RadialWeight.tabulated(ts, phi), 1.0)
+    for j in range(300, 700):
+        bump = phi.copy()
+        bump[j] += 1e-5
+        with pytest.raises(AdmissibilityError, match=r"max phi'' = [1-9]\.\d+e\+00"):
+            validate_property_i(RadialWeight.tabulated(ts, bump), 1.0)
 
 
 def test_tabulated_weight_validation():
@@ -178,7 +196,7 @@ ORACLE_WEIGHTS = {
     "quadratic": (RadialWeight.quadratic(1.5, 0.7),
                   lambda t: -1.5 * t - 0.7 * t * t, (), (0.05, 1.0, 2.5)),
     "tabulated": (RadialWeight.tabulated(TABLE_T, TABLE_PHI),
-                  lambda t: np.interp(t, TABLE_T, TABLE_PHI), TABLE_T,
+                  oracles.table_phi(TABLE_T, TABLE_PHI), TABLE_T,
                   (0.003, 0.77, 1.25)),
 }
 

@@ -282,6 +282,23 @@ def test_dop853_loop_is_scipys_bit_for_bit(monkeypatch, cases):
     assert len(calls) == len(cases)
 
 
+@pytest.mark.parametrize("table", [concave_table(), *_criterion4_tables(4)],
+                         ids=["concave_table", "c4-0", "c4-1", "c4-2", "c4-3"])
+def test_identity_is_exact_on_tables(table):
+    """A table's phi is the integral of its phi', so int_B H dmu over
+    T(R)^2 |bd B_R| is beta to quadrature accuracy: it meets the
+    node-restarted rtol-1e-13 shooting value to 1e-10, which the package's
+    rtol-1e-10 beta need not."""
+    w = RadialWeight.tabulated(*table)
+    dphi = lambda t: float(np.interp(t, w.grid_t, w.grid_dphi))
+    for form in (E2, E3, H2, H3):
+        for R in (0.7, 1.0, 1.2):
+            res = sigma1_ball(form, w, R)
+            ref = shoot_beta(form.dim, form.kappa, dphi, R, breaks=w.grid_t)
+            assert res.integral_value == pytest.approx(ref, rel=1e-10), (form, R)
+            assert res.rel_discrepancy < DEFAULT_CONFIG.identity_warn_tol
+
+
 def test_dop853_loop_raises_on_nan_never_returns_it():
     """Step-size underflow raises IntegrationError: a right-hand side that
     turns NaN at t = 0.5 stalls the step there (where scipy reports
