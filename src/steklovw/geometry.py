@@ -102,41 +102,47 @@ def c_kappa(form: SpaceForm, t):
 
 @dataclass(frozen=True, eq=False)
 class RadialWeight:
-    """Radial weight phi(t) with first/second derivative evaluators.
+    """Radial weight phi(t) as a chain of quadratic pieces.
 
-    Closed-form kinds are the polynomial c - a t - b t^2 with exact
-    derivatives.  A table is phi' = ``np.gradient`` of its samples at the
-    nodes, linear in between: phi'' is constant on each interval, and phi,
-    its exact integral from the first sample, quadratic there.
+    Piece j starts at the node grid_t[j], the first at 0, and holds
+
+        phi(t) = grid_phi[j] + u grid_dphi[j] + u^2 grid_d2phi[j] / 2,
+        u = t - grid_t[j],
+
+    so phi' is linear and phi'' constant on it.  A closed form
+    c - a t - b t^2 is the one piece [0, inf) with (c, -a, -2b).  A table's
+    phi' is ``np.gradient`` of its samples at the nodes, linear in between,
+    and phi its exact integral from the first sample; grid_phi and grid_dphi
+    also hold the values at its last node.  ``kind`` only names the weight.
     """
 
     kind: str
-    c: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    grid_t: np.ndarray | None = field(default=None, repr=False)
-    grid_phi: np.ndarray | None = field(default=None, repr=False)
-    grid_dphi: np.ndarray | None = field(default=None, repr=False)
-    grid_d2phi: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.c, self.a, self.b)):
-            raise DomainError("weight coefficients must be finite")
+    grid_t: np.ndarray = field(repr=False)
+    grid_phi: np.ndarray = field(repr=False)
+    grid_dphi: np.ndarray = field(repr=False)
+    grid_d2phi: np.ndarray = field(repr=False)
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _one_piece(kind: str, c: float, a: float, b: float) -> "RadialWeight":
+        piece = [float(c)], [0.0 - float(a)], [0.0 - 2.0 * float(b)]
+        if not all(math.isfinite(x[0]) for x in piece):
+            raise DomainError("weight coefficients must be finite")
+        return RadialWeight(kind, np.array([0.0, math.inf]), *map(np.array, piece))
+
+    @staticmethod
     def constant(c: float = 0.0) -> "RadialWeight":
-        return RadialWeight(kind="constant", c=float(c))
+        return RadialWeight._one_piece("constant", c, 0.0, 0.0)
 
     @staticmethod
     def linear(a: float) -> "RadialWeight":
         """phi(t) = -a t."""
-        return RadialWeight(kind="linear", a=float(a))
+        return RadialWeight._one_piece("linear", 0.0, a, 0.0)
 
     @staticmethod
     def quadratic(a: float, b: float) -> "RadialWeight":
         """phi(t) = -a t - b t^2."""
-        return RadialWeight(kind="quadratic", a=float(a), b=float(b))
+        return RadialWeight._one_piece("quadratic", 0.0, a, b)
 
     @staticmethod
     def tabulated(t, phi) -> "RadialWeight":
@@ -144,64 +150,55 @@ class RadialWeight:
         phi = np.asarray(phi, dtype=float)
         if t.ndim != 1 or t.shape != phi.shape or t.size < 4:
             raise DomainError("tabulated weight needs matching 1-D arrays with >= 4 samples")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("tabulated weight grid must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
             raise DomainError("tabulated weight samples must be finite")
+        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+            raise DomainError("tabulated weight grid must start at 0 and increase strictly")
         dphi, h = np.gradient(phi, t), np.diff(t)
         steps = np.cumsum(0.5 * h * (dphi[:-1] + dphi[1:]))   # exact: phi' is linear
-        return RadialWeight(kind="tabulated", grid_t=t, grid_phi=np.r_[phi[0], phi[0] + steps],
-                            grid_dphi=dphi, grid_d2phi=np.diff(dphi) / h)
+        return RadialWeight("tabulated", t, np.r_[phi[0], phi[0] + steps],
+                            dphi, np.diff(dphi) / h)
 
     # -- evaluation ---------------------------------------------------
     def _on_grid(self, t) -> np.ndarray:
+        """t as an array; a table refuses t off its grid, and the one piece
+        of a closed form holds everywhere."""
         t, x = np.asarray(t, dtype=float), self.grid_t
-        pad = 1e-12 * max(1.0, abs(x[-1]))
-        if not np.all((t >= x[0] - pad) & (t <= x[-1] + pad)):
-            raise DomainError(f"tabulated weight queried outside its grid [{x[0]}, {x[-1]}]")
+        if x.size > 2:
+            pad = 1e-12 * max(1.0, abs(x[-1]))
+            if not np.all((t >= x[0] - pad) & (t <= x[-1] + pad)):
+                raise DomainError(f"tabulated weight queried outside its grid [{x[0]}, {x[-1]}]")
         return t
 
     def _piece(self, t):
-        """t on the grid, and the index j of its interval t_j <= t < t_{j+1}
-        (the last one at the end): np.interp of the interval numbers, floored."""
-        t = self._on_grid(t)
-        return t, np.interp(t, self.grid_t[:-1], np.arange(self.grid_t.size - 1.0)).astype(np.intp)
+        """The index j of the piece of t, t_j <= t < t_{j+1} (the last one
+        also at its end), and u = t - t_j: j = 0 and u = t for a single
+        piece, else j is np.interp of the piece numbers, floored."""
+        t, x = self._on_grid(t), self.grid_t
+        if x.size == 2:
+            return 0, t
+        j = np.interp(t, x[:-1], np.arange(x.size - 1.0)).astype(np.intp)
+        return j, t - x[j]
 
     def phi(self, t):
-        """c - a t - b t^2, or the table's quadratic on the interval of t."""
-        if self.kind == "tabulated":
-            t, j = self._piece(t)
-            u = t - self.grid_t.take(j)
-            out = self.grid_phi.take(j) + u * (self.grid_dphi.take(j)
-                                               + 0.5 * u * self.grid_d2phi.take(j))
-        else:
-            t = np.asarray(t, dtype=float)
-            out = self.c - self.a * t - self.b * t * t
+        j, u = self._piece(t)
+        out = self.grid_phi[j] + u * (self.grid_dphi[j] + u * (0.5 * self.grid_d2phi[j]))
         return out if out.ndim else float(out)
 
     def phi_prime(self, t):
-        if self.kind == "tabulated":
-            out = np.interp(self._on_grid(t), self.grid_t, self.grid_dphi)
-        else:
-            out = 0.0 - self.a - 2.0 * self.b * np.asarray(t, dtype=float)
-        return out if out.ndim else float(out)
-
-    def phi_second(self, t):
-        if self.kind == "tabulated":
-            out = self.grid_d2phi.take(self._piece(t)[1])
-        else:
-            out = np.full_like(np.asarray(t, dtype=float), 0.0 - 2.0 * self.b)
+        """phi' at t, linear on each piece: a table's is np.interp of its
+        node values, whose slopes are grid_d2phi."""
+        t, x = self._on_grid(t), self.grid_t
+        out = (np.interp(t, x, self.grid_dphi) if x.size > 2
+               else self.grid_dphi[0] + self.grid_d2phi[0] * t)
         return out if out.ndim else float(out)
 
     @property
     def label(self) -> str:
-        if self.kind == "constant":
-            return f"const({self.c:g})"
-        if self.kind == "linear":
-            return f"-{self.a:g}*t"
-        if self.kind == "quadratic":
-            return f"-{self.a:g}*t-{self.b:g}*t^2"
-        return f"tabulated[{self.grid_t.size}]"
+        c, a, b = self.grid_phi[0], 0.0 - self.grid_dphi[0], 0.0 - 0.5 * self.grid_d2phi[0]
+        return {"constant": f"const({c:g})", "linear": f"-{a:g}*t",
+                "quadratic": f"-{a:g}*t-{b:g}*t^2"}.get(
+                    self.kind, f"tabulated[{self.grid_t.size}]")
 
 
 def validate_property_i(w: RadialWeight, t_max: float) -> None:
@@ -209,24 +206,25 @@ def validate_property_i(w: RadialWeight, t_max: float) -> None:
     on [0, t_max].
 
     Property I is the hypothesis of the ball comparison, so every solve and
-    report checks it and none goes on without it.  The check is exact:
-    phi' is linear and phi'' constant on each piece of the weight (one for a
-    closed form, each interval of a table), so max phi' is at 0, t_max or a
-    node between; a table ending before t_max is a ``DomainError``.
+    report checks it and none goes on without it.  The check is exact and
+    the same for every weight: phi' is linear and phi'' constant on each
+    piece, so max phi' is at 0, t_max or a node between, and max phi'' is
+    over the pieces that meet [0, t_max].  A table ending before t_max is a
+    ``DomainError``.
     """
     if not 0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
-    tol, knots, d2p = DEFAULT_CONFIG.property_tol, [0.0, t_max], w.phi_second(0.0)
-    if w.kind == "tabulated":
-        # the pieces that meet [0, t_max], and the tolerance widened to the
-        # roundoff floor of twice-differenced table values (~eps/h^2)
-        t = w.grid_t
-        knots = np.concatenate([[0.0], t[(t > 0) & (t < t_max)], [t_max]])
-        d2p = w.grid_d2phi[(t[1:] > 0) & (t[:-1] < t_max)]
-        scale = max(1.0, float(np.max(np.abs(w.grid_phi))))
-        tol = max(tol, 32.0 * np.finfo(float).eps * scale / np.min(np.diff(t)) ** 2)
-    max_dp, max_d2p = float(np.max(w.phi_prime(knots))), float(np.max(d2p))
-    if max_dp > tol or max_d2p > tol:
+    t = w.grid_t
+    k = t.searchsorted(t_max)      # the pieces that meet [0, t_max]
+    max_dp = float(np.max(w.phi_prime(np.concatenate((t[:k], (t_max,))))))
+    max_d2p = float(np.max(w.grid_d2phi[:k]))
+    # the tolerance: property_tol, widened to the roundoff floor of
+    # twice-differenced table values (~eps/h^2; 0 on a closed form's
+    # infinite piece), which is worked out only past property_tol
+    worst = max(max_dp, max_d2p)
+    if worst > DEFAULT_CONFIG.property_tol and worst > (
+            32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.grid_phi))))
+            / np.min(np.diff(t)) ** 2):
         raise AdmissibilityError(
             "weight fails Property I (non-increasing, concave) on "
             f"[0, {t_max:.3g}]: max phi' = {max_dp:.3e}, "
@@ -258,17 +256,16 @@ def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
     volume), or to a stack of k integrands, shape (k, m), for a list of k
     integrals.
 
-    [0, R] is cut at every node of a tabulated weight, so the integrand is
-    smooth on each panel, and every panel gets the 16-point Gauss rule with
-    its distance from the 8-point rule as error estimate.  Panels are
+    [0, R] is cut at every node of the weight, so the integrand is smooth on
+    each panel, and every panel gets the 16-point Gauss rule with its
+    distance from the 8-point rule as error estimate.  Panels are
     bisected until, for every integrand, those estimates sum to at most
     max(abstol, 1e-12 |value|); a panel is split when any integrand needs it.
     """
     if not 0 < R < math.inf:
         raise DomainError("ball radius must be positive and finite")
     _check_radial_arg(form, R)
-    cuts = w.grid_t[(w.grid_t > 0) & (w.grid_t < R)] if w.kind == "tabulated" else []
-    edges = np.concatenate([[0.0], cuts, [R]])
+    edges = np.concatenate((w.grid_t[:w.grid_t.searchsorted(R)], (R,)))   # grid_t[0] = 0
     stacked = False
 
     def panels(a, b):

@@ -15,14 +15,14 @@ monotone comparison profiles
 
 whose weighted ball integrals satisfy sigma_1(B_R) = int H dmu / int G dmu.
 
-A closed-form weight (constant, linear, quadratic) is solved by Chebyshev
+A weight of one piece (every closed form) is solved by Chebyshev
 collocation (Trefethen, Spectral Methods in MATLAB, ch. 6-7), with DOP853
-as the fallback when degrees 24 and 32 disagree on beta.  A tabulated
-weight stays on DOP853 at rtol 1e-10: its phi' has kinks at the nodes.
-DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) runs in a loop of
-this module that repeats scipy 1.17.1's ``solve_ivp`` bit for bit, on a
-right-hand side that takes a table's phi' from its node values and its
-phi'' by np.interp's own formula.  It starts at t0 = series_start_factor
+as the fallback when degrees 24 and 32 disagree on beta.  A table stays on
+DOP853 at rtol 1e-10: its phi' has kinks at the nodes.  DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.10) runs in a loop of this module that
+repeats scipy 1.17.1's ``solve_ivp`` bit for bit, on a right-hand side that
+takes phi' on the weight's pieces by np.interp's own formula, so a table's
+values are those of ``phi_prime``.  It starts at t0 = series_start_factor
 * R from the three-term series of T, which also serves below t0; either
 route hands back one evaluator of (T, T') on [0, t_end].  Every ball
 integral, G and H included, goes through ``geometry.ball_weighted_volume``.
@@ -213,7 +213,7 @@ def _shoot(form, w, i, R, t_end):
     of T, which the evaluator also uses below t0."""
     n = form.dim
     lam = angular_eigenvalue(n, i)
-    dp0, d2p0 = float(w.phi_prime(0.0)), float(w.phi_second(0.0))
+    dp0, d2p0 = float(w.grid_dphi[0]), float(w.grid_d2phi[0])     # at 0, on the first piece
     c1 = i * dp0 / (2 * i + n - 1)
     c2 = (form.kappa * (lam + (n - 1) * i) / 3.0 + dp0 * c1 * (i + 1)
           + i * d2p0) / (4 * i + 2 * n)
@@ -227,17 +227,14 @@ def _shoot(form, w, i, R, t_end):
                 + c2 * (i + 2) * base * t)
 
     s_fn, c_fn = _METRIC[form.curvature]
-    dphi = w.phi_prime
-    if w.kind == "tabulated":
-        # one range check, then np.interp's formula, whose slopes are phi''
-        w.phi_prime(np.array([t0, t_end]))
-        x, f, slope = w.grid_t.tolist(), w.grid_dphi.tolist(), w.grid_d2phi.tolist()
+    # phi' by np.interp's formula on the pieces, whose slopes are phi''
+    x, f, slope = w.grid_t.tolist(), w.grid_dphi.tolist(), w.grid_d2phi.tolist()
 
-        def dphi(t):
-            if not x[0] < t < x[-1]:
-                return f[0] if t <= x[0] else f[-1]
-            j = bisect(x, t) - 1
-            return slope[j] * (t - x[j]) + f[j]
+    def dphi(t):
+        if not x[0] < t < x[-1]:
+            return f[0] if t <= x[0] else f[-1]
+        j = bisect(x, t) - 1
+        return slope[j] * (t - x[j]) + f[j]
 
     def rhs(t, y):
         T, dT = y.tolist()
@@ -310,7 +307,7 @@ def solve_mode(form: SpaceForm, w: RadialWeight, i: int, R: float, *,
     validate_property_i(w, t_end)
 
     dense = None
-    if w.kind != "tabulated":
+    if w.grid_d2phi.size == 1:      # one piece: phi' has no kink
         dense, beta = _chebyshev_solve(form, w, i, R, t_end)
     if dense is None:
         dense, beta = _shoot(form, w, i, R, t_end)

@@ -58,7 +58,7 @@ def match_radius(form: SpaceForm, w: RadialWeight,
         return ball_weighted_volume(form, w, R) - target_volume
 
     radius_max = DEFAULT_CONFIG.radius_max
-    t_end = w.grid_t[-1] if w.kind == "tabulated" else math.inf
+    t_end = w.grid_t[-1]
     hi = min(1.5 if form.curvature is Curvature.SPHERICAL_CAP else 1.0, t_end)
     while vol(hi) < 0:
         if hi == t_end:

@@ -216,7 +216,7 @@ def _trial_functions_admissible(dom: Domain2D, w: RadialWeight) -> bool:
 
 def _oracle_weight(w: RadialWeight):
     """phi, phi' and the closed-form slope of ``w``, written out for the oracle."""
-    a, b = w.a, w.b
+    a, b = 0.0 - float(w.grid_dphi[0]), 0.0 - 0.5 * float(w.grid_d2phi[0])
     if w.kind == "linear":
         return (lambda t: -a * t), (lambda t: -a + 0.0 * t), a
     if w.kind == "quadratic":

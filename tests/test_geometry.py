@@ -73,7 +73,7 @@ def test_weight_evaluators():
     ts = np.linspace(0, 2, 9)
     assert np.allclose(w.phi(ts), -ts - 0.25 * ts ** 2)
     assert np.allclose(w.phi_prime(ts), -1 - 0.5 * ts)
-    assert np.allclose(w.phi_second(ts), -0.5)
+    assert w.grid_d2phi.tolist() == [-0.5]       # phi'' on its one piece
     assert RadialWeight.constant(3.0).phi(1.7) == 3.0
     assert RadialWeight.linear(2.0).phi_prime(0.3) == -2.0
 
@@ -127,18 +127,40 @@ def test_tabulated_weight_validation():
         RadialWeight.tabulated([0.0, 1.0, 0.5, 2.0], [0.0, -1, -2, -3])
     with pytest.raises(DomainError):
         RadialWeight.tabulated([0.0, 1.0], [0.0, -1.0])
+    for start in (-0.5, 0.1):       # a weight's first piece starts at the origin
+        with pytest.raises(DomainError, match="start at 0"):
+            RadialWeight.tabulated(start + np.arange(4.0), -np.arange(4.0))
     w = RadialWeight.tabulated(np.linspace(0, 2, 50), -np.linspace(0, 2, 50))
     with pytest.raises(DomainError):
         w.phi(3.0)   # outside the tabulated range
 
 
 def test_tabulated_matches_closed_form():
+    """A table of -a t - b t^2 has the closed form's phi' and phi'' on its
+    interior pieces.  np.gradient's one-sided end difference puts phi' off
+    by -b h at 0, so from the first interior node on the table's phi is
+    the closed form's minus the constant b h^2 / 2."""
     ts = np.linspace(0.0, 2.0, 2001)
-    w_tab = RadialWeight.tabulated(ts, -0.5 * ts)
-    w = RadialWeight.linear(0.5)
     q = np.linspace(0.0, 2.0, 37)
-    assert np.allclose(w_tab.phi(q), w.phi(q), atol=1e-12)
-    assert np.allclose(w_tab.phi_prime(q), w.phi_prime(q), atol=1e-9)
+    inner = q[1:-1]                     # on interior pieces
+    for w in (RadialWeight.linear(0.5), RadialWeight.quadratic(1.0, 0.25)):
+        h, b = ts[1], -0.5 * w.grid_d2phi[0]
+        w_tab = RadialWeight.tabulated(ts, w.phi(ts))
+        assert np.allclose(w_tab.phi(inner), w.phi(inner) - b * h * h / 2,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(w_tab.phi(q), w.phi(q), rtol=0, atol=b * h * h / 2 + 1e-12)
+        assert np.allclose(w_tab.phi_prime(inner), w.phi_prime(inner), rtol=0, atol=1e-9)
+        assert np.allclose(w_tab.grid_d2phi[1:-1], w.grid_d2phi[0], rtol=0, atol=1e-8)
+
+
+def test_weight_labels():
+    """Every constructor's label, as the report CSVs' weight column prints it."""
+    ts = np.linspace(0.0, 1.25, 641)
+    weights = [RadialWeight.constant(0), RadialWeight.constant(3), RadialWeight.linear(0.5),
+               RadialWeight.linear(0), RadialWeight.quadratic(1, 0.25),
+               RadialWeight.quadratic(0, 0), RadialWeight.tabulated(ts, -ts)]
+    assert [w.label for w in weights] == ["const(0)", "const(3)", "-0.5*t", "-0*t",
+                                          "-1*t-0.25*t^2", "-0*t-0*t^2", "tabulated[641]"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from steklovw.geometry import (AdmissibilityError, Curvature, RadialWeight,
 from steklovw.mesh2d import Domain2D, MeridianDomain
 from steklovw.radial import solve_mode
 from steklovw.verify import brock_report
+from oracles import concave_table
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 E3 = SpaceForm(Curvature.EUCLIDEAN, 3)
@@ -91,13 +92,17 @@ def test_constant_weight_translation_invariance(cx, cy, c, levels):
 
 
 @REPORT
-@given(form=st.sampled_from([E2, H2]), w=WEIGHTS, c=st.floats(-2.0, 2.0),
-       levels=st.integers(1, 2))
+@given(form=st.sampled_from([E2, H2]),
+       w=WEIGHTS | st.builds(lambda *g: RadialWeight.tabulated(*concave_table(201, 2.5, *g)),
+                             st.floats(0.0, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 1.0)),
+       c=st.floats(-2.0, 2.0), levels=st.integers(1, 2))
 def test_constant_shift_invariance(form, w, c, levels):
-    """phi + c scales both sides of every pencil and both volumes by e^-c."""
+    """phi + c scales both sides of every pencil and both volumes by e^-c,
+    for a closed form and a table alike: c moves the value at the start of
+    every piece."""
     dom = Domain2D.ellipse(0.5, 0.4)
     _same_report(_report(dom, form, w, levels),
-                 _report(dom, form, replace(w, c=c), levels))
+                 _report(dom, form, replace(w, grid_phi=w.grid_phi + c), levels))
 
 
 @pytest.mark.parametrize("form, ball, radii", [
