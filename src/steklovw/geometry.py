@@ -206,10 +206,12 @@ def validate_property_i(w: RadialWeight, t_max: float) -> None:
     on [0, t_max].
 
     Property I is the hypothesis of the ball comparison, so every solve and
-    report checks it and none goes on without it.  The check is exact and
-    the same for every weight: phi' is linear and phi'' constant on each
-    piece, so max phi' is at 0, t_max or a node between, and max phi'' is
-    over the pieces that meet [0, t_max].  A table ending before t_max is a
+    report checks it and none goes on without it.  The check is the same
+    for every weight: phi' is linear and phi'' constant on each piece, so
+    max phi' is at 0, t_max or a node between, and max phi'' is over the
+    pieces that meet [0, t_max].  A closed form is decided exactly (a >= 0
+    and b >= 0, since phi' = -a - 2b t is then a sum of non-positive terms);
+    a table is allowed ``property_tol``.  A table ending before t_max is a
     ``DomainError``.
     """
     if not 0 < t_max < math.inf:
@@ -218,11 +220,12 @@ def validate_property_i(w: RadialWeight, t_max: float) -> None:
     k = t.searchsorted(t_max)      # the pieces that meet [0, t_max]
     max_dp = float(np.max(w.phi_prime(np.concatenate((t[:k], (t_max,))))))
     max_d2p = float(np.max(w.grid_d2phi[:k]))
-    # the tolerance: property_tol, widened to the roundoff floor of
-    # twice-differenced table values (~eps/h^2; 0 on a closed form's
+    # a closed form gets no tolerance; a table's is property_tol, widened to
+    # the roundoff floor of its twice-differenced values (~eps/h^2; 0 on an
     # infinite piece), which is worked out only past property_tol
     worst = max(max_dp, max_d2p)
-    if worst > DEFAULT_CONFIG.property_tol and worst > (
+    tol = DEFAULT_CONFIG.property_tol if t.size > 2 else 0.0
+    if worst > tol and worst > (
             32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.grid_phi))))
             / np.min(np.diff(t)) ** 2):
         raise AdmissibilityError(

@@ -39,54 +39,95 @@ def _check_star(radius: float, eps: float = 0.0, k: int = 1) -> None:
             f"|eps|*k = {abs(eps) * k:g} >= 1 breaks star-shapedness")
 
 
-@dataclass(frozen=True, eq=False)
-class Domain2D:
-    """Planar star-shaped domain spec, translated by ``center_offset``.
+def _check_finite(kind: str, *params) -> None:
+    if not np.all(np.isfinite(params)):
+        raise DomainError(f"{kind} parameters must be finite")
 
-    The offset moves the domain relative to the weight origin; the weight
-    itself always stays anchored at the coordinate origin.
+
+def _point(p) -> tuple[float, float]:
+    return float(p[0]), float(p[1])
+
+
+def _at(center: tuple[float, float]) -> str:
+    """The label suffix of a planar shape translated off the origin."""
+    return "" if center == (0.0, 0.0) else f"@({center[0]:g},{center[1]:g})"
+
+
+def _angles(theta) -> np.ndarray:
+    return np.atleast_1d(np.asarray(theta, dtype=float))
+
+
+def _constant(radius: float):
+    return lambda theta: np.full_like(_angles(theta), radius)
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """A star-shaped domain: its boundary radius about its center.
+
+    ``boundary_radius(theta)`` is the distance from ``center`` to the
+    boundary along the ray at angle theta.  The constructor also decides,
+    exactly from its parameters, the two facts the reports read:
+    ``centered_ball`` (a disk or ball about the origin) and
+    ``reflection_symmetric`` (invariant under x -> -x and y -> -y); both
+    hold only for a shape centred at the origin.  ``kind`` names the
+    constructor and is only echoed.  The weight always stays anchored at
+    the coordinate origin.
     """
 
-    kind: str                       # disk | ellipse | perturbed_disk | polygon
-    radius: float = 1.0
-    a: float = 1.0
-    b: float = 1.0
-    eps: float = 0.0
-    k: int = 0
-    vertices_local: np.ndarray | None = field(default=None, repr=False)
-    center_offset: tuple[float, float] = (0.0, 0.0)
+    kind: str
+    label: str
+    boundary_radius: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    centered_ball: bool
+    reflection_symmetric: bool
+    center: tuple[float, float] = (0.0, 0.0)
 
-    def __post_init__(self):
-        verts = () if self.vertices_local is None else self.vertices_local.ravel()
-        if not np.all(np.isfinite([self.radius, self.a, self.b, self.eps,
-                                   *self.center_offset, *verts])):
-            raise DomainError(f"{self.kind} parameters must be finite")
 
-    # -- constructors -------------------------------------------------
+class Domain2D(Shape):
+    """A planar star-shaped domain, translated by its ``center`` argument."""
+
     @staticmethod
     def disk(radius: float, center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
         _check_star(radius)
-        return Domain2D(kind="disk", radius=float(radius),
-                        center_offset=(float(center[0]), float(center[1])))
+        radius, center = float(radius), _point(center)
+        _check_finite("disk", radius, *center)
+        origin = center == (0.0, 0.0)
+        return Domain2D("disk", f"disk(R={radius:g}){_at(center)}",
+                        _constant(radius), origin, origin, center)
 
     @staticmethod
     def ellipse(a: float, b: float,
                 center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
         if a <= 0 or b <= 0:
             raise DomainError("ellipse semi-axes must be positive")
-        return Domain2D(kind="ellipse", a=float(a), b=float(b),
-                        center_offset=(float(center[0]), float(center[1])))
+        a, b, center = float(a), float(b), _point(center)
+        _check_finite("ellipse", a, b, *center)
+
+        def rho(theta):
+            theta = _angles(theta)
+            return a * b / np.sqrt((b * np.cos(theta)) ** 2 + (a * np.sin(theta)) ** 2)
+
+        origin = center == (0.0, 0.0)
+        return Domain2D("ellipse", f"ellipse(a={a:g},b={b:g}){_at(center)}",
+                        _constant(a) if a == b else rho,
+                        origin and a == b, origin, center)
 
     @staticmethod
     def perturbed_disk(radius: float, eps: float, k: int,
                        center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
         _check_star(radius, eps, k)
-        return Domain2D(kind="perturbed_disk", radius=float(radius),
-                        eps=float(eps), k=int(k),
-                        center_offset=(float(center[0]), float(center[1])))
+        radius, eps, k, center = float(radius), float(eps), int(k), _point(center)
+        _check_finite("perturbed_disk", radius, eps, *center)
+        origin = center == (0.0, 0.0)
+        return Domain2D(
+            "perturbed_disk", f"pdisk(R={radius:g},eps={eps:g},k={k}){_at(center)}",
+            lambda theta: radius * (1.0 + eps * np.cos(k * _angles(theta))),
+            origin and eps == 0.0, origin and (eps == 0.0 or k % 2 == 0), center)
 
     @staticmethod
     def polygon(vertices, center: tuple[float, float] = (0.0, 0.0)) -> "Domain2D":
+        """Star-shaped (CCW) about its vertex centroid, which ``center``
+        translates; the boundary radius is a ray/edge intersection."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise DomainError("polygon needs at least 3 (x, y) vertices")
@@ -97,10 +138,33 @@ class Domain2D:
         cross = rel[:, 0] * np.roll(rel[:, 1], -1) - rel[:, 1] * np.roll(rel[:, 0], -1)
         if wraps != 1 or np.any(cross <= 0):
             raise DomainError("polygon must be star-shaped (CCW) about its centroid")
-        return Domain2D(kind="polygon", vertices_local=verts,
-                        center_offset=(float(center[0]), float(center[1])))
+        offset = _point(center)
+        _check_finite("polygon", *offset, *verts.ravel())
+        e = np.roll(rel, -1, axis=0) - rel          # edge vectors
+        num_s = rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]
 
-    # -- geometry -----------------------------------------------------
+        def rho(theta):
+            theta = _angles(theta)
+            d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)   # (m, 2)
+            denom = d[:, None, 0] * e[None, :, 1] - d[:, None, 1] * e[None, :, 0]
+            num_u = rel[None, :, 0] * d[:, None, 1] - rel[None, :, 1] * d[:, None, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = num_s / denom
+                u = num_u / denom
+            valid = (np.abs(denom) > 1e-14) & (s > 0) & (u >= -1e-12) & (u <= 1 + 1e-12)
+            r = np.where(valid, s, np.inf).min(axis=1)
+            if np.any(~np.isfinite(r)):
+                raise DomainError("polygon radial function undefined for some angle")
+            return r
+
+        # the vertex set under x -> -x and y -> -y, compared on a 1e-12 grid
+        key = {tuple(np.round(v / 1e-12) * 1e-12) for v in verts}
+        mirrored = all(tuple(np.round(v * sign / 1e-12) * 1e-12) in key
+                       for sign in ((-1.0, 1.0), (1.0, -1.0)) for v in verts)
+        center = _point(centroid + offset)
+        return Domain2D("polygon", f"polygon[{len(verts)}]{_at(offset)}", rho,
+                        False, center == (0.0, 0.0) and mirrored, center)
+
     def fan(self, sectors: int) -> tuple[np.ndarray, bool]:
         """The closed fan: ``sectors`` rays over the full turn."""
         N = int(sectors)
@@ -111,107 +175,48 @@ class Domain2D:
     def curved_edges(self, mesh: TriMesh) -> np.ndarray:
         return mesh.boundary_edges
 
-    @property
-    def center(self) -> np.ndarray:
-        off = np.asarray(self.center_offset, dtype=float)
-        if self.kind == "polygon":
-            return self.vertices_local.mean(axis=0) + off
-        return off
 
-    def boundary_radius(self, theta) -> np.ndarray:
-        """Distance from the domain center to the boundary along angle theta."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.kind == "disk":
-            return np.full_like(theta, self.radius)
-        if self.kind == "ellipse":
-            if self.a == self.b:
-                return np.full_like(theta, self.a)
-            return self.a * self.b / np.sqrt(
-                (self.b * np.cos(theta)) ** 2 + (self.a * np.sin(theta)) ** 2)
-        if self.kind == "perturbed_disk":
-            return self.radius * (1.0 + self.eps * np.cos(self.k * theta))
-        # polygon: ray/edge intersection from the centroid
-        centroid = self.vertices_local.mean(axis=0)
-        v1 = self.vertices_local - centroid
-        v2 = np.roll(self.vertices_local, -1, axis=0) - centroid
-        e = v2 - v1
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)   # (m, 2)
-        denom = d[:, None, 0] * e[None, :, 1] - d[:, None, 1] * e[None, :, 0]
-        num_s = v1[None, :, 0] * e[None, :, 1] - v1[None, :, 1] * e[None, :, 0]
-        num_u = v1[None, :, 0] * d[:, None, 1] - v1[None, :, 1] * d[:, None, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = num_s / denom
-            u = num_u / denom
-        valid = (np.abs(denom) > 1e-14) & (s > 0) & (u >= -1e-12) & (u <= 1 + 1e-12)
-        s = np.where(valid, s, np.inf)
-        r = s.min(axis=1)
-        if np.any(~np.isfinite(r)):
-            raise DomainError("polygon radial function undefined for some angle")
-        return r
-
-    @property
-    def label(self) -> str:
-        off = "" if self.center_offset == (0.0, 0.0) else \
-            f"@({self.center_offset[0]:g},{self.center_offset[1]:g})"
-        if self.kind == "disk":
-            return f"disk(R={self.radius:g}){off}"
-        if self.kind == "ellipse":
-            return f"ellipse(a={self.a:g},b={self.b:g}){off}"
-        if self.kind == "perturbed_disk":
-            return f"pdisk(R={self.radius:g},eps={self.eps:g},k={self.k}){off}"
-        return f"polygon[{len(self.vertices_local)}]{off}"
-
-    def is_centered_ball(self) -> bool:
-        if self.center_offset != (0.0, 0.0):
-            return False
-        if self.kind == "disk":
-            return True
-        if self.kind == "ellipse":
-            return self.a == self.b
-        if self.kind == "perturbed_disk":
-            return self.eps == 0.0
-        return False
-
-
-@dataclass(frozen=True, eq=False)
-class MeridianDomain:
+class MeridianDomain(Shape):
     """Axisymmetric solid, given by the shape of its meridian half-section
-    in the (r, z) half-plane."""
+    in the (r, z) half-plane about the origin; its boundary radius is
+    along the ray at angle alpha from the +r axis."""
 
-    kind: str                 # ball | spheroid | perturbed_ball
-    R: float = 1.0
-    a: float = 1.0
-    c: float = 1.0
-    eps: float = 0.0
-    k: int = 0
-
-    center = (0.0, 0.0)       # rays of the meridian fan start at the origin
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.R, self.a, self.c, self.eps])):
-            raise DomainError(f"{self.kind} parameters must be finite")
-
-    # -- constructors ---------------------------------------------------
     @staticmethod
     def ball(R: float) -> "MeridianDomain":
         _check_star(R)
-        return MeridianDomain(kind="ball", R=float(R))
+        R = float(R)
+        _check_finite("ball", R)
+        return MeridianDomain("ball", f"ball(R={R:g})", _constant(R),
+                              centered_ball=True, reflection_symmetric=True)
 
     @staticmethod
     def spheroid(a: float, c: float) -> "MeridianDomain":
         """Boundary (r/a)^2 + (z/c)^2 = 1."""
         if a <= 0 or c <= 0:
             raise DomainError("spheroid semi-axes must be positive")
-        return MeridianDomain(kind="spheroid", a=float(a), c=float(c))
+        a, c = float(a), float(c)
+        _check_finite("spheroid", a, c)
+
+        def rho(alpha):
+            alpha = _angles(alpha)
+            return 1.0 / np.sqrt((np.cos(alpha) / a) ** 2 + (np.sin(alpha) / c) ** 2)
+
+        return MeridianDomain("spheroid", f"spheroid(a={a:g},c={c:g})",
+                              _constant(a) if a == c else rho,
+                              centered_ball=a == c, reflection_symmetric=True)
 
     @staticmethod
     def perturbed_ball(R: float, eps: float, k: int) -> "MeridianDomain":
         """Polar boundary radius R (1 + eps cos(k theta_colat))."""
         _check_star(R, eps, k)
-        return MeridianDomain(kind="perturbed_ball", R=float(R),
-                              eps=float(eps), k=int(k))
+        R, eps, k = float(R), float(eps), int(k)
+        _check_finite("perturbed_ball", R, eps)
+        return MeridianDomain(
+            "perturbed_ball", f"pball(R={R:g},eps={eps:g},k={k})",
+            lambda alpha: R * (1.0 + eps * np.cos(k * (math.pi / 2.0 - _angles(alpha)))),
+            centered_ball=eps == 0.0,
+            reflection_symmetric=eps == 0.0 or k % 2 == 0)
 
-    # -- geometry ---------------------------------------------------------
     def fan(self, sectors: int) -> tuple[np.ndarray, bool]:
         """The open meridian fan: sectors + 1 rays over [-pi/2, pi/2]."""
         N = int(sectors)
@@ -221,34 +226,6 @@ class MeridianDomain:
 
     def curved_edges(self, mesh: TriMesh) -> np.ndarray:
         return outer_edges(mesh)
-
-    def boundary_radius(self, alpha) -> np.ndarray:
-        """Boundary distance along the ray at angle alpha from the +r axis."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if self.kind == "ball":
-            return np.full_like(alpha, self.R)
-        if self.kind == "spheroid":
-            if self.a == self.c:
-                return np.full_like(alpha, self.a)
-            return 1.0 / np.sqrt((np.cos(alpha) / self.a) ** 2
-                                 + (np.sin(alpha) / self.c) ** 2)
-        colat = math.pi / 2.0 - alpha
-        return self.R * (1.0 + self.eps * np.cos(self.k * colat))
-
-    @property
-    def label(self) -> str:
-        if self.kind == "ball":
-            return f"ball(R={self.R:g})"
-        if self.kind == "spheroid":
-            return f"spheroid(a={self.a:g},c={self.c:g})"
-        return f"pball(R={self.R:g},eps={self.eps:g},k={self.k})"
-
-    def is_centered_ball(self) -> bool:
-        if self.kind == "ball":
-            return True
-        if self.kind == "spheroid":
-            return self.a == self.c
-        return self.eps == 0.0
 
 
 def axis_nodes(mesh: TriMesh) -> np.ndarray:

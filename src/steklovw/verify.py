@@ -282,7 +282,7 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight,
         sigma1_ball=ball.value, identity_discrepancy=ball.rel_discrepancy,
         lhs=lhs, rhs=rhs, gap=gap, slack=slack,
         status="pass" if gap >= -slack else "violation",
-        near_equality=(dom.is_centered_ball() and abs(gap) <= equality_tol),
+        near_equality=dom.centered_ball and abs(gap) <= equality_tol,
         equality_tol=equality_tol, h_finest=hier.meshes[-1].h,
         levels=len(hier.meshes), question_a=qa)
 
@@ -419,27 +419,6 @@ class ChainReport:
         return all(self.links_passed.values())
 
 
-def domain_is_reflection_symmetric(dom: Domain2D) -> bool:
-    """True when the domain is invariant under x -> -x and y -> -y, polygon
-    vertices compared on a 1e-12 grid."""
-    if not isinstance(dom, Domain2D):
-        return False
-    if tuple(dom.center_offset) != (0.0, 0.0):
-        return False
-    if dom.kind in ("disk", "ellipse"):
-        return True
-    if dom.kind == "perturbed_disk":
-        return dom.k % 2 == 0
-    verts = dom.vertices_local
-    tol = 1e-12
-    key = {tuple(np.round(v / tol) * tol) for v in verts}
-
-    def matches(sign):
-        return all(tuple(np.round(v * sign / tol) * tol) in key for v in verts)
-
-    return matches(np.array([-1.0, 1.0])) and matches(np.array([1.0, -1.0]))
-
-
 def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
                       w: RadialWeight, **mesh) -> ChainReport:
     """Audit the trial-function inequality chain behind the ball comparison.
@@ -462,7 +441,7 @@ def proof_chain_check(dom: Domain2D | MeshHierarchy, form: SpaceForm,
     plane = dom.domain if isinstance(dom, MeshHierarchy) else dom
     if not isinstance(plane, Domain2D):
         raise DomainError("the chain audit runs on planar domains")
-    if not domain_is_reflection_symmetric(plane):
+    if not plane.reflection_symmetric:
         raise SymmetryError(
             f"domain {plane.label} is not symmetric under x->-x, y->-y")
     n = form.dim

@@ -195,6 +195,10 @@ def _euclidean_sweep_runs():
     return runs
 
 
+# angles at which the admissibility test samples a boundary radius
+_THETA = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+
+
 def _trial_functions_admissible(dom: Domain2D, w: RadialWeight) -> bool:
     """Whether the Brock trial functions x_i g(|x|)/|x| are admissible.
 
@@ -202,16 +206,18 @@ def _trial_functions_admissible(dom: Domain2D, w: RadialWeight) -> bool:
     A constant weight makes the problem translation-invariant, so the
     trial functions can be centred anywhere (Brock's classical case).  For
     a non-constant weight they are centred at the weight origin, and a
-    domain centred there with a rotational symmetry of order >= 2 makes
-    int_dOmega (x/|x|) f(|x|) e^{-phi} ds vanish for every f.
+    domain centred there with a rotational symmetry of order m >= 2 makes
+    int_dOmega (x/|x|) f(|x|) e^{-phi} ds vanish for every f.  The
+    symmetry is read from the geometry: a rotation by 2 pi / m, m = 2..8,
+    that maps the boundary radius onto itself to 1e-13.
     """
     if w.kind == "constant":
         return True
-    if dom.center_offset != (0.0, 0.0):
+    if dom.center != (0.0, 0.0):
         return False
-    if dom.kind in ("disk", "ellipse"):
-        return True
-    return dom.kind == "perturbed_disk" and dom.k >= 2
+    rho = dom.boundary_radius(_THETA)
+    return any(np.max(np.abs(dom.boundary_radius(_THETA + 2.0 * math.pi / m)
+                              - rho)) <= 1e-13 for m in range(2, 9))
 
 
 def _oracle_weight(w: RadialWeight):
@@ -253,25 +259,27 @@ def test_criterion_07_euclidean_sweep():
     in_regime_ok = len(in_regime) == 58 and worst_gap >= 0.0
 
     # (b) centred-ball equality
-    ball_runs = [r for d, _, r in runs if d.is_centered_ball()]
+    ball_runs = [r for d, _, r in runs if d.centered_ball]
     equality_ok = len(ball_runs) == 3 and all(
         abs(r.gap) <= r.equality_tol and r.near_equality for r in ball_runs)
 
-    # (c) the off-centre finding, pinned against the in-repo oracle
+    # (c) the off-centre finding, pinned against the in-repo oracle: a disk
+    # (a constant boundary radius) centred off the weight origin
     offset = flagged[0][0] if flagged else None
-    flagged_ok = (offset is not None and offset.kind == "disk"
-                  and offset.center_offset != (0.0, 0.0)
+    flagged_ok = (offset is not None and offset.center != (0.0, 0.0)
+                  and np.ptp(offset.boundary_radius(_THETA)) == 0.0
                   and all(d is offset for d, _, _ in flagged)
                   and sorted(w.kind for _, w, _ in flagged)
                   == ["linear", "quadratic"])
-    one = oracles.offset_disk_sigma1(lambda t: 0.0 * t, offset.center_offset,
-                                     offset.radius) if flagged_ok else math.nan
+    radius = float(offset.boundary_radius(0.0)[0]) if flagged_ok else math.nan
+    one = oracles.offset_disk_sigma1(lambda t: 0.0 * t, offset.center,
+                                     radius) if flagged_ok else math.nan
     oracle_const_ok = abs(one - 1.0) <= 1e-10
     pinned = []
     for d, w, r in flagged if flagged_ok else ():
         phi, dphi, slope = _oracle_weight(w)
-        ref = oracles.offset_disk_comparison(phi, dphi, d.center_offset,
-                                             d.radius, linear_a=slope)
+        ref = oracles.offset_disk_comparison(phi, dphi, d.center, radius,
+                                             linear_a=slope)
         dom_dev = abs(r.sigma_omega[0] / ref["sigma1_domain"] - 1.0)
         ball_dev = abs(r.sigma1_ball / ref["sigma1_ball"] - 1.0)
         ok = (r.status == "violation" and r.gap + r.slack < 0.0
@@ -395,7 +403,7 @@ def test_criterion_10_proof_chain():
                                rep.margin_ball_H + rep.link_slack)
             if not rep.passed:
                 failures += 1
-            if dom.is_centered_ball():
+            if dom.centered_ball:
                 ball_worst = max(ball_worst, max(abs(m) for m in margins))
             assert rep.implication_consistent
     ok = failures == 0 and ball_worst <= 1e-3

@@ -369,6 +369,29 @@ def test_sweep_inadmissible_weight_exits_one(tmp_path, capsys):
     assert "Property I" in err
 
 
+def test_sweep_nearly_convex_closed_form_exits_one(tmp_path, capsys):
+    """phi = -t + 1e-13 t^2 is strictly convex: a closed form gets no
+    Property I tolerance, so the sweep fails instead of passing."""
+    cfg_path = tmp_path / "convex.cfg"
+    cfg_path.write_text(cfg_text("""
+        command = sweep
+
+        [weight]
+        kind = quadratic
+        a = 1
+        b = -1e-13
+
+        [domain]
+        kind = ellipse
+        a = 1.2
+        b = 0.8
+    """))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert "all checks passed" not in out
+    assert "sweep run ellipse x " in err and "Property I" in err
+
+
 def test_sweep_outputs_are_deterministic(tmp_path):
     body = """
         command = sweep

@@ -99,6 +99,21 @@ def test_property_i_rejects_increasing_weight():
         validate_property_i(RadialWeight.linear(-1.0), 2.0)   # phi = +t
 
 
+@pytest.mark.parametrize("w", [RadialWeight.linear(-1e-13),
+                               RadialWeight.quadratic(0.0, -1e-13),
+                               RadialWeight.quadratic(1.0, -1e-13)],
+                         ids=["increasing", "convex", "convex-decreasing"])
+def test_property_i_is_exact_on_closed_forms(w):
+    """A closed form is decided as a >= 0 and b >= 0 with no tolerance:
+    phi' = -a - 2b t is then a sum of non-positive terms, so there is no
+    roundoff to forgive, and a coefficient 1e-13 past zero fails."""
+    with pytest.raises(AdmissibilityError, match="Property I"):
+        validate_property_i(w, 2.0)
+    for ok in (RadialWeight.linear(0.0), RadialWeight.quadratic(0.0, 0.0),
+               RadialWeight.quadratic(1e-300, 1e-300)):
+        validate_property_i(ok, 2.0)
+
+
 def test_property_i_preconditions():
     with pytest.raises(DomainError):
         validate_property_i(RadialWeight.constant(), -1.0)

@@ -10,6 +10,9 @@ from steklovw.mesh2d import (Domain2D, MeridianDomain, MeshQualityError,
                              integrate_weighted, mesh_levels, outer_edges,
                              refine)
 from steklovw.steklov2d import P1Level
+from steklovw.verify import (standard_chain_domains, standard_spheroids,
+                             standard_sweep_euclidean,
+                             standard_sweep_hyperbolic)
 
 E2 = SpaceForm(Curvature.EUCLIDEAN, 2)
 H2 = SpaceForm(Curvature.HYPERBOLIC, 2)
@@ -172,6 +175,48 @@ def test_domain_invariant_validation():
     with pytest.raises(DomainError):
         Domain2D.polygon([(0, 0), (3, 0), (3, 3), (2, 3),
                           (2, 1), (1, 1), (1, 3), (0, 3)])
+    with pytest.raises(DomainError, match="^disk parameters must be finite$"):
+        Domain2D.disk(1.0, center=(0.0, math.inf))
+    with pytest.raises(DomainError, match="^spheroid parameters must be finite$"):
+        MeridianDomain.spheroid(math.nan, 1.0)
+
+
+SQUARE = [(1, -1), (1, 1), (-1, 1), (-1, -1)]
+FACT_SHAPES = (
+    [(f"E2-{d.label}", d) for d in standard_sweep_euclidean()]
+    + [(f"H2-{d.label}", d) for d in standard_sweep_hyperbolic()]
+    + [(f"chain-{d.label}", d) for d in standard_chain_domains()]
+    + [(f"E3-{d.label}", d) for d in standard_spheroids()]
+    + [("offset-disk", Domain2D.disk(1.0, center=(0.1, 0.0))),
+       ("offset-ellipse", Domain2D.ellipse(1.3, 0.7, center=(0.0, -0.2))),
+       ("pdisk-odd", Domain2D.perturbed_disk(1.0, 0.1, 3)),
+       ("pdisk-odd-eps0", Domain2D.perturbed_disk(1.0, 0.0, 3)),
+       ("polygon-asymmetric", Domain2D.polygon(
+           [(1.2, -0.5), (1.2, 0.5), (-1.2, 0.5), (-1.2, -0.5), (0.0, -0.9)])),
+       # centred on the origin, mirrored in y but not in x
+       ("triangle", Domain2D.polygon([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)])),
+       ("square", Domain2D.polygon(SQUARE)),
+       ("offset-square", Domain2D.polygon(SQUARE, center=(0.2, 0.0))),
+       ("ball", MeridianDomain.ball(1.0)),
+       ("pball-even", MeridianDomain.perturbed_ball(1.0, 0.1, 2)),
+       ("pball-odd", MeridianDomain.perturbed_ball(1.0, 0.1, 3))])
+
+
+@pytest.mark.parametrize("shape", [d for _, d in FACT_SHAPES],
+                         ids=[name for name, _ in FACT_SHAPES])
+def test_shape_facts_match_geometry(shape):
+    """The facts a constructor decides from its parameters agree with the
+    boundary radius sampled to 1e-13: ``reflection_symmetric`` exactly when
+    the centre is the origin and rho(theta) = rho(pi - theta) =
+    rho(-theta), ``centered_ball`` exactly when the centre is the origin
+    and rho is constant."""
+    theta = np.linspace(-math.pi, math.pi, 361)
+    rho = shape.boundary_radius(theta)
+    origin = shape.center == (0.0, 0.0)
+    mirrored = all(np.max(np.abs(shape.boundary_radius(image) - rho)) <= 1e-13
+                   for image in (math.pi - theta, -theta))
+    assert shape.reflection_symmetric == (origin and mirrored)
+    assert shape.centered_ball == (origin and np.ptp(rho) <= 1e-13)
 
 
 def test_measures_converge_at_second_order():

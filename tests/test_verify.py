@@ -12,8 +12,7 @@ from steklovw.mesh2d import Domain2D, MeridianDomain, integrate_weighted
 from steklovw.radial import (ball_spectrum, g_values, h_values, sigma1_ball,
                              solve_mode)
 from steklovw.verify import (MeshHierarchy, SymmetryError, brock_report,
-                             convergence_study,
-                             domain_is_reflection_symmetric, match_radius,
+                             convergence_study, match_radius,
                              proof_chain_check, rearrangement_check,
                              richardson,
                              standard_chain_domains, standard_sweep_euclidean,
@@ -421,15 +420,6 @@ def test_every_report_keeps_the_hyperbolic_margin(entry):
 # proof-chain audit
 # ---------------------------------------------------------------------------
 
-def test_symmetry_detector():
-    assert domain_is_reflection_symmetric(Domain2D.disk(1.0))
-    assert domain_is_reflection_symmetric(Domain2D.perturbed_disk(1, 0.1, 2))
-    assert not domain_is_reflection_symmetric(Domain2D.perturbed_disk(1, 0.1, 3))
-    assert not domain_is_reflection_symmetric(Domain2D.disk(1.0, center=(0.1, 0)))
-    square = Domain2D.polygon([(1, -1), (1, 1), (-1, 1), (-1, -1)])
-    assert domain_is_reflection_symmetric(square)
-
-
 def test_chain_rejects_asymmetric_domain():
     with pytest.raises(SymmetryError):
         proof_chain_check(Domain2D.perturbed_disk(1.0, 0.1, 3), E2, W0, levels=2)
@@ -517,13 +507,12 @@ def test_chain_integrals_match_one_call_per_integrand(dom, form):
 def test_standard_sweeps_well_formed():
     e = standard_sweep_euclidean()
     assert len(e) == 20
-    assert sum(1 for d in e if d.is_centered_ball()) >= 1
+    assert sum(1 for d in e if d.centered_ball) >= 1
     h = standard_sweep_hyperbolic()
     assert len(h) == 10
     for d in h:
         pts = d.boundary_radius(np.linspace(0, 2 * math.pi, 64))
-        center = np.asarray(d.center_offset)
-        assert np.max(pts) + np.linalg.norm(center) <= 0.95
+        assert np.max(pts) + np.linalg.norm(d.center) <= 0.95
     c = standard_chain_domains()
     assert len(c) == 6
-    assert all(domain_is_reflection_symmetric(d) for d in c)
+    assert all(d.reflection_symmetric for d in c)
