@@ -40,7 +40,6 @@ class NumericsConfig:
     # inequality verification
     slack_floor: float = 1e-3     # relative floor for inequality slack
     equality_floor: float = 1e-3  # absolute floor for equality detection
-    radius_match_rtol: float = 1e-10
     radius_max: float = 50.0
 
     def to_dict(self) -> dict:

@@ -195,9 +195,10 @@ class RadialWeight:
 
     @property
     def label(self) -> str:
+        # -a and -b with their sign; a zero a or b is +0.0, so it prints -0
         c, a, b = self.grid_phi[0], 0.0 - self.grid_dphi[0], 0.0 - 0.5 * self.grid_d2phi[0]
-        return {"constant": f"const({c:g})", "linear": f"-{a:g}*t",
-                "quadratic": f"-{a:g}*t-{b:g}*t^2"}.get(
+        return {"constant": f"const({c:g})", "linear": f"{-a:+g}*t",
+                "quadratic": f"{-a:+g}*t{-b:+g}*t^2"}.get(
                     self.kind, f"tabulated[{self.grid_t.size}]")
 
 

@@ -131,6 +131,8 @@ class Domain2D(Shape):
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise DomainError("polygon needs at least 3 (x, y) vertices")
+        offset = _point(center)
+        _check_finite("polygon", *offset, *verts.ravel())
         centroid = verts.mean(axis=0)
         rel = verts - centroid
         ang = np.arctan2(rel[:, 1], rel[:, 0])
@@ -138,8 +140,6 @@ class Domain2D(Shape):
         cross = rel[:, 0] * np.roll(rel[:, 1], -1) - rel[:, 1] * np.roll(rel[:, 0], -1)
         if wraps != 1 or np.any(cross <= 0):
             raise DomainError("polygon must be star-shaped (CCW) about its centroid")
-        offset = _point(center)
-        _check_finite("polygon", *offset, *verts.ravel())
         e = np.roll(rel, -1, axis=0) - rel          # edge vectors
         num_s = rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]
 

@@ -19,11 +19,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG
 from .geometry import (Curvature, DomainError, RadialWeight, SpaceForm,
-                       ball_weighted_volume, validate_property_i)
+                       ball_boundary_weighted_measure, ball_weighted_volume,
+                       unit_sphere_area, validate_property_i)
 from .mesh2d import (MERIDIAN, Domain2D, MeridianDomain, integrate_weighted,
                      measure, mesh_levels)
 from .radial import (ball_gh_integrals, g_values, h_values, sigma1_ball,
@@ -46,37 +46,36 @@ class SymmetryError(ValueError):
 
 def match_radius(form: SpaceForm, w: RadialWeight,
                  target_volume: float) -> float:
-    """Radius R with |B_R|_phi equal to the target weighted volume.
-
-    Bisection-type root find on the strictly increasing volume map with a
-    geometrically grown bracket, which stops at the end of a weight table.
-    """
+    """Radius R with |B_R|_phi equal to the target weighted volume, to
+    roundoff: Newton's walk down V(R) = |B_R|_phi, increasing and, under
+    Property I, convex in E^n and H^n (S^n is refused), from where a
+    doubling from min(1, R_up, table end) first reaches the target.  R_up,
+    the radius of the Euclidean ball of density e^-phi(0), is at least the
+    root, since s_kappa(t) >= t and phi' <= 0."""
     if not 0 < target_volume < math.inf:
         raise DomainError("target volume must be positive and finite")
-
-    def vol(R):
-        return ball_weighted_volume(form, w, R) - target_volume
-
+    if form.curvature is Curvature.SPHERICAL_CAP:
+        raise DomainError("volume matching needs E^n or H^n, not S^n")
     radius_max = DEFAULT_CONFIG.radius_max
-    t_end = w.grid_t[-1]
-    hi = min(1.5 if form.curvature is Curvature.SPHERICAL_CAP else 1.0, t_end)
-    while vol(hi) < 0:
-        if hi == t_end:
+    t_end, n = w.grid_t[-1], form.dim
+    log_up = (math.log(n * target_volume) - math.log(unit_sphere_area(n)) + w.phi(0.0)) / n
+    R = min(t_end, math.exp(min(0.0, log_up)))
+    v = ball_weighted_volume(form, w, R)
+    while v < target_volume:
+        if R == t_end:
             raise DomainError(f"target volume beyond the grid [{w.grid_t[0]}, {t_end}]")
-        hi = min(2.0 * hi, t_end)
-        if hi > radius_max:
+        R = min(2.0 * R, t_end)
+        if R > radius_max:
             raise BracketError(
                 f"no radius <= {radius_max:g} reaches the target volume")
-        if form.curvature is Curvature.SPHERICAL_CAP and hi >= math.pi:
-            raise BracketError("spherical-cap volume bracket exceeded t = pi")
-    lo = hi / 2.0
-    while vol(lo) > 0:
-        lo /= 2.0
-        if lo < 1e-12:
-            raise BracketError("target volume too small to bracket")
-
-    return float(brentq(vol, lo, hi, xtol=1e-300,
-                        rtol=max(DEFAULT_CONFIG.radius_match_rtol, 4e-16)))
+        v = ball_weighted_volume(form, w, R)
+    validate_property_i(w, R)
+    while True:
+        step = (v - target_volume) / ball_boundary_weighted_measure(form, w, R)
+        if not (step > 0 and R - step < R):
+            return float(R)
+        R -= step
+        v = ball_weighted_volume(form, w, R)
 
 
 @dataclass

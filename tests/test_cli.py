@@ -389,7 +389,7 @@ def test_sweep_nearly_convex_closed_form_exits_one(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     out, err = capsys.readouterr()
     assert "all checks passed" not in out
-    assert "sweep run ellipse x " in err and "Property I" in err
+    assert "sweep run ellipse x -1*t+1e-13*t^2 failed" in err and "Property I" in err
 
 
 def test_sweep_outputs_are_deterministic(tmp_path):

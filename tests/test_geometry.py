@@ -173,9 +173,11 @@ def test_weight_labels():
     ts = np.linspace(0.0, 1.25, 641)
     weights = [RadialWeight.constant(0), RadialWeight.constant(3), RadialWeight.linear(0.5),
                RadialWeight.linear(0), RadialWeight.quadratic(1, 0.25),
-               RadialWeight.quadratic(0, 0), RadialWeight.tabulated(ts, -ts)]
+               RadialWeight.quadratic(0, 0), RadialWeight.tabulated(ts, -ts),
+               RadialWeight.quadratic(1, -1e-13), RadialWeight.linear(-2)]
     assert [w.label for w in weights] == ["const(0)", "const(3)", "-0.5*t", "-0*t",
-                                          "-1*t-0.25*t^2", "-0*t-0*t^2", "tabulated[641]"]
+                                          "-1*t-0.25*t^2", "-0*t-0*t^2", "tabulated[641]",
+                                          "-1*t+1e-13*t^2", "+2*t"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +319,7 @@ NAN, INF = math.nan, math.inf
     lambda: MeridianDomain.perturbed_ball(1.0, 0.1, NAN),
     lambda: MeridianDomain.perturbed_ball(1.0, 0.0, INF),
     lambda: MeridianDomain.spheroid(NAN, 1.0),
+    lambda: Domain2D.polygon([(0, 0), (1, INF), (0, 1)]),
     lambda: solve_mode(E2, LIN, 1, NAN),
     lambda: solve_mode(E2, LIN, 1, INF),
     lambda: solve_mode(E2, LIN, 1, 1.0, t_end=NAN),
@@ -328,12 +331,14 @@ NAN, INF = math.nan, math.inf
         "ellipse-inf", "disk-center-nan", "perturbed-disk-eps-nan",
         "perturbed-disk-k-nan", "perturbed-disk-k-inf", "perturbed-ball-k-nan",
         "perturbed-ball-k-inf",
-        "spheroid-nan", "solve-mode-nan", "solve-mode-inf", "solve-mode-t-end-nan",
+        "spheroid-nan", "polygon-vertex-inf", "solve-mode-nan", "solve-mode-inf",
+        "solve-mode-t-end-nan",
         "property-check-nan", "tabulated-phi-nan", "match-radius-nan"])
 def test_non_finite_arguments_raise_domain_error(call):
     """A non-finite number is rejected where it enters the library, never
-    turned into a silent value or a later solver failure."""
-    with pytest.raises(DomainError):
+    turned into a silent value, a later solver failure or a warning on the
+    way (the suite makes every warning an error)."""
+    with pytest.raises(DomainError, match="finite|grid"):
         call()
 
 

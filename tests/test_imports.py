@@ -1,0 +1,31 @@
+"""The package's scipy surface, read from its source.
+
+The sparse solvers are the package's only scipy dependency, apart from
+the DOP853 tableau that ``radial`` takes from ``scipy.integrate``.  The
+check parses the source instead of reading ``sys.modules``, because
+importing ``scipy.integrate`` loads ``scipy.optimize`` by itself.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "steklovw"
+ALLOWED = {"scipy.sparse", "scipy.sparse.linalg"}
+ALLOWED_IN = {"radial.py": ALLOWED | {"scipy.integrate"}}
+
+
+def scipy_imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update([f"scipy.{a.name}" for a in node.names]
+                         if node.module == "scipy" else [node.module])
+    return {n for n in names if n == "scipy" or n.startswith("scipy.")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_sparse_scipy_imports(path):
+    assert scipy_imports(path) <= ALLOWED_IN.get(path.name, ALLOWED)

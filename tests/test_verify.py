@@ -34,32 +34,50 @@ ELLIPSE = Domain2D.ellipse(math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 # ---------------------------------------------------------------------------
 
 def test_match_radius_examples():
-    assert match_radius(E2, W0, math.pi) == pytest.approx(1.0, rel=1e-9)
+    """Closed-form volumes, met to roundoff: E2 constant pi R^2, H2 constant
+    2 pi (cosh R - 1), and E2 under phi = -t, 2 pi at R = 1."""
+    for V in (1e-6, 0.1, math.pi, 50.0):
+        assert match_radius(E2, W0, V) == pytest.approx(math.sqrt(V / math.pi),
+                                                        rel=1e-14)
+        assert match_radius(H2, W0, V) == pytest.approx(
+            math.acosh(1 + V / (2 * math.pi)), rel=1e-14)
     assert match_radius(E2, RadialWeight.linear(1.0), 2 * math.pi) == \
-        pytest.approx(1.0, rel=1e-9)
-    assert match_radius(H2, W0, 2 * math.pi * (math.cosh(1) - 1)) == \
-        pytest.approx(1.0, rel=1e-9)
+        pytest.approx(1.0, rel=1e-14)
+    # far below any fixed bracket floor
+    assert match_radius(E2, W0, 1e-30) == pytest.approx(math.sqrt(1e-30 / math.pi),
+                                                        rel=1e-14)
 
 
 def test_match_radius_roundtrip():
+    """The walk inverts the volume quadrature to roundoff, from radii far
+    below 1 to radii the doubling has to reach."""
     from steklovw.geometry import ball_weighted_volume
-    w = RadialWeight.quadratic(0.5, 0.2)
-    for R in (0.3, 1.7):
-        vol = ball_weighted_volume(H2, w, R)
-        assert match_radius(H2, w, vol) == pytest.approx(R, rel=1e-9)
+    for form in (E2, E3, H2, H3):
+        for w in (RadialWeight.quadratic(0.5, 0.2), RadialWeight.quadratic(2, 1)):
+            for R in (1e-3, 1e-2, 0.3, 1.7):
+                vol = ball_weighted_volume(form, w, R)
+                assert match_radius(form, w, vol) == pytest.approx(R, rel=1e-14)
 
 
 @pytest.mark.parametrize("form", [E2, E3, H2, H3], ids=lambda f: f.label)
 def test_match_radius_roundtrip_tabulated(form):
     from steklovw.geometry import ball_weighted_volume
-    for R in (0.05, 0.61, 1.2, 1.25):   # up to the end of the table
+    for R in (1e-3, 1e-2, 0.05, 0.61, 1.2, 1.25):   # up to the end of the table
         vol = ball_weighted_volume(form, TABLE, R)
-        assert match_radius(form, TABLE, vol) == pytest.approx(R, rel=1e-9)
+        assert match_radius(form, TABLE, vol) == pytest.approx(R, rel=1e-14)
 
 
-def test_match_radius_beyond_table_raises_domain_error():
-    """A target the table cannot reach is an error naming the grid, never a
-    radius extrapolated past the last sample."""
+def test_match_radius_refusals():
+    """What the walk cannot match is a typed error, never a radius: S^n has
+    no matching, a weight without Property I could land the walk below the
+    root, and a target the table cannot reach names the grid instead of
+    extrapolating past the last sample."""
+    with pytest.raises(DomainError, match="not S\\^n"):
+        match_radius(SpaceForm(Curvature.SPHERICAL_CAP, 2), W0, 1.0)
+    with pytest.raises(AdmissibilityError, match="Property I"):
+        match_radius(E2, RadialWeight.linear(-3), 0.1)
+    with pytest.raises(DomainError, match="positive and finite"):
+        match_radius(E2, W0, math.nan)
     with pytest.raises(DomainError, match=r"grid \[0\.0, 1\.25\]"):
         match_radius(E2, TABLE, 100.0)
 
