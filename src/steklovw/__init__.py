@@ -22,7 +22,7 @@ from .spectrum import SteklovSpectrum
 from .steklov2d import (AssembledSystem, FactorizationError, P1Level,
                         assemble, assemble_mode, domain_spectrum,
                         solve_spectrum)
-from .verify import (BracketError, ChainReport, SymmetryError,
+from .verify import (ChainReport, SymmetryError,
                      VerificationReport, brock_report, convergence_study,
                      match_radius, proof_chain_check, rearrangement_check,
                      richardson)

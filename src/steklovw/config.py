@@ -24,9 +24,6 @@ class NumericsConfig:
     # Property I admissibility check
     property_tol: float = 1e-12
 
-    # shooting / integral-identity cross check
-    identity_warn_tol: float = 1e-6
-
     # meshing & FEM
     # NOTE: the polar construction puts triangles of apex angle 360/N deg at
     # the fan, so a 15 deg floor would reject every mesh with N > 24.  All
@@ -40,7 +37,6 @@ class NumericsConfig:
     # inequality verification
     slack_floor: float = 1e-3     # relative floor for inequality slack
     equality_floor: float = 1e-3  # absolute floor for equality detection
-    radius_max: float = 50.0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -309,11 +309,16 @@ def ball_weighted_volume(form: SpaceForm, w: RadialWeight, R: float,
 
 def ball_boundary_weighted_measure(form: SpaceForm, w: RadialWeight,
                                    R: float) -> float:
-    """Weighted surface measure of the geodesic sphere of radius R."""
+    """Weighted surface measure of the geodesic sphere of radius R; one
+    that under- or overflows is a ``QuadratureError``, as an integrand that
+    does is for ``ball_weighted_volume``."""
     if not 0 < R < math.inf:
         raise DomainError("ball radius must be positive and finite")
     sr = s_kappa(form, R)
-    return unit_sphere_area(form.dim) * sr ** (form.dim - 1) * math.exp(-w.phi(R))
+    out = unit_sphere_area(form.dim) * sr ** (form.dim - 1) * math.exp(-w.phi(R))
+    if not 0 < out < math.inf:
+        raise QuadratureError("weighted boundary measure is not positive and finite")
+    return out
 
 
 # ---------------------------------------------------------------------------

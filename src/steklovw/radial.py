@@ -30,7 +30,6 @@ integral, G and H included, goes through ``geometry.ball_weighted_volume``.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect
 from dataclasses import dataclass, field
 
@@ -357,7 +356,7 @@ class BallSigma1:
 
     value: float
     integral_value: float
-    rel_discrepancy: float
+    rel_discrepancy: float      # reported as identity_discrepancy
     solution: RadialSolution
 
 
@@ -370,14 +369,9 @@ def sigma1_ball(form: SpaceForm, w: RadialWeight, R: float) -> BallSigma1:
     _, ih = ball_gh_integrals(sol)
     integral_value = ih / (sol(R)[0][0] ** 2
                            * ball_boundary_weighted_measure(form, w, R))
-    rel = abs(sol.beta - integral_value) / abs(sol.beta)
-    warn_tol = DEFAULT_CONFIG.identity_warn_tol
-    if rel > warn_tol:
-        warnings.warn(
-            f"shooting/integral identity discrepancy {rel:.3e} exceeds "
-            f"{warn_tol:.1e}", RuntimeWarning, stacklevel=2)
     return BallSigma1(value=sol.beta, integral_value=integral_value,
-                      rel_discrepancy=rel, solution=sol)
+                      rel_discrepancy=abs(sol.beta - integral_value) / abs(sol.beta),
+                      solution=sol)
 
 
 def ball_spectrum(form: SpaceForm, w: RadialWeight, R: float,

@@ -15,7 +15,6 @@ domain plus ``MeshHierarchy`` keywords, or a prebuilt ``MeshHierarchy``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +31,6 @@ from .spectrum import SteklovSpectrum
 from .steklov2d import P1Level, domain_spectrum
 
 
-class BracketError(RuntimeError):
-    """No ball radius below the fixed maximum reaches the target volume."""
-
-
 class SymmetryError(ValueError):
     """Domain lacks the reflection symmetry required by the chain audit."""
 
@@ -44,32 +39,35 @@ class SymmetryError(ValueError):
 # volume matching and extrapolation
 # ---------------------------------------------------------------------------
 
+_LOG_MAX = math.log(np.finfo(float).max)   # exp of anything above overflows
+
+
 def match_radius(form: SpaceForm, w: RadialWeight,
                  target_volume: float) -> float:
     """Radius R with |B_R|_phi equal to the target weighted volume, to
     roundoff: Newton's walk down V(R) = |B_R|_phi, increasing and, under
     Property I, convex in E^n and H^n (S^n is refused), from where a
-    doubling from min(1, R_up, table end) first reaches the target.  R_up,
-    the radius of the Euclidean ball of density e^-phi(0), is at least the
-    root, since s_kappa(t) >= t and phi' <= 0."""
+    doubling from min(1, top) first reaches the target or stops at top =
+    min(table end, R_up).  R_up, the radius of the Euclidean ball of
+    density e^-phi(0), is at least the root under Property I, since
+    s_kappa(t) >= t and phi' <= 0; so no radius cap is needed, and of the
+    targets only one past the end of a table is refused."""
     if not 0 < target_volume < math.inf:
         raise DomainError("target volume must be positive and finite")
     if form.curvature is Curvature.SPHERICAL_CAP:
         raise DomainError("volume matching needs E^n or H^n, not S^n")
-    radius_max = DEFAULT_CONFIG.radius_max
     t_end, n = w.grid_t[-1], form.dim
     log_up = (math.log(n * target_volume) - math.log(unit_sphere_area(n)) + w.phi(0.0)) / n
-    R = min(t_end, math.exp(min(0.0, log_up)))
+    R_up = math.exp(min(log_up, _LOG_MAX))
+    top = min(t_end, R_up)
+    R = min(1.0, top)
     v = ball_weighted_volume(form, w, R)
-    while v < target_volume:
-        if R == t_end:
-            raise DomainError(f"target volume beyond the grid [{w.grid_t[0]}, {t_end}]")
-        R = min(2.0 * R, t_end)
-        if R > radius_max:
-            raise BracketError(
-                f"no radius <= {radius_max:g} reaches the target volume")
+    while v < target_volume and R < top:
+        R = min(2.0 * R, top)
         v = ball_weighted_volume(form, w, R)
     validate_property_i(w, R)
+    if v < target_volume and R < R_up:
+        raise DomainError(f"target volume beyond the grid [{w.grid_t[0]}, {t_end}]")
     while True:
         step = (v - target_volume) / ball_boundary_weighted_measure(form, w, R)
         if not (step > 0 and R - step < R):
@@ -254,19 +252,20 @@ def brock_report(dom, form: SpaceForm, w: RadialWeight,
     volume, R = hier.matched_radius(w)
     ball = sigma1_ball(form, w, R)
 
-    lhs = sum(1.0 / s for s in sigma[:n - 1])
-    rhs = (n - 1) / ball.value
-    err_lhs = sum(e / s ** 2 for e, s in zip(errs[:n - 1], sigma[:n - 1]))
-    slack = max(DEFAULT_CONFIG.slack_floor * abs(rhs), 3.0 * err_lhs)
+    def compare(m: int) -> tuple[float, float, float, float]:
+        """(lhs, rhs, err, slack) for the sum of the first m reciprocals."""
+        lhs = sum(1.0 / s for s in sigma[:m])
+        rhs = m / ball.value
+        err = sum(e / s ** 2 for e, s in zip(errs[:m], sigma[:m]))
+        return lhs, rhs, err, max(DEFAULT_CONFIG.slack_floor * abs(rhs), 3.0 * err)
+
+    lhs, rhs, err_lhs, slack = compare(n - 1)
     gap = lhs - rhs
     equality_tol = max(DEFAULT_CONFIG.equality_floor, 3.0 * err_lhs)
 
     qa = None
     if n == 2:
-        lhs_n = lhs + 1.0 / sigma[n - 1]
-        rhs_n = n / ball.value
-        err_n = err_lhs + errs[n - 1] / sigma[n - 1] ** 2
-        slack_n = max(DEFAULT_CONFIG.slack_floor * abs(rhs_n), 3.0 * err_n)
+        lhs_n, rhs_n, _, slack_n = compare(n)
         gap_n = lhs_n - rhs_n
         qa = {
             "sigma_n": sigma[n - 1], "lhs_n": lhs_n, "rhs_n": rhs_n,
@@ -300,7 +299,7 @@ class ConvergenceStudy:
     extrapolated: list[float]         # sigma_1..sigma_k
     orders: list[float]
     errors: list[float]
-    monotone: list[bool]
+    monotone: list[bool]              # False: no safe extrapolation
 
 
 def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int,
@@ -316,11 +315,6 @@ def convergence_study(dom, form: SpaceForm, w: RadialWeight, k: int,
     if len(hier.meshes) < 3:
         raise DomainError("convergence study needs at least 3 levels")
     values, extraps = hier.extrapolate(w, k)
-    for i, ex in enumerate(extraps, start=1):
-        if not ex.monotone:
-            warnings.warn(
-                f"non-monotone convergence for eigenvalue index {i}",
-                RuntimeWarning, stacklevel=2)
     return ConvergenceStudy(
         domain=hier.domain.label, weight=w.label,
         curvature=form.curvature.label, hs=[m.h for m in hier.meshes],

@@ -323,6 +323,31 @@ def test_verify_disk_exits_zero(tmp_path):
     assert report["config"]["tolerances"]["eigen_rtol"] == 1e-14
 
 
+def test_verify_large_disk_is_matched(tmp_path, capsys):
+    """No radius cap: the disk of radius 60 under the constant weight is
+    matched to its ball, since R_up bounds the walk, and the run writes
+    nothing to stderr."""
+    cfg = parse_config(cfg_text(f"""
+        command = verify
+
+        [domain]
+        kind = disk
+        radius = 60
+
+        [mesh]
+        rings = 6
+        sectors = 32
+
+        [output]
+        dir = {tmp_path}/out
+    """))
+    assert run(cfg) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())["report"]
+    assert report["status"] == "pass" and report["near_equality"]
+    assert 50.0 < report["R"] < 60.0
+
+
 def test_verify_tabulated_weight_exits_zero(tmp_path):
     """A criterion-4-style table (641 nodes) matches its ball radius."""
     table = tmp_path / "w.csv"

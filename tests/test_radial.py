@@ -296,7 +296,7 @@ def test_identity_is_exact_on_tables(table):
             res = sigma1_ball(form, w, R)
             ref = shoot_beta(form.dim, form.kappa, dphi, R, breaks=w.grid_t)
             assert res.integral_value == pytest.approx(ref, rel=1e-10), (form, R)
-            assert res.rel_discrepancy < DEFAULT_CONFIG.identity_warn_tol
+            assert res.rel_discrepancy < 1e-6
 
 
 def test_dop853_loop_raises_on_nan_never_returns_it():

@@ -7,7 +7,9 @@ import oracles
 
 from steklovw import verify
 from steklovw.geometry import (AdmissibilityError, Curvature, DomainError,
-                               RadialWeight, SpaceForm)
+                               QuadratureError, RadialWeight, SpaceForm,
+                               ball_boundary_weighted_measure,
+                               ball_weighted_volume)
 from steklovw.mesh2d import Domain2D, MeridianDomain, integrate_weighted
 from steklovw.radial import (ball_spectrum, g_values, h_values, sigma1_ball,
                              solve_mode)
@@ -51,7 +53,6 @@ def test_match_radius_examples():
 def test_match_radius_roundtrip():
     """The walk inverts the volume quadrature to roundoff, from radii far
     below 1 to radii the doubling has to reach."""
-    from steklovw.geometry import ball_weighted_volume
     for form in (E2, E3, H2, H3):
         for w in (RadialWeight.quadratic(0.5, 0.2), RadialWeight.quadratic(2, 1)):
             for R in (1e-3, 1e-2, 0.3, 1.7):
@@ -61,7 +62,6 @@ def test_match_radius_roundtrip():
 
 @pytest.mark.parametrize("form", [E2, E3, H2, H3], ids=lambda f: f.label)
 def test_match_radius_roundtrip_tabulated(form):
-    from steklovw.geometry import ball_weighted_volume
     for R in (1e-3, 1e-2, 0.05, 0.61, 1.2, 1.25):   # up to the end of the table
         vol = ball_weighted_volume(form, TABLE, R)
         assert match_radius(form, TABLE, vol) == pytest.approx(R, rel=1e-14)
@@ -74,19 +74,45 @@ def test_match_radius_refusals():
     extrapolating past the last sample."""
     with pytest.raises(DomainError, match="not S\\^n"):
         match_radius(SpaceForm(Curvature.SPHERICAL_CAP, 2), W0, 1.0)
-    with pytest.raises(AdmissibilityError, match="Property I"):
-        match_radius(E2, RadialWeight.linear(-3), 0.1)
+    for target in (0.1, 1.0):    # 1.0 lies past V(R_up) of the bad weight
+        with pytest.raises(AdmissibilityError, match="Property I"):
+            match_radius(E2, RadialWeight.linear(-3), target)
     with pytest.raises(DomainError, match="positive and finite"):
         match_radius(E2, W0, math.nan)
     with pytest.raises(DomainError, match=r"grid \[0\.0, 1\.25\]"):
         match_radius(E2, TABLE, 100.0)
 
 
+def test_match_radius_at_r_up_takes_one_quadrature(monkeypatch):
+    """Under the constant weight in E2, R_up is the root itself: the
+    doubling stops there even when the quadrature puts V(R_up) an ulp below
+    the target, and the walk returns it after one volume quadrature."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ball_weighted_volume(*args)
+    monkeypatch.setattr(verify, "ball_weighted_volume", counting)
+    assert match_radius(E2, RadialWeight.constant(0.0), math.pi * 0.01) == \
+        pytest.approx(0.1, rel=1e-15)
+    assert len(calls) == 1
+
+
+def test_match_radius_refuses_an_underflowing_density():
+    """e^-800 is 0.0 in floating point, so no radius reaches the target:
+    the walk stops at a typed error instead of dividing by the zero
+    boundary measure or returning R_up."""
+    w = RadialWeight.constant(800.0)
+    with pytest.raises(QuadratureError, match="boundary measure"):
+        ball_boundary_weighted_measure(E2, w, 1.0)
+    with pytest.raises(QuadratureError, match="boundary measure"):
+        match_radius(E2, w, 1.0)
+
+
 def test_tabulated_weight_report():
     rep = brock_report(Domain2D.disk(1.0), E2, TABLE)
     assert rep.near_equality and rep.passed
     assert rep.R == pytest.approx(1.0, rel=1e-4)   # inscribed-mesh volume
-    from steklovw.geometry import ball_weighted_volume
     assert ball_weighted_volume(E2, TABLE, rep.R) == pytest.approx(rep.volume,
                                                                    rel=1e-9)
 
@@ -135,7 +161,6 @@ def test_weighted_ellipse_report():
 
 
 def test_report_matches_ball_volume():
-    from steklovw.geometry import ball_weighted_volume
     w = RadialWeight.linear(0.5)
     rep = brock_report(ELLIPSE, E2, w, levels=2)
     assert rep.R > 0
